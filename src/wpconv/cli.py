@@ -281,8 +281,6 @@ def _stage_closure(requested):
         stages.add("rate")
     if "verify" in stages:
         stages.update(("rate", "drift"))
-    if "stability" in stages or "sweep" in stages:
-        pass
     order = [s for s in STAGES if s in stages]
     return order
 

@@ -188,15 +188,24 @@ def sphere_directions(d, n):
 # drift rates
 # ---------------------------------------------------------------------------
 
-def _tilted_radial_drift(model, x_point):
-    """E_{nu_x}[<e, grad V(x - z)>] at x = |x| e (one point)."""
+def _sphere_points(model, s, n):
+    """Points on the spheres |x| = s: the exact pair +-s in d = 1, n
+    directions otherwise.  Shape (radii, directions) resp. (radii, n, d)."""
+    s = np.asarray(s, dtype=float)
     if model.d == 1:
-        sgn = 1.0 if x_point >= 0 else -1.0
-        return sgn * model_mod.tilted_u_moment(model, x_point, model.potential.grad_1d)
-    e = np.asarray(x_point, dtype=float)
-    e = e / np.linalg.norm(e)
-    _, grad = model_mod.v_nu_and_grad(model, x_point)
-    return float(np.dot(e, grad))
+        return np.stack([s, -s], axis=-1)
+    return s[:, None, None] * sphere_directions(model.d, n)[None]
+
+
+def _tilted_radial_drift(model, x):
+    """E_{nu_x}[<e, grad V(x - z)>] at x = |x| e, at every point of x."""
+    x = np.asarray(x, dtype=float)
+    if model.d == 1:
+        sgn = np.where(x >= 0.0, 1.0, -1.0)
+        return sgn * model_mod.tilted_u_moment(model, x, model.potential.grad_1d)
+    e = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    _, grad = model_mod.v_nu_and_grad(model, x)
+    return np.sum(e * grad, axis=-1)
 
 
 def psi_case_a(model, s, cfg, strict=True):
@@ -209,15 +218,8 @@ def psi_case_a(model, s, cfg, strict=True):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0.0):
         raise ValueError("radii must be positive")
-    if model.d > 1:
-        dirs = sphere_directions(model.d, cfg.sphere_samples)
-    out = np.empty(s_arr.shape)
-    for i, sv in enumerate(s_arr):
-        if model.d == 1:
-            vals = [_tilted_radial_drift(model, sv), _tilted_radial_drift(model, -sv)]
-        else:
-            vals = [_tilted_radial_drift(model, sv * e) for e in dirs]
-        out[i] = min(vals)
+    pts = _sphere_points(model, s_arr, cfg.sphere_samples)
+    out = np.min(_tilted_radial_drift(model, pts), axis=1)
     if strict and cfg.R0 is not None:
         bad = (s_arr >= cfg.R0) & (out <= 0.0)
         if np.any(bad):
@@ -403,7 +405,7 @@ def phi_case_a(model, cfg, s_max=None, points_per_decade=200, include_radii=None
 
 
 def case_b_integrand(model, x, cfg):
-    """E_{nu_x}[delta |grad V(x-z)|^2 - Delta V(x-z)] at the point x."""
+    """E_{nu_x}[delta |grad V(x-z)|^2 - Delta V(x-z)] at every point of x."""
     pot = model.potential
     delta = cfg.delta
     if model.d == 1:
@@ -419,15 +421,17 @@ def case_b_integrand(model, x, cfg):
 
 def _ball_infimum_integrand(model, s, cfg):
     """inf over the ball B_R(x), |x| = s, of delta |grad V|^2 - Delta V, for
-    radial potentials (the ball projects onto the radius window [s-R, s+R])."""
+    radial potentials (the ball projects onto the radius window [s-R, s+R]).
+    Vectorized over s."""
     pot, R = model.potential, model.source.support_radius
     if not pot.radial:
         raise UnsupportedDimension("ball infimum requires a radial potential")
-    lo = max(s - R, pot.smooth_radius + 1e-12, 1e-12)
-    win = np.linspace(lo, s + R, max(cfg.window_samples, 3))
+    s = np.asarray(s, dtype=float)
+    lo = np.maximum(s - R, max(pot.smooth_radius + 1e-12, 1e-12))
+    win = np.linspace(lo, s + R, max(cfg.window_samples, 3), axis=-1)
     vp = pot.v0p(win)
     lap = pot.v0pp(win) + (pot.d - 1) * vp / win
-    return float(np.min(cfg.delta * vp ** 2 - lap))
+    return np.min(cfg.delta * vp ** 2 - lap, axis=-1)
 
 
 def phi_case_b(model, cfg, s_max=None, points_per_decade=200, include_radii=None,
@@ -442,33 +446,15 @@ def phi_case_b(model, cfg, s_max=None, points_per_decade=200, include_radii=None
     if s_max is None:
         s_max = 1e4 * max(R0, 1.0)
     grid = _anchored_grid(R0, s_max, points_per_decade, include_radii)
-
-    def integrand(radii):
-        out = np.empty(radii.shape)
-        if cfg.case == "b":
-            if model.d > 1:
-                dirs = sphere_directions(model.d, cfg.sphere_samples)
-            for i, sv in enumerate(radii):
-                if model.d == 1:
-                    out[i] = min(case_b_integrand(model, sv, cfg),
-                                 case_b_integrand(model, -sv, cfg))
-                else:
-                    out[i] = min(case_b_integrand(model, sv * e, cfg)
-                                 for e in dirs)
-        else:
-            for i, sv in enumerate(radii):
-                out[i] = _ball_infimum_integrand(model, sv, cfg)
-        return out
-
     if prefix is not None and include_radii is None:
         old_grid, old_vals = prefix
         k = min(old_grid.size, grid.size)
         if np.array_equal(old_grid[:k], grid[:k]):
-            vals = np.concatenate([old_vals[:k], integrand(grid[k:])])
+            vals = np.concatenate([old_vals[:k], _case_scan_values(model, grid[k:], cfg)])
         else:
-            vals = integrand(grid)
+            vals = _case_scan_values(model, grid, cfg)
     else:
-        vals = integrand(grid)
+        vals = _case_scan_values(model, grid, cfg)
     if np.any(vals <= 0.0):
         raise DriftConditionFailed(
             f"case-b integrand nonpositive at s={grid[vals <= 0.0][0]:g}")
@@ -481,22 +467,17 @@ def phi_case_b(model, cfg, s_max=None, points_per_decade=200, include_radii=None
 # ---------------------------------------------------------------------------
 
 def _case_scan_values(model, grid, cfg):
+    """The case quantity at every radius of grid: the drift rate psi for
+    cases 'a'/'cor_a', the sphere infimum of the tilted integrand for 'b',
+    the ball infimum for 'cor_b'."""
     if cfg.case == "a":
         return psi_case_a(model, grid, cfg, strict=False)
     if cfg.case == "cor_a":
         return eta_window_psi(model, grid, cfg, strict=False)
     if cfg.case == "b":
-        out = np.empty(grid.shape)
-        if model.d > 1:
-            dirs = sphere_directions(model.d, cfg.sphere_samples)
-        for i, sv in enumerate(grid):
-            if model.d == 1:
-                out[i] = min(case_b_integrand(model, sv, cfg),
-                             case_b_integrand(model, -sv, cfg))
-            else:
-                out[i] = min(case_b_integrand(model, sv * e, cfg) for e in dirs)
-        return out
-    return np.array([_ball_infimum_integrand(model, sv, cfg) for sv in grid])
+        pts = _sphere_points(model, grid, cfg.sphere_samples)
+        return np.min(case_b_integrand(model, pts, cfg), axis=1)
+    return _ball_infimum_integrand(model, grid, cfg)
 
 
 def resolve_r0(model, cfg, safety=1.25):
@@ -622,30 +603,28 @@ def check_conditions(model, cfg, s_grid=None, sigma0=None):
 
 def laplacian_v_nu_fd(model, x, h=1e-4):
     """Delta V_nu by Richardson-extrapolated centered differences of the
-    analytic gradient."""
-    if model.d == 1:
-        def D(step):
-            return (model_mod.v_nu_and_grad(model, x + step)[1]
-                    - model_mod.v_nu_and_grad(model, x - step)[1]) / (2.0 * step)
-        return (4.0 * D(h / 2.0) - D(h)) / 3.0
-    total = 0.0
+    analytic gradient, at every point of x (one batched gradient call)."""
     x = np.asarray(x, dtype=float)
-    for ax in range(model.d):
-        e = np.zeros(model.d)
-        e[ax] = 1.0
-
-        def D(step):
-            return (model_mod.v_nu_and_grad(model, x + step * e)[1][ax]
-                    - model_mod.v_nu_and_grad(model, x - step * e)[1][ax]) / (2.0 * step)
-        total += (4.0 * D(h / 2.0) - D(h)) / 3.0
-    return total
+    steps = np.array([h / 2.0, -h / 2.0, h, -h])
+    if model.d == 1:
+        g = model_mod.v_nu_and_grad(model, x[..., None] + steps)[1]
+    else:
+        # shifted copies along each axis; keep d/dx_ax of the ax-th component
+        eye = np.eye(model.d)
+        pts = x[..., None, None, :] + steps[:, None, None] * eye
+        g = np.diagonal(model_mod.v_nu_and_grad(model, pts)[1], axis1=-2, axis2=-1)
+        g = np.moveaxis(g, -2, -1)
+    D_half = (g[..., 0] - g[..., 1]) / (2.0 * (h / 2.0))
+    D_full = (g[..., 2] - g[..., 3]) / (2.0 * h)
+    lap = (4.0 * D_half - D_full) / 3.0
+    return lap if model.d == 1 else np.sum(lap, axis=-1)
 
 
 def _exp_case_lw(model, x, delta):
     """L W / W for W = exp((1-delta) V_nu): -(1-delta)(delta |grad V_nu|^2
-    - Delta V_nu), the Laplacian by Richardson differences."""
+    - Delta V_nu), the Laplacian by Richardson differences.  Vectorized."""
     g = model_mod.v_nu_and_grad(model, x)[1]
-    gsq = g * g if model.d == 1 else float(np.dot(g, g))
+    gsq = g * g if model.d == 1 else np.sum(g * g, axis=-1)
     lap = laplacian_v_nu_fd(model, x)
     return -(1.0 - delta) * (delta * gsq - lap)
 
@@ -670,55 +649,41 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
         phi = phi_case_a(model, cfg, s_max=s_max, include_radii=radii)
 
     idx = np.clip(np.searchsorted(phi.grid, radii), 0, phi.grid.size - 1)
-    if model.d == 1:
-        dirs = None
+    phi_s = phi.values[idx][:, None]
+    points = _sphere_points(model, radii, min(cfg.sphere_samples, 16))
+    if exp_case:
+        lw = _exp_case_lw(model, points, cfg.delta)
     else:
-        dirs = sphere_directions(model.d, min(cfg.sphere_samples, 16))
-    violations = 0
-    max_violation = -np.inf
-    n_checked = 0
-    w = cfg.sigma / (1.0 + cfg.sigma)
-    for j, s in zip(idx, radii):
-        phi_s = float(phi.values[j])
-        tol = tol_abs + tol_rel * phi_s
-        points = [s, -s] if model.d == 1 else [s * e for e in dirs]
-        for x in points:
-            if exp_case:
-                lw = _exp_case_lw(model, x, cfg.delta)
-            else:
-                gdir = _tilted_radial_drift(model, x)
-                inv_p = math.exp(-phi.log_p_sigma[j])
-                lw = inv_p * (w * float(phi.psi[j]) - gdir)
-            excess = lw + phi_s
-            n_checked += 1
-            max_violation = max(max_violation, excess)
-            if excess > tol:
-                violations += 1
+        w = cfg.sigma / (1.0 + cfg.sigma)
+        inv_p = np.exp(-phi.log_p_sigma[idx])[:, None]
+        lw = inv_p * (w * phi.psi[idx][:, None] - _tilted_radial_drift(model, points))
+    excess = lw + phi_s
+    n_checked = excess.size
+    max_violation = float(np.max(excess, initial=-np.inf))
+    violations = int(np.count_nonzero(excess > tol_abs + tol_rel * phi_s))
     violation_fraction = violations / max(n_checked, 1)
 
     # interior ball: b and the local spectral bound
     if model.d == 1:
-        pts = list(np.linspace(-cfg.R0, cfg.R0, 101))
+        pts = np.linspace(-cfg.R0, cfg.R0, 101)
+        r = np.abs(pts)
     else:
-        dirs8 = sphere_directions(model.d, 8)
         rad = np.linspace(0.0, cfg.R0, 13)[1:]
-        pts = [r * e for r in rad for e in dirs8] + [np.zeros(model.d)]
+        pts = np.concatenate([_sphere_points(model, rad, 8).reshape(-1, model.d),
+                              np.zeros((1, model.d))])
+        r = np.linalg.norm(pts, axis=-1)
     phi_r0 = float(phi(cfg.R0))
     if exp_case:
         # keep away from a potential cusp that survives in the convolution
         guard = model.potential.smooth_radius + 1e-6 \
             if model.source.kind == "point_mass" else 0.0
-        b = 0.0
-        for x in pts:
-            r = abs(x) if model.d == 1 else float(np.linalg.norm(x))
-            if r <= guard:
-                continue
-            b = max(b, _exp_case_lw(model, x, cfg.delta) + phi_r0)
+        lw_ball = _exp_case_lw(model, pts[r > guard], cfg.delta)
+        b = float(np.max(lw_ball + phi_r0, initial=0.0))
     else:
         # constant-1 interior extension: zero interior drift term
         b = phi_r0
 
-    vnu_vals = np.array([model_mod.v_nu(model, x) for x in pts])
+    vnu_vals = model_mod.v_nu(model, pts)
     osc = float(np.max(vnu_vals) - np.min(vnu_vals))
     lam_inv = (4.0 * cfg.R0 ** 2 / np.pi ** 2) * math.exp(osc)
     c0 = b * lam_inv + 1.0

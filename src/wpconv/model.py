@@ -17,12 +17,13 @@ arguments and may be called concurrently.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate, special
 
-from .errors import NumericUnderflow, UnsupportedDimension
+from .errors import ConfigError, NumericUnderflow, UnsupportedDimension
 
 __all__ = [
     "QuadratureSpec",
@@ -112,7 +113,7 @@ class Potential:
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(s > 0.0, self.v0p(np.where(s > 0.0, s, 1.0)) / np.where(s > 0.0, s, 1.0), 0.0)
         out = pts * scale[..., None]
-        return _match_shape(out, x, self.d)
+        return out[..., 0] if self.d == 1 else out
 
     def laplacian(self, x):
         s = _radii(x, self.d)
@@ -168,12 +169,6 @@ def _as_points(x, d):
     if x.shape[-1] != d:
         raise ValueError(f"expected points with last axis {d}, got shape {x.shape}")
     return x
-
-
-def _match_shape(out, x, d):
-    if d == 1:
-        return out[..., 0] if np.asarray(x).ndim >= 0 else out
-    return out
 
 
 def _radii(x, d):
@@ -325,9 +320,13 @@ def expression_potential(expression, d=1):
 
     Example: expression='r**4' builds V = c + |x|^4.  Derivatives are obtained
     symbolically, so the expression must be differentiable for r > 0.
-    The variable may be written 'r' or 'x'.
+    The variable may be written 'r' or 'x'.  Needs sympy (the 'expr' extra).
     """
-    import sympy
+    try:
+        import sympy
+    except ImportError as exc:
+        raise ConfigError(f"potential.expression={expression!r}: expression "
+                          "potentials need sympy; install wpconv[expr]") from exc
 
     r = sympy.Symbol("r", nonnegative=True)
     expr = sympy.sympify(expression.replace("x", "r"), locals={"r": r})
@@ -569,6 +568,10 @@ class ConvolutionModel:
 
     def reach(self):
         """Radius beyond which exp(-v0) is below 1e-18 of its peak."""
+        return self._reach
+
+    @cached_property
+    def _reach(self):
         return _profile_reach(self.potential, _REACH_LOG)
 
     def patched(self, eps=0.1):
@@ -597,193 +600,242 @@ def _profile_reach(potential, log_drop, cap=1e7):
     return hi
 
 
-def _graded_panel(a, b, n, grade_at_a):
-    """GL nodes/weights on [a, b]; when grade_at_a, substitute u = a + (b-a) t^4
-    so that integrands with a cusp at a are resolved."""
+# quadrature terms per kernel call: every (rows, k) float temporary stays near 4 MB
+_CHUNK_TERMS = 1 << 19
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n.  Every
+    caller shares the arrays, so they are read-only."""
     t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def _panel_rule(anchor, step, graded, n):
+    """Composite Gauss-Legendre rule over panels {anchor + step * T : T in [0, 1]},
+    one row of panels per point.  Graded panels substitute T = t^4, which
+    resolves an integrand cusp at the anchor.  Zero-width panels are dropped;
+    rows with fewer panels are padded with zero weights.
+
+    anchor, step, graded: arrays (m, panels).  Returns nodes, weights (m, k).
+    """
+    keep = step != 0.0
+    width = max(int(keep.sum(axis=1).max(initial=0)), 1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    anchor, step, graded = (np.take_along_axis(a, order, axis=1)
+                            for a in (anchor, step, graded))
+    t, w = _gauss_legendre(n)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
-    if grade_at_a:
-        nodes = a + (b - a) * t ** 4
-        weights = w * (b - a) * 4.0 * t ** 3
-    else:
-        nodes = a + (b - a) * t
-        weights = w * (b - a)
-    return nodes, weights
+    g = graded[:, :, None]
+    nodes = anchor[:, :, None] + step[:, :, None] * np.where(g, t ** 4, t)
+    weights = np.abs(step)[:, :, None] * np.where(g, 4.0 * t ** 3 * w, w)
+    m = anchor.shape[0]
+    return nodes.reshape(m, -1), weights.reshape(m, -1)
 
 
-def _pos_panels(a, b, n, grade_at_a):
-    """Ascending composite panels on [a, b], 0 <= a < b, geometric refinement;
-    the panel touching a is graded when grade_at_a."""
-    if b <= a:
-        return np.empty(0), np.empty(0)
-    edges = [a]
-    if a == 0.0:
-        edges.append(min(b, 1.0))
-    while edges[-1] < b:
-        edges.append(min(b, max(edges[-1] * 2.0, 1e-9)))
-    nodes, weights = [], []
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        nd, wt = _graded_panel(lo, hi, n, grade_at_a and i == 0)
-        nodes.append(nd)
-        weights.append(wt)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _line_panels(lo, hi, n, split_zero=True):
-    """Composite panels on [lo, hi] with graded panels touching zero (where the
-    potential profile may have a cusp) and geometric refinement away from it."""
-    if lo < 0.0 < hi:
-        pn, pw = _pos_panels(0.0, hi, n, split_zero)
-        mn, mw = _pos_panels(0.0, -lo, n, split_zero)
-        return np.concatenate([-mn[::-1], pn]), np.concatenate([mw[::-1], pw])
-    if lo >= 0.0:
-        return _pos_panels(lo, hi, n, split_zero and lo == 0.0)
-    mn, mw = _pos_panels(-hi, -lo, n, split_zero and hi == 0.0)
-    return -mn[::-1], mw[::-1]
+def _line_panels(lo, hi, n):
+    """Panels on [lo_i, hi_i], refined geometrically toward zero (where the
+    potential profile may have a cusp).  Each side of zero is handled in
+    magnitudes [p, q]: edges p, s, 2s, 4s, ... up to q, with s = 1 when the
+    side starts at zero (its first panel is then graded) and max(2p, 1e-9)
+    otherwise."""
+    anchors, steps, graded = [], [], []
+    for sign, p, q in ((1.0, np.maximum(lo, 0.0), np.maximum(hi, 0.0)),
+                       (-1.0, np.maximum(-hi, 0.0), np.maximum(-lo, 0.0))):
+        s = np.where(p == 0.0, 1.0, np.maximum(2.0 * p, 1e-9))
+        doublings = int(np.ceil(np.log2(max(float(np.max(q / s)), 1.0)))) + 2
+        edges = np.concatenate(
+            [p[:, None], np.minimum(q[:, None], s[:, None] * 2.0 ** np.arange(doublings))],
+            axis=1)
+        a, b = edges[:, :-1], edges[:, 1:]
+        anchors.append(sign * a)
+        steps.append(sign * (b - a))
+        graded.append(a == 0.0)
+    return _panel_rule(np.concatenate(anchors, axis=1), np.concatenate(steps, axis=1),
+                       np.concatenate(graded, axis=1), n)
 
 
 _LADDER = np.concatenate([[0.0], 2.0 ** np.arange(0, 24, dtype=float)])
 
 
-def _clipped_panels(lo, hi, n):
-    """Vectorized panels over [lo_i, hi_i] built from a fixed geometric ladder
-    around zero; panels clipped outside the interval collapse to zero width.
-    The panel touching zero from either side is graded toward zero.
-
-    lo, hi: arrays (m,).  Returns nodes, weights of shape (m, n_panels * n).
-    """
-    lo = np.asarray(lo, dtype=float)[:, None]
-    hi = np.asarray(hi, dtype=float)[:, None]
+def _ladder_panels(lo, hi, n):
+    """Panels over [lo_i, hi_i] cut by a fixed geometric ladder around zero
+    (..., -2, -1, 0, 1, 2, ...); the panel touching zero from either side is
+    graded toward zero."""
     span = max(float(np.abs(lo).max()), float(np.abs(hi).max()), 1.0)
     k = int(np.searchsorted(_LADDER, span))
     ladder = _LADDER[:min(k + 1, _LADDER.size)]
-    neg = -ladder[::-1]
-    edges = np.concatenate([
-        np.clip(neg[None, :], lo, hi),
-        np.clip(ladder[None, :], lo, hi),
-    ], axis=1)
-    a = edges[:, :-1]
-    b = edges[:, 1:]
-    t, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    width = b - a
-    # grade toward 0: left endpoint == 0 (positive side) or right endpoint == 0
-    grade_left = (a == 0.0) & (width > 0.0)
-    grade_right = (b == 0.0) & (width > 0.0)
-    plain_n = a[:, :, None] + width[:, :, None] * t[None, None, :]
-    plain_w = width[:, :, None] * w[None, None, :]
-    left_n = a[:, :, None] + width[:, :, None] * t[None, None, :] ** 4
-    left_w = width[:, :, None] * 4.0 * t[None, None, :] ** 3 * w[None, None, :]
-    right_n = b[:, :, None] - width[:, :, None] * t[None, None, :] ** 4
-    right_w = left_w
-    nodes = np.where(grade_left[:, :, None], left_n,
-                     np.where(grade_right[:, :, None], right_n, plain_n))
-    weights = np.where((grade_left | grade_right)[:, :, None], left_w, plain_w)
-    m = lo.shape[0]
-    return nodes.reshape(m, -1), weights.reshape(m, -1)
+    edges = np.clip(np.concatenate([-ladder[::-1], ladder])[None, :],
+                    lo[:, None], hi[:, None])
+    a, b = edges[:, :-1], edges[:, 1:]
+    right = b == 0.0
+    return _panel_rule(np.where(right, b, a), np.where(right, a - b, b - a),
+                       (a == 0.0) | right, n)
 
 
-def _unbounded_density_terms(model, xs):
-    """Quadrature nodes for p(x) = int exp(-V(u)) q(x-u) du with q an
+def _split_panels(model, xs):
+    """Nodes u and weights for p(x) = int exp(-V(u)) q(x-u) du with q an
     unbounded density (d = 1).
 
     The line is split exactly at u = x/2 into a u-side family (graded at the
     potential cusp u = 0) and a y = x - u family (graded at the density kink
     y = 0), so both moving peaks are resolved and nothing is counted twice.
-    Returns (u_nodes, logw) of shape (m, k); p(x) = sum exp(logw - v0(|u|) - c).
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
     L = min(model.reach(), 1e7)
+    n = model.quadrature.nodes
     mid = xs / 2.0
     pos = xs >= 0.0
     # u-side: [-L, mid] for x >= 0, [mid, L] for x < 0
-    u_lo = np.where(pos, -L, mid)
-    u_hi = np.where(pos, mid, L)
-    un, uw = _clipped_panels(u_lo, u_hi, model.quadrature.nodes)
+    un, uw = _ladder_panels(np.where(pos, -L, mid), np.where(pos, mid, L), n)
     # y-side: y in [x-L, mid] for x >= 0, [mid, x+L] for x < 0
-    y_lo = np.where(pos, xs - L, mid)
-    y_hi = np.where(pos, mid, xs + L)
-    yn, yw = _clipped_panels(y_lo, y_hi, model.quadrature.nodes)
-    u2 = xs[:, None] - yn
-    nodes = np.concatenate([un, u2], axis=1)
-    weights = np.concatenate([uw, yw], axis=1)
-    z = xs[:, None] - nodes
-    dens = model.source.density(z)
-    with np.errstate(divide="ignore"):
-        logw = np.where((dens > 0.0) & (weights > 0.0),
-                        np.log(np.maximum(dens, 1e-300)) + np.log(np.maximum(weights, 1e-300)),
-                        -np.inf)
-    return nodes, logw
+    yn, yw = _ladder_panels(np.where(pos, xs - L, mid), np.where(pos, mid, xs + L), n)
+    return (np.concatenate([un, xs[:, None] - yn], axis=1),
+            np.concatenate([uw, yw], axis=1))
 
 
-def _log_terms(model, x):
-    """Log-integrand representation of p(x) at a single point x (d = 1 for
-    density sources; any d for atoms).
+def _atom_terms(model, xs):
+    src = model.source
+    z, w = src.locations, src.weights
+    if np.isfinite(src.support_radius) or model.d > 1:
+        logw = np.broadcast_to(np.log(w), (xs.shape[0], w.size))
+        if model.d == 1:
+            return xs[:, None] - z[None, :, 0], logw
+        return xs[:, None, :] - z[None], logw
+    # unbounded lattice: window the atoms by the reach of exp(-V)
+    zc = z[:, 0]
+    reach = model.reach()
+    i0 = np.searchsorted(zc, xs - reach)
+    i1 = np.searchsorted(zc, xs + reach, side="right")
+    empty = i0 >= i1
+    if np.any(empty):
+        raise NumericUnderflow(
+            f"x={xs[empty][0]:g} outside the stored atom range; enlarge n_max")
+    idx = i0[:, None] + np.arange(int(np.max(i1 - i0)))
+    valid = idx < i1[:, None]
+    idx = np.minimum(idx, zc.size - 1)
+    return xs[:, None] - zc[idx], np.where(valid, np.log(w[idx]), -np.inf)
 
-    Returns (logw, z, u) with p(x) = sum exp(logw - v0(|u|)), where z are the
-    source nodes/atoms and u = x - z.
+
+def _terms(model, xs):
+    """The quadrature kernel: p(x) = sum_k exp(logw - V(u)) with u = x - z
+    over the source atoms or density nodes z, at every point of xs.
+
+    xs has shape (m,) in d = 1 and (m, d) for atoms in d > 1.  Returns u of
+    shape (m, k) (resp. (m, k, d)) and logw of shape (m, k); padded terms
+    carry logw = -inf.  Atoms use their log-weights; density sources carry
+    log(density * quadrature weight) on graded composite Gauss-Legendre
+    panels.
     """
-    pot, src = model.potential, model.source
-    if src.kind in ("point_mass", "discrete_atoms"):
-        z = src.locations
-        w = src.weights
-        if src.support_radius == np.inf and pot.d == 1:
-            # window the lattice by the reach of exp(-V)
-            reach = model.reach()
-            xv = float(np.asarray(x).reshape(-1)[0])
-            zc = z[:, 0]
-            i0 = np.searchsorted(zc, xv - reach)
-            i1 = np.searchsorted(zc, xv + reach, side="right")
-            if i0 >= i1:
-                raise NumericUnderflow(
-                    f"x={xv} outside the stored atom range; enlarge n_max")
-            z = z[i0:i1]
-            w = w[i0:i1]
-        u = np.asarray(x, dtype=float).reshape(1, -1) - z if pot.d > 1 else None
-        if pot.d == 1:
-            u = float(np.asarray(x).reshape(-1)[0]) - z[:, 0]
-            return np.log(w), z[:, 0], u
-        return np.log(w), z, u
-    # density source, d = 1
-    if pot.d != 1:
+    src = model.source
+    if src.kind != "density":
+        return _atom_terms(model, xs)
+    if model.d != 1:
         raise UnsupportedDimension("density sources are implemented for d = 1")
-    xv = float(np.asarray(x).reshape(-1)[0])
-    n = model.quadrature.nodes
     if np.isfinite(src.support_radius):
-        R = src.support_radius
         # integrate in u = x - z; the cusp of v0 sits at u = 0
-        unodes, uw = _line_panels(xv - R, xv + R, n, split_zero=True)
-        z = xv - unodes
-        dens = src.density(z)
-        logw = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-300)), -np.inf) + np.log(uw)
-        return logw, z, unodes
-    # unbounded density: split-domain panels resolving both moving peaks
-    unodes, logw = _unbounded_density_terms(model, np.array([xv]))
-    unodes, logw = unodes[0], logw[0]
-    return logw, xv - unodes, unodes
+        R = src.support_radius
+        u, w = _line_panels(xs - R, xs + R, model.quadrature.nodes)
+    else:
+        u, w = _split_panels(model, xs)
+    with np.errstate(divide="ignore"):
+        logw = np.log(src.density(xs[:, None] - u)) + np.log(w)
+    return u, logw
 
 
-def _log_p_and_weights(model, x):
-    logw, z, u = _log_terms(model, x)
-    logt = logw - model.potential.v0(np.abs(u)) - model.potential.c
-    m = np.max(logt)
-    if not np.isfinite(m):
-        raise NumericUnderflow("all quadrature terms underflowed")
-    pw = np.exp(logt - m)
-    den = pw.sum()
-    logp = m + math.log(den)
-    return logp, pw / den, z, u
+def _chunk_rows(model):
+    """Points per kernel call, from an upper estimate of the terms per point."""
+    src = model.source
+    if src.kind == "density" and np.isfinite(src.support_radius):
+        # one or two panels per point, about 32 next to the support edge
+        k = 32 * model.quadrature.nodes
+    elif src.kind == "density":
+        # four ladder families, each at most log2(reach) + 2 panels long
+        L = min(model.reach(), 1e7)
+        k = 4 * (math.ceil(math.log2(max(L, 2.0))) + 2) * model.quadrature.nodes
+    elif np.isfinite(src.support_radius) or model.d > 1:
+        k = src.weights.size * model.d
+    else:
+        k = min(src.weights.size, 2 * math.ceil(model.reach()) + 1)
+    return max(_CHUNK_TERMS // k, 1)
+
+
+def _reduce(model, x, f=None):
+    """log p and, when f is given, the tilted mean E_{nu_x}[f(u, x)] at every
+    point of x, reduced chunk by chunk over the kernel.
+
+    x has shape (...) in d = 1 and (..., d) otherwise.  f maps u of shape
+    (rows, k[, d]) and the chunk's points to values of shape (rows, k, ...).
+    log p is -inf where every term underflows.
+    """
+    d = model.d
+    pot = model.potential
+    x = np.asarray(x, dtype=float)
+    if d > 1 and x.shape[-1:] != (d,):
+        raise ValueError(f"expected points with last axis {d}, got shape {x.shape}")
+    shape = x.shape if d == 1 else x.shape[:-1]
+    pts = x.reshape((-1,) + x.shape[len(shape):])
+    logp = np.empty(pts.shape[0])
+    means = []
+    rows = _chunk_rows(model)
+    for i in range(0, pts.shape[0], rows):
+        xs = pts[i:i + rows]
+        u, logw = _terms(model, xs)
+        r = np.abs(u) if d == 1 else np.sqrt(np.sum(u * u, axis=-1))
+        logt = logw - pot.v0(r) - pot.c
+        top = np.max(logt, axis=1)
+        top = np.where(np.isfinite(top), top, 0.0)
+        pw = np.exp(logt - top[:, None])
+        den = np.sum(pw, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp[i:i + rows] = top + np.log(den)
+            if f is not None:
+                fu = np.asarray(f(u, xs), dtype=float)
+                pw = pw / den[:, None]
+                means.append(np.sum(pw.reshape(pw.shape + (1,) * (fu.ndim - 2)) * fu,
+                                    axis=1))
+    logp = logp.reshape(shape)
+    if f is None:
+        return logp, None
+    if not means:  # no points: the value shape comes from f on no terms
+        u0 = np.empty((0, 0) + pts.shape[1:])
+        means.append(np.empty((0,) + np.shape(f(u0, pts))[2:]))
+    mean = np.concatenate(means)
+    return logp, mean.reshape(shape + mean.shape[1:])
+
+
+def _batch_log_p(model, xs):
+    """log p on an array of points (-inf where every term underflows)."""
+    return _reduce(model, xs)[0]
+
+
+def _first_point(x, bad):
+    """The first point of x where the mask bad holds (x itself for one point)."""
+    x = np.asarray(x, dtype=float)
+    return x[bad][0] if np.ndim(bad) else x
+
+
+def _evaluate(model, x, f=None):
+    """_reduce for the public evaluators: raises NumericUnderflow when log p
+    is not finite, and returns Python floats for a single point."""
+    logp, mean = _reduce(model, x, f)
+    bad = ~np.isfinite(logp)
+    if np.any(bad):
+        raise NumericUnderflow(
+            f"all quadrature terms underflowed at x={_first_point(x, bad)}")
+    if logp.ndim == 0:
+        logp = float(logp)
+        if mean is not None and mean.ndim == 0:
+            mean = float(mean)
+    return logp, mean
 
 
 def v_nu(model, x):
     """V_nu(x) = -log p(x), computed in shifted log space."""
-    x_arr = np.asarray(x, dtype=float)
-    if model.d == 1 and x_arr.ndim >= 1:
-        return np.array([-_log_p_and_weights(model, xv)[0] for xv in x_arr.reshape(-1)]).reshape(x_arr.shape)
-    logp, _, _, _ = _log_p_and_weights(model, x)
-    return -logp
+    return -_evaluate(model, x)[0]
 
 
 def p_nu(model, x):
@@ -792,46 +844,32 @@ def p_nu(model, x):
     Raises NumericUnderflow when the result is not representable; callers in
     the far tail should use v_nu instead.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if model.d == 1 and x_arr.ndim >= 1:
-        return np.array([p_nu(model, xv) for xv in x_arr.reshape(-1)]).reshape(x_arr.shape)
-    logp, _, _, _ = _log_p_and_weights(model, x)
-    p = math.exp(logp)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise NumericUnderflow(f"p(x) underflowed at x={x}; use v_nu")
-    return p
+    logp = _evaluate(model, x)[0]
+    with np.errstate(over="ignore"):
+        p = np.exp(logp)
+    bad = ~((p > 0.0) & np.isfinite(p))
+    if np.any(bad):
+        raise NumericUnderflow(f"p(x) underflowed at x={_first_point(x, bad)}; use v_nu")
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def v_nu_and_grad(model, x):
     """(V_nu(x), grad V_nu(x)); the gradient is the tilted mean of grad V."""
-    if model.d == 1:
-        x_arr = np.asarray(x, dtype=float)
-        if x_arr.ndim >= 1:
-            vals = [v_nu_and_grad(model, xv) for xv in x_arr.reshape(-1)]
-            v = np.array([t[0] for t in vals]).reshape(x_arr.shape)
-            g = np.array([t[1] for t in vals]).reshape(x_arr.shape)
-            return v, g
-        logp, pw, z, u = _log_p_and_weights(model, x)
-        grad = float(np.sum(pw * model.potential.grad_1d(u)))
-        return -logp, grad
-    logp, pw, z, u = _log_p_and_weights(model, x)
-    grads = model.potential.gradient(u)
-    return -logp, np.sum(pw[:, None] * grads, axis=0)
+    pot = model.potential
+    grad = pot.grad_1d if model.d == 1 else pot.gradient
+    logp, g = _evaluate(model, x, lambda u, xs: grad(u))
+    return -logp, g
 
 
 def tilted_expectation(model, x, g):
     """E[g(z)] under nu_x(dz) = exp(-V(x-z)) nu(dz) / p(x)."""
-    _, pw, z, _ = _log_p_and_weights(model, x)
-    gz = np.asarray(g(z), dtype=float)
-    return float(np.sum(pw * gz))
+    return _evaluate(model, x, lambda u, xs: g(xs[:, None, ...] - u))[1]
 
 
 def tilted_u_moment(model, x, h):
     """E[h(x - z)] under nu_x: tilted moments of functions of the shifted
-    argument (the form every drift integrand takes)."""
-    _, pw, _, u = _log_p_and_weights(model, x)
-    hu = np.asarray(h(u), dtype=float)
-    return float(np.sum(pw * hu))
+    argument (the form every drift integrand takes).  Vectorized over x."""
+    return _evaluate(model, x, lambda u, xs: h(u))[1]
 
 
 def measure_tail(model, which, t):
@@ -913,74 +951,8 @@ def mu_tail_table(pot, t_lo, t_hi, points_per_decade=200, far_extension=False):
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation on x-grids (d = 1) and normalization
+# evaluation grids (d = 1) and normalization
 # ---------------------------------------------------------------------------
-
-def _batch_log_p(model, xs, chunk=2048):
-    """log p on a 1-d array of points, chunked to bound memory."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape)
-    pot, src = model.potential, model.source
-    if src.kind in ("point_mass", "discrete_atoms") and np.isfinite(src.support_radius):
-        z = src.locations[:, 0]
-        logw = np.log(src.weights)
-        for i in range(0, xs.size, chunk):
-            u = xs[i:i + chunk, None] - z[None, :]
-            logt = logw[None, :] - pot.v0(np.abs(u)) - pot.c
-            out[i:i + chunk] = special.logsumexp(logt, axis=1)
-        return out
-    if src.kind == "discrete_atoms":  # lattice
-        reach = model.reach()
-        z = src.locations[:, 0]
-        logw_all = np.log(src.weights)
-        half = int(math.ceil(reach))
-        offs = np.arange(-half, half + 1)
-        n0 = int(z[0])
-        for i in range(0, xs.size, chunk):
-            xi = xs[i:i + chunk]
-            centers = np.rint(xi).astype(int)
-            idx = centers[:, None] + offs[None, :] - n0
-            valid = (idx >= 0) & (idx < z.size)
-            idx_c = np.clip(idx, 0, z.size - 1)
-            u = xi[:, None] - z[idx_c]
-            logt = logw_all[idx_c] - pot.v0(np.abs(u)) - pot.c
-            logt = np.where(valid, logt, -np.inf)
-            out[i:i + chunk] = special.logsumexp(logt, axis=1)
-        return out
-    if src.kind == "density" and np.isfinite(src.support_radius):
-        R = src.support_radius
-        n = model.quadrature.nodes
-        t, w = np.polynomial.legendre.leggauss(n)
-        t = 0.5 * (t + 1.0)
-        w = 0.5 * w
-        # panels [x-R, 0] and [0, x+R] graded toward 0 when 0 is inside;
-        # away from the origin a single smooth panel suffices
-        for i in range(0, xs.size, chunk):
-            xi = xs[i:i + chunk]
-            lo, hi = xi - R, xi + R
-            inside = (lo < 0.0) & (hi > 0.0)
-            u1 = np.where(inside[:, None], -(-lo[:, None]) * t[None, ::-1] ** 4,
-                          lo[:, None] + (hi - lo)[:, None] * t[None, :])
-            w1 = np.where(inside[:, None], (-lo[:, None]) * 4.0 * t[None, ::-1] ** 3 * w[None, ::-1],
-                          (hi - lo)[:, None] * w[None, :])
-            u2 = np.where(inside[:, None], hi[:, None] * t[None, :] ** 4, np.nan)
-            w2 = np.where(inside[:, None], hi[:, None] * 4.0 * t[None, :] ** 3 * w[None, :], 0.0)
-            u = np.concatenate([u1, np.where(np.isnan(u2), 0.0, u2)], axis=1)
-            wq = np.concatenate([w1, w2], axis=1)
-            dens = src.density(xi[:, None] - u)
-            logt = (np.where(wq > 0, np.log(np.maximum(wq, 1e-300)), -np.inf)
-                    + np.where(dens > 0, np.log(np.maximum(dens, 1e-300)), -np.inf)
-                    - pot.v0(np.abs(u)) - pot.c)
-            out[i:i + chunk] = special.logsumexp(logt, axis=1)
-        return out
-    # unbounded density: split-domain panels, chunked
-    for i in range(0, xs.size, max(chunk // 4, 64)):
-        xi = xs[i:i + max(chunk // 4, 64)]
-        nodes, logw = _unbounded_density_terms(model, xi)
-        logt = logw - pot.v0(np.abs(nodes)) - pot.c
-        out[i:i + xi.size] = special.logsumexp(logt, axis=1)
-    return out
-
 
 def default_domain(model):
     """|x| cutoff for evaluation grids: the potential reach widened by the

@@ -226,13 +226,6 @@ def varphi_phi(phi, r):
     return out if np.asarray(r).shape else float(out[0])
 
 
-def _mu_tail_interpolant(model, t_lo, t_hi, points_per_decade=200):
-    """Tabulated mu(|x| >= t) on [t_lo, t_hi], accumulated from the far end so
-    small tails keep full relative accuracy."""
-    return model_mod.mu_tail_table(model.potential, t_lo, t_hi,
-                                   points_per_decade)
-
-
 def beta_phi(model, phi, r, compact_branch=None, half=True, mu_tail=None):
     """Spatial-tail bound at the sublevel radius: mu-tail + nu-tail of
     varphi(r)/2 in general; for compactly supported nu the mu-tail restricted
@@ -447,8 +440,8 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
     floor = work.source.support_radius + phi.r0 if compact_branch else 0.0
     t_eff = np.maximum(t_half, floor) if compact_branch else t_half
     pos = t_eff[t_eff > 0.0]
-    mu_tail = _mu_tail_interpolant(
-        work, float(pos.min()) if pos.size else 1e-6,
+    mu_tail = model_mod.mu_tail_table(
+        work.potential, float(pos.min()) if pos.size else 1e-6,
         float(t_eff.max()) if t_eff.size else 1.0)
     beta_vals = beta_phi(work, phi, r_grid, compact_branch=compact_branch,
                          half=half, mu_tail=mu_tail)

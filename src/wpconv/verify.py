@@ -260,7 +260,7 @@ def convolution_cdf(model):
             return out
         return F
     if np.isfinite(src.support_radius):
-        nodes, wts = np.polynomial.legendre.leggauss(96)
+        nodes, wts = model_mod._gauss_legendre(96)
         R = src.support_radius
         zn = nodes * R
         wn = wts * R * src.density(zn)
@@ -407,8 +407,7 @@ def _drift_table(model, guard):
     xs = np.unique(np.concatenate([
         np.linspace(0.0, min(50.0, guard), 2500),
         np.geomspace(max(min(50.0, guard) * 0.99, 1e-2), guard, 800)]))
-    g = np.array([model_mod.v_nu_and_grad(work, xv)[1] for xv in xs])
-    return xs, g
+    return xs, model_mod.v_nu_and_grad(work, xs)[1]
 
 
 def semigroup_decay(model, f, t_grid, n_paths, dt, seed, n_inner=256):
@@ -477,20 +476,20 @@ def crosscheck_gradients(model, points, h=1e-4):
     """Max relative discrepancy of each analytic derivative against
     Richardson-extrapolated central differences (d = 1)."""
     pot = model.potential
-    worst = {"grad_V": 0.0, "lap_V": 0.0, "grad_V_nu": 0.0}
-    for x in np.asarray(points, dtype=float):
-        g = float(pot.grad_1d(x))
-        g_fd = _richardson(lambda y: float(pot.value(abs(y))), x, h)
-        worst["grad_V"] = max(worst["grad_V"],
-                              abs(g - g_fd) / max(abs(g_fd), 1e-12))
-        lap = float(pot.laplacian(abs(x)))
-        lap_fd = _richardson(lambda y: float(pot.grad_1d(y)), x, h)
-        worst["lap_V"] = max(worst["lap_V"],
-                             abs(lap - lap_fd) / max(abs(lap_fd), 1e-12))
-        gn = model_mod.v_nu_and_grad(model, x)[1]
-        gn_fd = _richardson(lambda y: model_mod.v_nu(model, y), x, h)
-        worst["grad_V_nu"] = max(worst["grad_V_nu"],
-                                 abs(gn - gn_fd) / max(abs(gn_fd), 1e-12))
-    worst["n_points"] = int(np.asarray(points).size)
+    x = np.asarray(points, dtype=float)
+
+    def worst_rel(value, fd):
+        return float(np.max(np.abs(value - fd) / np.maximum(np.abs(fd), 1e-12),
+                            initial=0.0))
+
+    worst = {
+        "grad_V": worst_rel(pot.grad_1d(x),
+                            _richardson(lambda y: pot.value(np.abs(y)), x, h)),
+        "lap_V": worst_rel(pot.laplacian(np.abs(x)),
+                           _richardson(pot.grad_1d, x, h)),
+        "grad_V_nu": worst_rel(model_mod.v_nu_and_grad(model, x)[1],
+                               _richardson(lambda y: model_mod.v_nu(model, y), x, h)),
+    }
+    worst["n_points"] = int(x.size)
     worst["schema_version"] = SCHEMA_VERSION
     return worst

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from wpconv import model as M
-from wpconv.errors import NumericUnderflow
+from wpconv import presets as P
+from wpconv.errors import ConfigError, NumericUnderflow
 
 
 def central_diff(f, x, h=1e-5):
@@ -269,3 +271,116 @@ def test_quadrature_refinement_stability(power_uniform):
         g1 = M.v_nu_and_grad(m, x)[1]
         g2 = M.v_nu_and_grad(m2, x)[1]
         assert abs(g1 - g2) <= 1e-3 * max(abs(g2), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched quadrature kernel
+# ---------------------------------------------------------------------------
+
+# batched and single-point calls sum the same terms with different padding,
+# so they agree to rounding of a few hundred terms
+BATCH_RTOL = 64 * np.finfo(float).eps
+
+
+def _quad(f, edges):
+    return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+def _density_oracle(m, x, h):
+    """(p(x), E_{nu_x}[h(u)]) by adaptive quadrature in u = x - z, split at
+    the potential cusp u = 0, the density kink u = x and geometric marks."""
+    pot, src = m.potential, m.source
+    if np.isfinite(src.support_radius):
+        lo, hi = x - src.support_radius, x + src.support_radius
+    else:
+        lo, hi = -m.reach(), m.reach()
+    marks = [lo, hi, 0.0, x] + [s * 10.0 ** k for s in (-1, 1) for k in range(4)]
+    edges = sorted(e for e in set(marks) if lo <= e <= hi)
+    f = lambda u: math.exp(-pot.value(abs(u))) * float(src.density(x - u))
+    p = _quad(f, edges)
+    return p, _quad(lambda u: f(u) * float(h(u)), edges) / p
+
+
+def _atom_oracle(m, x, h):
+    """(p(x), E_{nu_x}[h(u)]) by direct summation over every stored atom."""
+    pot, src = m.potential, m.source
+    u = x - src.locations[:, 0]
+    t = src.weights * np.exp(-pot.value(np.abs(u)))
+    return float(np.sum(t)), float(np.sum(t * h(u)) / np.sum(t))
+
+
+KERNEL_CASES = {
+    "finite_atoms": (lambda: M.ConvolutionModel(
+        M.power_potential(1.5), M.discrete_atoms([-2.0, 0.5, 3.0], [0.2, 0.5, 0.3])),
+        _atom_oracle),
+    "lattice": (lambda: M.ConvolutionModel(M.smooth_well_potential(0.5),
+                                           M.integer_lattice(1.0)), _atom_oracle),
+    "compact_density": (lambda: M.ConvolutionModel(M.log_potential(2.0),
+                                                   M.uniform_density(1.0)),
+                        _density_oracle),
+    "unbounded_density": (lambda: M.ConvolutionModel(M.smooth_well_potential(0.5),
+                                                     M.power_tail_density(1.0)),
+                          _density_oracle),
+}
+KERNEL_POINTS = np.array([-37.5, -4.2, -1.5, 1.0, 1.75, 6.0, 55.0])
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_array_calls_match_scalar_calls_and_oracle(case):
+    make, oracle = KERNEL_CASES[case]
+    m = make()
+    h = np.tanh
+    v = M.v_nu(m, KERNEL_POINTS)
+    v2, g = M.v_nu_and_grad(m, KERNEL_POINTS)
+    mom = M.tilted_u_moment(m, KERNEL_POINTS, h)
+    assert v.shape == g.shape == mom.shape == KERNEL_POINTS.shape
+    np.testing.assert_array_equal(v, v2)
+    for i, x in enumerate(KERNEL_POINTS):
+        np.testing.assert_allclose(v[i], M.v_nu(m, x), rtol=BATCH_RTOL, atol=0.0)
+        np.testing.assert_allclose(g[i], M.v_nu_and_grad(m, x)[1], rtol=BATCH_RTOL,
+                                   atol=0.0)
+        np.testing.assert_allclose(mom[i], M.tilted_u_moment(m, x, h), rtol=BATCH_RTOL,
+                                   atol=0.0)
+        p_ref, mom_ref = oracle(m, x, h)
+        _, g_ref = oracle(m, x, m.potential.grad_1d)
+        assert math.exp(-v[i]) == pytest.approx(p_ref, rel=1e-10), f"x={x}"
+        assert g[i] == pytest.approx(g_ref, rel=1e-10), f"x={x}"
+        assert mom[i] == pytest.approx(mom_ref, rel=1e-10), f"x={x}"
+
+
+@pytest.mark.parametrize("x_over_r", [-1.0, -0.5, 0.3, 0.5, 1.0])
+def test_compact_density_log_p_at_support_edge(x_over_r):
+    """When [x-R, x+R] ends at the cusp u = 0 (x = +-R) the panel touching
+    it must be graded like every other panel at the cusp."""
+    m = P.make_model("example_3_2", p=0.6)
+    R = m.source.support_radius
+    x = x_over_r * R
+    p_ref, _ = _density_oracle(m, x, np.ones_like)
+    batched = M._batch_log_p(m, np.array([x]))[0]
+    assert batched == pytest.approx(math.log(p_ref), rel=1e-13, abs=1e-13)
+    assert -M.v_nu(m, x) == pytest.approx(math.log(p_ref), rel=1e-13, abs=1e-13)
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    t, w = M._gauss_legendre(48)
+    assert M._gauss_legendre(48)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w[:] = 1.0
+
+
+def test_point_mass_d2_evaluators_match_potential():
+    m = M.ConvolutionModel(M.log_potential(2.0, d=2), M.point_mass(d=2))
+    pts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.2, -0.1]])
+    v, g = M.v_nu_and_grad(m, pts)
+    np.testing.assert_allclose(v, m.potential.value(pts), rtol=1e-14)
+    np.testing.assert_allclose(g, m.potential.gradient(pts), rtol=1e-14)
+    assert g.shape == pts.shape
+
+
+def test_expression_potential_without_sympy_raises_config_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    with pytest.raises(ConfigError, match="expression"):
+        M.expression_potential("r**4")
