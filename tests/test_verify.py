@@ -115,6 +115,24 @@ def test_convolution_cdf_against_direct_quadrature():
     assert vals[0] < 1e-6 and vals[-1] > 1 - 1e-6
 
 
+def test_convolution_cdf_blocks_match_one_shot(m33):
+    """The compact-source CDF, evaluated in row blocks, equals the one-shot
+    sum over all rows bit for bit, across several block boundaries."""
+    x = np.linspace(-60.0, 60.0, 10_001)
+    tail = M.mu_tail_table(m33.potential, 1e-8, 1e12, points_per_decade=400,
+                           far_extension=True)
+
+    def F_mu(y):
+        tl = tail(np.abs(y))
+        return np.where(y >= 0.0, 1.0 - 0.5 * tl, 0.5 * tl)
+    nodes, wts = M._gauss_legendre(96)
+    R = m33.source.support_radius
+    zn, wn = nodes * R, wts * R * m33.source.density(nodes * R)
+    one_shot = np.sum(wn * F_mu(x[:, None] - zn), axis=1)
+    assert x.size > 2 * V.CDF_BLOCK
+    assert np.array_equal(V.convolution_cdf(m33)(x), one_shot)
+
+
 # ---------------------------------------------------------------------------
 # empirical functional inequality
 # ---------------------------------------------------------------------------
@@ -153,6 +171,24 @@ def test_wpi_variance_sanity_and_energy_positivity(m33, alpha_33):
         assert st["energy"] >= 0.0
 
 
+def test_wpi_moments_match_power_reference(m33, alpha_33):
+    """var is bitwise the sum of centered ** 2; se_var matches the
+    centered ** 4 fourth moment to rounding."""
+    n = 20_000
+    corpus = V.build_corpus(seed=7)
+    rep = V.empirical_wpi(m33, alpha_33.alpha, corpus, np.array([1e-3]),
+                          seed=13, n=n)
+    x = V.sample_convolution(m33, 13, n).points[:, 0]
+    for f in corpus:
+        vals = f.value(x)
+        c = vals - vals.mean()
+        m2, m4 = np.mean(c ** 2), np.mean(c ** 4)
+        st = rep.per_function[f.id]
+        assert st["var"] == float(np.sum(c ** 2) / (n - 1))
+        assert st["se_var"] == pytest.approx(
+            math.sqrt(max(m4 - m2 * m2, 0.0) / n), rel=1e-14)
+
+
 def test_wpi_large_r_dominates(m33, alpha_33):
     """Once r >= 1/4, the oscillation term alone bounds any variance."""
     corpus = V.build_corpus(seed=7)
@@ -166,6 +202,39 @@ def test_wpi_large_r_dominates(m33, alpha_33):
 # ---------------------------------------------------------------------------
 # decay
 # ---------------------------------------------------------------------------
+
+def _drift(table, x):
+    x = np.asarray(x, dtype=float)
+    return V._drift(table, x, np.empty_like(x), np.empty_like(x),
+                    np.empty(x.shape, dtype=np.intp))
+
+
+@pytest.fixture(scope="module")
+def drift_33(m33):
+    guard = 10.0 * m33.truncation_radius
+    return guard, V._drift_table(m33, 1.05 * guard)
+
+
+def test_drift_table_matches_kernel_off_node(m33, drift_33):
+    """Oracle: the table lookup against v_nu_and_grad of the patched model the
+    table is built from, at 4,000 points that are not table nodes."""
+    guard, table = drift_33
+    work = m33.patched(0.1) if m33.potential.smooth_radius > 0.0 else m33
+    x = np.concatenate([np.random.default_rng(3).uniform(0.0, 50.0, 2000),
+                        np.geomspace(50.0, guard, 2000)])
+    err = np.abs(_drift(table, x) + M.v_nu_and_grad(work, x)[1])
+    assert np.max(err) <= 1e-4
+
+
+def test_drift_lookup_is_odd_and_clamped(drift_33):
+    guard, table = drift_33
+    x = np.concatenate([[0.0], np.geomspace(1e-6, 3.0 * guard, 4001)])
+    assert np.array_equal(_drift(table, -x), -_drift(table, x))
+    far = np.array([1.06, 2.0, 1e6]) * guard
+    end = table[1][-1]
+    assert np.array_equal(_drift(table, far), np.full(3, end))
+    assert np.array_equal(_drift(table, -far), np.full(3, -end))
+
 
 def test_decay_constant_function_is_zero(m33):
     const = V.TestFunction(id="const", value=lambda x: np.ones_like(x),
