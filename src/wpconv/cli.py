@@ -485,18 +485,14 @@ def _run_sweep(model, comparison, dcfg, cfg, param, values):
                                  ("power", "poly_log", "stretched_exp")))
     window = cfg.fit.get("window", hint_window)
     if param == "sigma":
-        doc = rates_mod.compare_sigma(model if comparison is None else comparison,
-                                      dcfg, values, r_grid=r_grid)
-        # wide CSV of the alpha tables on a shared grid
-        tables = []
-        for sig in values:
-            c = lyap.DriftConfig(case=dcfg.case, sigma=sig, delta=dcfg.delta)
-            res = rates_mod.rate_tables(
-                model if comparison is None else comparison, c, r_grid=r_grid)
-            tables.append((sig, res.alpha))
-        grid = rates_mod._shared_s_grid([t for _, t in tables])
-        header = ["s"] + [f"alpha_sigma_{sig:g}" for sig, _ in tables]
-        cols = [grid] + [t.value_at(grid) for _, t in tables]
+        doc, runs = rates_mod._sigma_runs(
+            model if comparison is None else comparison, dcfg, values,
+            r_grid=r_grid)
+        # wide CSV of the compared alpha tables on a shared grid
+        tables = [t for _, t in runs]
+        grid = rates_mod._shared_s_grid(tables)
+        header = ["s"] + [f"alpha_sigma_{sig:g}" for sig in values]
+        cols = [grid] + [t.value_at(grid) for t in tables]
         return doc, (header, cols)
     if param in ("p", "delta"):
         rows = {}

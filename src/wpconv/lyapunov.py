@@ -240,12 +240,10 @@ def eta_window(model, s, cfg):
         out = vp * s_arr - R * np.abs(vp)
     else:
         dirs = sphere_directions(pot.d, cfg.sphere_samples)
-        out = np.empty(s_arr.shape)
-        for i, sv in enumerate(s_arr):
-            pts = sv * dirs
-            grads = np.array([pot.gradient(p) for p in pts])
-            out[i] = np.min(np.sum(grads * pts, axis=1)
-                            - R * np.linalg.norm(grads, axis=1))
+        pts = s_arr[..., None, None] * dirs
+        grads = pot.gradient(pts)
+        out = np.min(np.sum(grads * pts, axis=-1)
+                     - R * np.linalg.norm(grads, axis=-1), axis=-1)
     return out if np.asarray(s).shape else float(out[0])
 
 
@@ -256,16 +254,14 @@ def eta_window_psi(model, r, cfg, strict=True):
     if not np.isfinite(R):
         raise DriftConditionFailed("window construction requires compact nu")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty(r_arr.shape)
-    for i, rv in enumerate(r_arr):
-        lo = rv - R
-        if lo <= 0.0:
-            if strict:
-                raise DriftConditionFailed(
-                    f"window [r-R, r+R] leaves the positive axis at r={rv:g}")
-            lo = min(1e-9, rv * 1e-9)
-        win = np.linspace(lo, rv + R, max(cfg.window_samples, 3))
-        out[i] = np.min(eta_window(model, win, cfg)) / rv
+    lo = r_arr - R
+    crossing = lo <= 0.0
+    if strict and np.any(crossing):
+        raise DriftConditionFailed(
+            f"window [r-R, r+R] leaves the positive axis at r={r_arr[crossing][0]:g}")
+    lo = np.where(crossing, np.minimum(1e-9, r_arr * 1e-9), lo)
+    win = np.linspace(lo, r_arr + R, max(cfg.window_samples, 3), axis=-1)
+    out = np.min(eta_window(model, win, cfg), axis=-1) / r_arr
     if strict and cfg.R0 is not None:
         bad = (r_arr >= cfg.R0) & (out <= 0.0)
         if np.any(bad):
@@ -307,16 +303,9 @@ def _log_p_sigma_on_grid(grid, psi_vals, sigma, d):
     w = sigma / (sigma + 1.0)
     I = integrate.cumulative_trapezoid(psi_vals, grid, initial=0.0)
     logg = (1.0 - d) * np.log(grid) + w * I
-    dg = np.diff(grid)
-    # log-linear panel rule: int_a^b e^g ds = (b-a)(e^gb - e^ga)/(gb - ga),
-    # exact when g is linear on the panel (the integrand varies exponentially)
-    hi = np.maximum(logg[:-1], logg[1:])
-    da = np.abs(logg[1:] - logg[:-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(da > 1e-6,
-                        np.log(-np.expm1(-np.maximum(da, 1e-300))) - np.log(np.maximum(da, 1e-300)),
-                        -0.5 * da)
-    panel = hi + corr + np.log(dg)
+    # the integrand varies exponentially: the log-linear panel rule is exact
+    # when logg is linear on a panel
+    panel = model_mod._log_panel_rule(logg, np.diff(grid))
     cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel)])
     lognum = np.logaddexp(cum, 0.0)
     return lognum - logg, I

@@ -187,38 +187,28 @@ def _v0_of_log(pot, y):
     return np.where(y > 690.0, np.inf, v)
 
 
-def _radial_mass(pot, a, b=np.inf, tol=1e-12):
-    """int_a^b exp(-v0(s)) s^(d-1) ds.
+def _radial_mass(pot, a):
+    """int_a^inf exp(-v0(s)) s^(d-1) ds, as int exp(d y - v0(e^y)) dy.
 
-    s-space panels up to 1e6, then panels in y = log s; the y-space piece uses
-    the stable v0(e^y) form, so profiles whose density decays only
-    logarithmically keep their (real) far-tail mass.
+    One composite Gauss-Legendre rule in y = log s: half-unit panels up to
+    y = 16 (edges also at the s marks below), then doubling panels out to
+    y = 1e15, all nodes in one stable v0(e^y) call, so profiles whose density
+    decays only logarithmically keep their (real) far-tail mass.  Mass below
+    s = 1e-18 (at most 1e-18^d exp(-v0(0)) / d) is dropped.
     """
-    d = pot.d
-    f = lambda s: np.exp(-pot.v0(s)) * s ** (d - 1)
-    s_cross = 1e6
-    total = 0.0
-    hi_s = min(b, s_cross)
-    if a < hi_s:
-        marks = [0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e2, 1e3, 1e4, 1e5, 1e6]
-        edges = [a] + [m for m in marks if a < m < hi_s] + [hi_s]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            out = integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=tol, limit=200,
-                                 full_output=1)
-            total += out[0]
-    if b > s_cross:
-        g = lambda y: np.exp(d * np.asarray(y, dtype=float) - _v0_of_log(pot, y))
-        ya = math.log(max(a, s_cross))
-        yb_end = math.log(b) if np.isfinite(b) else 1e15
-        while ya < yb_end:
-            yb = min(max(2.0 * ya, ya + 5.0), yb_end)
-            out = integrate.quad(g, ya, yb, epsabs=1e-300, epsrel=1e-10,
-                                 limit=100, full_output=1)
-            total += out[0]
-            if out[0] <= 1e-14 * total and yb >= 1e3:
-                break
-            ya = yb
-    return total
+    ya = math.log(max(a, 1e-18))
+    marks = np.log([0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+    far = [max(ya, 16.0)]
+    while far[-1] < 1e15:
+        far.append(min(max(2.0 * far[-1], far[-1] + 5.0), 1e15))
+    # edges graded toward ya resolve a tail that starts steep (v0(a) large)
+    edges = np.concatenate([[ya], ya + 2.0 ** -np.arange(12.0),
+                            np.arange(math.ceil(2.0 * ya), 33) / 2.0, marks, far])
+    edges = np.unique(edges[edges >= ya])
+    t, w = _gauss_legendre(48)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (t + 1.0)
+    return float(np.sum(half * w * np.exp(pot.d * nodes - _v0_of_log(pot, nodes))))
 
 
 def _radial_log_norm(v0, d, v0_log=None):

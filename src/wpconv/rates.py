@@ -18,7 +18,7 @@ F^{-1}(s) = inf{r : F(r) <= s}, evaluated tablewise.
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -204,25 +204,20 @@ def varphi_phi(phi, r):
     if np.any(r_arr <= 0.0):
         raise ValueError("r must be positive")
     target = 1.0 / r_arr
-    out = np.empty(r_arr.shape)
-    for i, t in enumerate(target):
-        if runmin[0] < t:
-            # phi is constant below the first node, so the sublevel set is empty
-            out[i] = 0.0
-            continue
-        if runmin[-1] >= t:
-            raise SaturatedAtGridEnd(
-                f"phi stays above 1/r={t:g} out to s={grid[-1]:g}; extend the grid")
-        j = int(np.searchsorted(-runmin, -t, side="right"))
-        # segment (j-1, j): runmin[j-1] >= t > runmin[j]
-        v0, v1 = values[j - 1], values[j]
-        if v1 >= t:  # dip caused by an earlier minimum; crossing at the node
-            out[i] = grid[j]
-            continue
-        lo, hi = grid[j - 1], grid[j]
-        frac = (math.log(t) - math.log(max(v0, t))) \
-            / (math.log(v1) - math.log(max(v0, t)))
-        out[i] = math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
+    saturated = runmin[-1] >= target
+    if np.any(saturated):
+        raise SaturatedAtGridEnd(
+            f"phi stays above 1/r={target[saturated][0]:g} out to "
+            f"s={grid[-1]:g}; extend the grid")
+    # segment (j-1, j): values[j-1] >= runmin[j-1] >= t > runmin[j] = values[j];
+    # j = 0 when the sublevel set is empty (phi is constant below the first node)
+    j = np.searchsorted(-runmin, -target, side="right")
+    jc = np.maximum(j, 1)
+    v0, v1 = np.log(values[jc - 1]), np.log(values[jc])
+    lo, hi = np.log(grid[jc - 1]), np.log(grid[jc])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (np.log(target) - v0) / (v1 - v0)
+    out = np.where(j == 0, 0.0, np.exp(lo + frac * (hi - lo)))
     return out if np.asarray(r).shape else float(out[0])
 
 
@@ -418,16 +413,11 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
             break
         except SaturatedAtGridEnd:
             if s_max >= s_max_cap:
-                served = []
-                for rv in r_grid:
-                    try:
-                        varphi_phi(phi, rv)
-                        served.append(rv)
-                    except SaturatedAtGridEnd:
-                        break
-                if len(served) < 32:
+                # serve the r prefix below the first saturated 1/r
+                served = int(np.argmax(phi.values.min() >= 1.0 / r_grid))
+                if served < 32:
                     raise
-                r_grid = np.asarray(served)
+                r_grid = r_grid[:served]
                 t_vals = varphi_phi(phi, r_grid)
                 break
             s_max = min(s_max * 4.0, s_max_cap)
@@ -492,15 +482,20 @@ def compare_sigma(model, cfg, sigma_list, r_grid=None, psi_scales=None,
     The verdict factor is a harness choice (default 2); the underlying
     comparison statement asserts only two-sided bounds.
     """
+    return _sigma_runs(model, cfg, sigma_list, r_grid, psi_scales,
+                       bound_factor, s_window)[0]
+
+
+def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
+                bound_factor=2.0, s_window=None):
+    """compare_sigma's report together with the labelled alpha tables it
+    compared, one per (scale, sigma) in that loop order."""
     sigma_list = list(sigma_list)
     psi_scales = [1.0] if not psi_scales else list(psi_scales)
     runs = []
     for k in psi_scales:
         for sig in sigma_list:
-            c = lyap.DriftConfig(case=cfg.case, R0=cfg.R0, sigma=sig,
-                                 delta=cfg.delta,
-                                 sphere_samples=cfg.sphere_samples,
-                                 window_samples=cfg.window_samples)
+            c = replace(cfg, sigma=sig)
             res = rate_tables(model, c, r_grid=r_grid, psi_scale=k)
             runs.append((f"sigma={sig},scale={k}", res.alpha))
     grid = _shared_s_grid([tab for _, tab in runs])
@@ -520,11 +515,12 @@ def compare_sigma(model, cfg, sigma_list, r_grid=None, psi_scales=None,
                 "ratio_max": float(ratio.max()),
                 "range_factor": rng}
             worst = max(worst, rng)
-    return {"schema_version": SCHEMA_VERSION,
-            "s_min": float(grid[0]), "s_max": float(grid[-1]),
-            "pairs": pairs, "worst_range_factor": worst,
-            "bounded": bool(worst < bound_factor),
-            "bound_factor": bound_factor}
+    doc = {"schema_version": SCHEMA_VERSION,
+           "s_min": float(grid[0]), "s_max": float(grid[-1]),
+           "pairs": pairs, "worst_range_factor": worst,
+           "bounded": bool(worst < bound_factor),
+           "bound_factor": bound_factor}
+    return doc, runs
 
 
 def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,

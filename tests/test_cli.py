@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from wpconv import cli
+from wpconv import lyapunov as L
+from wpconv import rates as R
 from wpconv.errors import ConfigError
 
 
@@ -184,6 +186,22 @@ def test_sweep_single_value_degenerates(tmp_path):
     assert doc["pairs"] == {}
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[0].startswith("s,alpha_sigma_1")
+
+
+def test_sigma_sweep_csv_holds_the_compared_tables(tmp_path):
+    """sweep.csv tabulates the runs sweep.json compares, at the user's R0."""
+    cfg = cli.load_config(
+        "preset: example_3_3\nR0: 5.0\nstages: []\noutput_dir: " + str(tmp_path)
+        + "\n" + FAST_GRIDS)
+    status, _ = cli.sweep(cfg, "sigma", [1.0, 2.0])
+    assert status == 0
+    data = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    model, _ = cli.build_model(cfg)
+    r_grid = cli._r_grid(cfg)[0]
+    for col, sig in enumerate((1.0, 2.0), start=1):
+        res = R.rate_tables(model, L.DriftConfig(case="cor_a", R0=5.0, sigma=sig),
+                            r_grid=r_grid)
+        np.testing.assert_array_equal(data[:, col], res.alpha.value_at(data[:, 0]))
 
 
 def test_sweep_p_recovers_both_exponents(tmp_path):

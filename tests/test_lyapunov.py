@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,30 @@ def test_eta_window_psi_fails_when_window_crosses_origin():
     assert val < 0.0
 
 
+def test_eta_window_psi_array_matches_per_radius_calls(models):
+    for m in models.values():
+        R = m.source.support_radius
+        cfg = L.DriftConfig(case="cor_a", R0=2.0 * R)
+        radii = np.concatenate([[0.5 * R, R], np.geomspace(1.5 * R, 1e7, 300)])
+        arr = L.eta_window_psi(m, radii, cfg, strict=False)
+        one = np.array([L.eta_window_psi(m, r, cfg, strict=False) for r in radii])
+        np.testing.assert_array_equal(arr, one)
+
+
+@pytest.mark.parametrize("pot", [M.log_potential(2.0), M.power_potential(2.0, d=2)],
+                         ids=["log_d1", "power_d2"])
+def test_eta_window_non_radial_matches_radial_closed_form(pot):
+    R = 0.7
+    src = M.point_mass(location=[R] + [0.0] * (pot.d - 1), d=pot.d)
+    cfg = L.DriftConfig(case="cor_a", R0=2.0)
+    s = np.geomspace(0.3, 1e4, 50)
+    closed = L.eta_window(M.ConvolutionModel(pot, src), s, cfg)
+    vp = pot.v0p(s)
+    np.testing.assert_array_equal(closed, vp * s - R * np.abs(vp))
+    general = M.ConvolutionModel(replace(pot, radial=False), src)
+    np.testing.assert_allclose(L.eta_window(general, s, cfg), closed, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # p_sigma
 # ---------------------------------------------------------------------------
@@ -164,6 +189,39 @@ def test_p_sigma_monotone_in_sigma():
         if prev is not None:
             assert np.all(vals <= prev * (1.0 + 1e-12))
         prev = vals
+
+
+def _log_p_sigma_inline(grid, psi_vals, sigma, d):
+    """log p_sigma with the panel rule lyapunov carried before it shared
+    model._log_panel_rule, kept as its reference."""
+    w = sigma / (sigma + 1.0)
+    I = integrate.cumulative_trapezoid(psi_vals, grid, initial=0.0)
+    logg = (1.0 - d) * np.log(grid) + w * I
+    hi = np.maximum(logg[:-1], logg[1:])
+    da = np.abs(logg[1:] - logg[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(da > 1e-6,
+                        np.log(-np.expm1(-np.maximum(da, 1e-300)))
+                        - np.log(np.maximum(da, 1e-300)),
+                        -0.5 * da)
+    panel = hi + corr + np.log(np.diff(grid))
+    cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel)])
+    return np.logaddexp(cum, 0.0) - logg, I
+
+
+@pytest.mark.parametrize("name", ["example_3_2", "example_3_3", "example_3_4",
+                                  "lemma_3_2"])
+def test_p_sigma_shared_panel_rule_is_bitwise_on_criterion_06_grids(name):
+    work = P.make_model(name)
+    cfg0 = L.resolve_r0(work, P.default_drift_config(name))
+    rr = np.geomspace(cfg0.R0, 1e3, 60)
+    grid = L._refined_grid(cfg0.R0, float(rr.max()), include=rr)
+    vals = L.drift_rate(work, grid, cfg0)
+    for sig in (0.5, 1.0, 2.0, 5.0):
+        logp, I = L._log_p_sigma_on_grid(grid, vals, sig, work.d)
+        ref_logp, ref_I = _log_p_sigma_inline(grid, vals, sig, work.d)
+        np.testing.assert_array_equal(logp, ref_logp)
+        np.testing.assert_array_equal(I, ref_I)
 
 
 # ---------------------------------------------------------------------------

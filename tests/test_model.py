@@ -234,6 +234,52 @@ def test_tail_monotonicity(ts):
     assert np.all(np.diff(nu) <= 1e-12)
 
 
+def _radial_mass_quad(pot, a):
+    """int_a^inf exp(-v0(s)) s^(d-1) ds by adaptive quadrature: s-space
+    panels up to 1e6, then doubling panels in y = log s."""
+    f = lambda s: np.exp(-pot.v0(s)) * s ** (pot.d - 1)
+    marks = [0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e2, 1e3, 1e4, 1e5, 1e6]
+    edges = [a] + [m for m in marks if a < m] if a < 1e6 else []
+    total = sum(integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=1e-12,
+                               limit=200, full_output=1)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+    g = lambda y: np.exp(pot.d * y - M._v0_of_log(pot, y))
+    ya = math.log(max(a, 1e6))
+    while ya < 1e15:
+        yb = min(max(2.0 * ya, ya + 5.0), 1e15)
+        part = integrate.quad(g, ya, yb, epsabs=1e-300, epsrel=1e-10, limit=100,
+                              full_output=1)[0]
+        total += part
+        if part <= 1e-14 * total and yb >= 1e3:
+            break
+        ya = yb
+    return total
+
+
+RADIAL_MASS_POTENTIALS = {
+    **{name: P.make_model(name).potential
+       for name in ("example_3_1", "example_3_2", "example_3_3", "example_3_4")},
+    "loglog_p1.5": M.loglog_potential(1.5),
+    "smooth_well_q0.3": M.smooth_well_potential(0.3),
+    "quadratic": M.quadratic_potential(),
+    "patched_power_0.4": M.power_potential(0.4).patched(),
+    "log_d2": M.log_potential(1.0, d=2),
+    "power_d2": M.power_potential(1.5, d=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIAL_MASS_POTENTIALS))
+def test_radial_mass_rule_matches_adaptive_quadrature(name):
+    pot = RADIAL_MASS_POTENTIALS[name]
+    # d*y - v0(e^y) of a loglog profile cancels to ulp(y) on the far panels
+    # (y up to 1e15), which neither rule can beat: the p = 1.5 mass is good
+    # to about 1e-10 either way
+    rtol = 5e-10 if name.startswith(("example_3_4", "loglog")) else 1e-12
+    for a in (0.0, 1e-3, 0.7, 17.0, 1e5, 1e7, 1e9):
+        ref = _radial_mass_quad(pot, a)
+        assert M._radial_mass(pot, a) == pytest.approx(ref, rel=rtol, abs=0.0), a
+
+
 # ---------------------------------------------------------------------------
 # normalization invariants
 # ---------------------------------------------------------------------------

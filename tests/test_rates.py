@@ -173,6 +173,63 @@ def test_varphi_nondecreasing_and_scale_equivariance():
             R.varphi_phi(phi, k * r), rel=1e-12)
 
 
+def _varphi_loop(phi, r):
+    """The per-r inversion that varphi_phi replaced, kept as its oracle."""
+    grid, values = phi.grid, phi.values
+    runmin = np.minimum.accumulate(values)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    target = 1.0 / r_arr
+    out = np.empty(r_arr.shape)
+    for i, t in enumerate(target):
+        if runmin[0] < t:
+            out[i] = 0.0
+            continue
+        if runmin[-1] >= t:
+            raise SaturatedAtGridEnd(
+                f"phi stays above 1/r={t:g} out to s={grid[-1]:g}; extend the grid")
+        j = int(np.searchsorted(-runmin, -t, side="right"))
+        v0, v1 = values[j - 1], values[j]
+        if v1 >= t:
+            out[i] = grid[j]
+            continue
+        lo, hi = grid[j - 1], grid[j]
+        frac = (math.log(t) - math.log(max(v0, t))) \
+            / (math.log(v1) - math.log(max(v0, t)))
+        out[i] = math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
+    return out
+
+
+@st.composite
+def _profile_and_radii(draw):
+    """Profiles on [1, e^1.35] with log-step 0.05 whose log-values sit on a
+    0.1 lattice in [-1.3, 1.3]: repeated levels give plateaus, rises give
+    dips.  Every strict drop is steeper than slope 1 and every log is below
+    1.4, so a one-ulp difference between np.log and math.log moves the
+    crossing by at most a few ulp."""
+    levels = draw(st.lists(st.integers(-13, 13), min_size=2, max_size=28))
+    grid = np.exp(0.05 * np.arange(len(levels)))
+    values = np.exp(0.1 * np.asarray(levels, dtype=float))
+    at_nodes = st.sampled_from(list(values)).map(lambda v: 1.0 / v)
+    anywhere = st.floats(-1.5, 1.5).map(lambda x: math.exp(-x))
+    radii = draw(st.lists(at_nodes | anywhere, min_size=1, max_size=20))
+    return profile(grid, values), np.asarray(radii)
+
+
+@given(_profile_and_radii())
+@settings(max_examples=300, deadline=None)
+def test_varphi_array_matches_scalar_loop(case):
+    phi, radii = case
+    try:
+        expected = _varphi_loop(phi, radii)
+    except SaturatedAtGridEnd as exc:
+        with pytest.raises(SaturatedAtGridEnd) as got:
+            R.varphi_phi(phi, radii)
+        assert str(got.value) == str(exc)
+        return
+    got = R.varphi_phi(phi, radii)
+    assert np.all(np.abs(got - expected) <= 4 * np.spacing(expected))
+
+
 # ---------------------------------------------------------------------------
 # beta
 # ---------------------------------------------------------------------------
@@ -347,6 +404,22 @@ def test_compare_stability_hypothesis_failure():
 def test_rate_result_grid_extension_served_all_r(alpha_33):
     assert alpha_33.beta.grid[-1] == pytest.approx(1e10)
     assert alpha_33.alpha.values[0] > alpha_33.alpha.values[-1]
+
+
+def test_capped_rate_tables_serves_the_unsaturated_prefix():
+    m = P.make_model("example_3_3", p=2.0)
+    rg = np.geomspace(1e-2, 1e10, 2401)
+    res = R.rate_tables(m, L.DriftConfig(case="cor_a", sigma=1.0), r_grid=rg,
+                        s_max_cap=1e4)
+    served = []
+    for rv in rg:
+        try:
+            _varphi_loop(res.phi, rv)
+        except SaturatedAtGridEnd:
+            break
+        served.append(rv)
+    assert 32 <= len(served) < rg.size
+    np.testing.assert_array_equal(res.varphi.grid, served)
 
 
 def test_comparison_transfer_preserves_order():
