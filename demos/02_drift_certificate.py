@@ -28,7 +28,7 @@ print("\nintegral correction p_sigma (grows ~ linearly here):")
 for s, v in zip(ss, ps):
     print(f"  r = {s:9.2f}:  p_sigma = {v:10.4f}   p_sigma/r = {v / s:.4f}")
 
-phi = L.phi_case_a(m, cfg, s_max=1e4)
+phi = L.phi_profile(m, cfg, s_max=1e4)
 msk = phi.grid >= 1e2
 slope = np.polyfit(np.log(phi.grid[msk]), np.log(phi.values[msk]), 1)[0]
 print(f"\nphi = psi/((1+sigma) p_sigma): log-log slope {slope:.4f} "

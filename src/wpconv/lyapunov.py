@@ -44,8 +44,7 @@ __all__ = [
     "eta_window_psi",
     "drift_rate",
     "p_sigma",
-    "phi_case_a",
-    "phi_case_b",
+    "phi_profile",
     "case_b_integrand",
     "check_conditions",
     "drift_check",
@@ -91,8 +90,10 @@ class RadialProfile:
     values: np.ndarray
     r0: float
     name: str = "phi"
-    psi: Optional[np.ndarray] = None          # drift rate on the same grid (case a)
-    log_p_sigma: Optional[np.ndarray] = None  # log p_sigma on the same grid (case a)
+    # the case quantity on the same grid: the scaled drift rate psi for cases
+    # 'a'/'cor_a', the integrand infimum for 'b'/'cor_b'
+    psi: Optional[np.ndarray] = None
+    log_p_sigma: Optional[np.ndarray] = None  # log p_sigma on the same grid ('a'/'cor_a')
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -229,21 +230,14 @@ def psi_case_a(model, s, cfg, strict=True):
 
 
 def eta_window(model, s, cfg):
-    """eta(s) = inf_{|x|=s} ( <grad V(x), x> - R |grad V(x)| ); exact radial
-    form v0'(s) s - R |v0'(s)| for radial potentials."""
+    """eta(s) = inf_{|x|=s} ( <grad V(x), x> - R |grad V(x)| ), which for the
+    radial potential is v0'(s) s - R |v0'(s)| on every direction."""
     pot, R = model.potential, model.source.support_radius
     if not np.isfinite(R):
         raise DriftConditionFailed("window construction requires compact nu")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if pot.radial:
-        vp = pot.v0p(s_arr)
-        out = vp * s_arr - R * np.abs(vp)
-    else:
-        dirs = sphere_directions(pot.d, cfg.sphere_samples)
-        pts = s_arr[..., None, None] * dirs
-        grads = pot.gradient(pts)
-        out = np.min(np.sum(grads * pts, axis=-1)
-                     - R * np.linalg.norm(grads, axis=-1), axis=-1)
+    vp = pot.v0p(s_arr)
+    out = vp * s_arr - R * np.abs(vp)
     return out if np.asarray(s).shape else float(out[0])
 
 
@@ -347,52 +341,6 @@ def _anchored_grid(R0, s_max, points_per_decade, include_radii=None):
     return grid
 
 
-def _phi_profile_case_a(model, cfg, s_max, points_per_decade, include_radii,
-                        psi_scale=1.0, prefix=None):
-    R0 = cfg.R0
-    coarse = _anchored_grid(R0, s_max, points_per_decade, include_radii)
-    if prefix is not None and include_radii is None:
-        old_grid, old_psi = prefix
-        k = min(old_grid.size, coarse.size)
-        if np.array_equal(old_grid[:k], coarse[:k]):
-            tail = drift_rate(model, coarse[k:], cfg, strict=True) \
-                if coarse.size > k else np.empty(0)
-            psi_raw = np.concatenate([old_psi[:k], np.atleast_1d(tail)])
-        else:
-            psi_raw = drift_rate(model, coarse, cfg, strict=True)
-    else:
-        psi_raw = drift_rate(model, coarse, cfg, strict=True)
-    psi_coarse = psi_scale * np.asarray(psi_raw, dtype=float)
-    if np.any(psi_coarse <= 0.0):
-        raise DriftConditionFailed("drift rate nonpositive on the profile grid")
-    # refine by log-log interpolation for the cumulative integrals
-    fine = _refined_grid(R0, s_max, include=coarse)
-    psi_fine = np.exp(np.interp(np.log(fine), np.log(coarse), np.log(psi_coarse)))
-    logp_fine, _ = _log_p_sigma_on_grid(fine, psi_fine, cfg.sigma, model.d)
-    idx = np.searchsorted(fine, coarse)
-    logp = logp_fine[np.clip(idx, 0, fine.size - 1)]
-    phi_vals = np.exp(np.log(psi_coarse) - math.log(1.0 + cfg.sigma) - logp)
-    return RadialProfile(grid=coarse, values=phi_vals, r0=R0,
-                         name=f"phi_{cfg.case}", psi=psi_coarse, log_p_sigma=logp)
-
-
-def phi_case_a(model, cfg, s_max=None, points_per_decade=200, include_radii=None,
-               psi_scale=1.0, prefix=None):
-    """Radial rate phi = psi / ((1+sigma) p_sigma) on [R0, s_max], extended by
-    the constant phi(R0) below R0 (the practical lower-bound form).
-
-    psi_scale multiplies the drift rate before the correction integrals (used
-    by the perturbation comparisons); prefix=(grid, raw_psi) reuses rates
-    already tabulated on an anchored-grid prefix."""
-    if cfg.case in ("b", "cor_b"):
-        cfg = replace(cfg, case="cor_a" if cfg.case == "cor_b" else "a")
-    cfg = resolve_r0(model, cfg)
-    if s_max is None:
-        s_max = 1e4 * max(cfg.R0, 1.0)
-    return _phi_profile_case_a(model, cfg, s_max, points_per_decade,
-                               include_radii, psi_scale, prefix)
-
-
 def case_b_integrand(model, x, cfg):
     """E_{nu_x}[delta |grad V(x-z)|^2 - Delta V(x-z)] at every point of x."""
     pot = model.potential
@@ -409,12 +357,9 @@ def case_b_integrand(model, x, cfg):
 
 
 def _ball_infimum_integrand(model, s, cfg):
-    """inf over the ball B_R(x), |x| = s, of delta |grad V|^2 - Delta V, for
-    radial potentials (the ball projects onto the radius window [s-R, s+R]).
-    Vectorized over s."""
+    """inf over the ball B_R(x), |x| = s, of delta |grad V|^2 - Delta V (the
+    ball projects onto the radius window [s-R, s+R]).  Vectorized over s."""
     pot, R = model.potential, model.source.support_radius
-    if not pot.radial:
-        raise UnsupportedDimension("ball infimum requires a radial potential")
     s = np.asarray(s, dtype=float)
     lo = np.maximum(s - R, max(pot.smooth_radius + 1e-12, 1e-12))
     win = np.linspace(lo, s + R, max(cfg.window_samples, 3), axis=-1)
@@ -423,51 +368,70 @@ def _ball_infimum_integrand(model, s, cfg):
     return np.min(cfg.delta * vp ** 2 - lap, axis=-1)
 
 
-def phi_case_b(model, cfg, s_max=None, points_per_decade=200, include_radii=None,
-               prefix=None):
-    """Radial rate phi for the exponential Lyapunov function:
-    (1-delta) * (tilted integrand) for case 'b', (1-delta) * (ball infimum)
-    for case 'cor_b'.  Exact two-point sphere infimum in d = 1."""
-    if cfg.case in ("a", "cor_a"):
-        cfg = replace(cfg, case="cor_b" if cfg.case == "cor_a" else "b")
-    cfg = resolve_r0(model, cfg)
-    R0 = cfg.R0
-    if s_max is None:
-        s_max = 1e4 * max(R0, 1.0)
-    grid = _anchored_grid(R0, s_max, points_per_decade, include_radii)
-    if prefix is not None and include_radii is None:
-        old_grid, old_vals = prefix
-        k = min(old_grid.size, grid.size)
-        if np.array_equal(old_grid[:k], grid[:k]):
-            vals = np.concatenate([old_vals[:k], _case_scan_values(model, grid[k:], cfg)])
-        else:
-            vals = _case_scan_values(model, grid, cfg)
-    else:
-        vals = _case_scan_values(model, grid, cfg)
-    if np.any(vals <= 0.0):
-        raise DriftConditionFailed(
-            f"case-b integrand nonpositive at s={grid[vals <= 0.0][0]:g}")
-    return RadialProfile(grid=grid, values=(1.0 - cfg.delta) * vals, r0=R0,
-                         name=f"phi_{cfg.case}", psi=np.asarray(vals, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# R0 selection and condition reports
-# ---------------------------------------------------------------------------
-
-def _case_scan_values(model, grid, cfg):
+def _case_scan_values(model, grid, cfg, strict):
     """The case quantity at every radius of grid: the drift rate psi for
-    cases 'a'/'cor_a', the sphere infimum of the tilted integrand for 'b',
-    the ball infimum for 'cor_b'."""
-    if cfg.case == "a":
-        return psi_case_a(model, grid, cfg, strict=False)
-    if cfg.case == "cor_a":
-        return eta_window_psi(model, grid, cfg, strict=False)
+    cases 'a'/'cor_a' (strict as in drift_rate), the sphere infimum of the
+    tilted integrand for 'b', the ball infimum for 'cor_b'."""
+    if cfg.case in ("a", "cor_a"):
+        return drift_rate(model, grid, cfg, strict=strict)
     if cfg.case == "b":
         pts = _sphere_points(model, grid, cfg.sphere_samples)
         return np.min(case_b_integrand(model, pts, cfg), axis=1)
     return _ball_infimum_integrand(model, grid, cfg)
 
+
+def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=None,
+                psi_scale=1.0, prefix=None):
+    """The certified radial rate phi of cfg.case on [R0, s_max], extended by
+    the constant phi(R0) below R0 (the practical lower-bound form):
+    psi / ((1+sigma) p_sigma) for cases 'a'/'cor_a', and (1-delta) times the
+    tilted integrand ('b') or its ball infimum ('cor_b') for the exponential
+    Lyapunov function.
+
+    psi_scale multiplies the drift rate of cases 'a'/'cor_a' before the
+    correction integrals (used by the perturbation comparisons);
+    prefix=(grid, case values) reuses values already tabulated on an
+    anchored-grid prefix."""
+    exp_case = cfg.case in ("b", "cor_b")
+    if exp_case and psi_scale != 1.0:
+        raise ValueError(f"psi_scale={psi_scale:g} scales the drift rate of cases "
+                         f"'a'/'cor_a'; case {cfg.case!r} has none to scale")
+    cfg = resolve_r0(model, cfg)
+    R0 = cfg.R0
+    if s_max is None:
+        s_max = 1e4 * max(R0, 1.0)
+    grid = _anchored_grid(R0, s_max, points_per_decade, include_radii)
+    k = 0
+    if prefix is not None and include_radii is None:
+        old_grid, old_vals = prefix
+        k = min(old_grid.size, grid.size)
+        if not np.array_equal(old_grid[:k], grid[:k]):
+            k = 0
+    vals = _case_scan_values(model, grid[k:], cfg, strict=True)
+    if k:
+        vals = np.concatenate([old_vals[:k], vals])
+    psi = psi_scale * np.asarray(vals, dtype=float)
+    bad = psi <= 0.0
+    if np.any(bad):
+        what = "case-b integrand" if exp_case else "drift rate"
+        raise DriftConditionFailed(f"{what} nonpositive at s={grid[bad][0]:g}")
+    name = f"phi_{cfg.case}"
+    if exp_case:
+        return RadialProfile(grid=grid, values=(1.0 - cfg.delta) * psi, r0=R0,
+                             name=name, psi=psi)
+    # refine by log-log interpolation for the cumulative integrals
+    fine = _refined_grid(R0, s_max, include=grid)
+    psi_fine = np.exp(np.interp(np.log(fine), np.log(grid), np.log(psi)))
+    logp_fine, _ = _log_p_sigma_on_grid(fine, psi_fine, cfg.sigma, model.d)
+    logp = logp_fine[np.clip(np.searchsorted(fine, grid), 0, fine.size - 1)]
+    phi_vals = np.exp(np.log(psi) - math.log(1.0 + cfg.sigma) - logp)
+    return RadialProfile(grid=grid, values=phi_vals, r0=R0, name=name,
+                         psi=psi, log_p_sigma=logp)
+
+
+# ---------------------------------------------------------------------------
+# R0 selection and condition reports
+# ---------------------------------------------------------------------------
 
 def resolve_r0(model, cfg, safety=1.25):
     """Fill in cfg.R0: the smallest scanned radius past which the case
@@ -487,7 +451,7 @@ def resolve_r0(model, cfg, safety=1.25):
     while True:
         grid = np.geomspace(r_lo, horizon,
                             max(int(40 * math.log10(horizon / r_lo)), 24))
-        vals = _case_scan_values(model, grid, cfg)
+        vals = _case_scan_values(model, grid, cfg, strict=False)
         pos = vals > 0.0
         if not pos[-1]:
             star = None
@@ -561,12 +525,9 @@ def check_conditions(model, cfg, s_grid=None, sigma0=None):
         s_grid = np.geomspace(cfg.R0, 100.0 * cfg.R0, 257)
     s_grid = np.asarray(s_grid, dtype=float)
     sigma0 = cfg.sigma if sigma0 is None else sigma0
-    if cfg.case in ("a", "b"):
-        psi_vals = psi_case_a(model, s_grid, cfg, strict=False)
-    else:
-        psi_vals = eta_window_psi(model, s_grid, cfg, strict=False)
+    psi_vals = drift_rate(model, s_grid, cfg, strict=False)
     bcase = replace(cfg, case="b" if cfg.case in ("a", "b") else "cor_b")
-    b_vals = _case_scan_values(model, s_grid, bcase)
+    b_vals = _case_scan_values(model, s_grid, bcase, strict=False)
     bracket = robustness_bracket(s_grid, psi_vals, sigma0, model.d)
     # the robustness hypothesis concerns large radii: take the upper half
     upper = s_grid >= math.sqrt(s_grid[0] * s_grid[-1])
@@ -631,11 +592,8 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
         certificate_grid = np.geomspace(cfg.R0, 10.0 * cfg.R0, 200)
     radii = np.asarray(certificate_grid, dtype=float)
     s_max = float(radii.max()) * 1.05
+    phi = phi_profile(model, cfg, s_max=s_max, include_radii=radii)
     exp_case = cfg.case in ("b", "cor_b")
-    if exp_case:
-        phi = phi_case_b(model, cfg, s_max=s_max, include_radii=radii)
-    else:
-        phi = phi_case_a(model, cfg, s_max=s_max, include_radii=radii)
 
     idx = np.clip(np.searchsorted(phi.grid, radii), 0, phi.grid.size - 1)
     phi_s = phi.values[idx][:, None]

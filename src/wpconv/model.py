@@ -65,15 +65,11 @@ def sphere_area(d):
 class QuadratureSpec:
     """Deterministic quadrature parameters.
 
-    rule   -- 'graded_gl': composite Gauss-Legendre with panels graded toward
-              the (possible) cusp of V at the origin.
-    nodes  -- Gauss-Legendre nodes per panel.
-    tol    -- target tolerance for the adaptive scipy paths (tails, constants).
+    nodes  -- Gauss-Legendre nodes per panel of the composite rule, whose
+              panels are graded toward the (possible) cusp of V at the origin.
     """
 
-    rule: str = "graded_gl"
     nodes: int = 48
-    tol: float = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +78,17 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class Potential:
-    """Confining potential V(x) = c + v0(|x|) (radial) or a free-form V.
+    """Confining radial potential V(x) = c + v0(|x|).
 
     v0, v0p, v0pp are the radial profile and its first two derivatives,
-    vectorized over radii.  c makes exp(-V) integrate to one.  For radial
-    potentials value/gradient/laplacian are derived from the profile; the
-    gradient at the exact origin is reported as zero (symmetric minimum),
-    which callers must avoid when the profile has a cusp there.
+    vectorized over radii.  c makes exp(-V) integrate to one.
+    value/gradient/laplacian are derived from the profile; the gradient at
+    the exact origin is reported as zero (symmetric minimum), which callers
+    must avoid when the profile has a cusp there.
     """
 
     d: int
     c: float
-    radial: bool
     v0: Callable
     v0p: Callable
     v0pp: Callable
@@ -133,8 +128,6 @@ class Potential:
         """Replace v0 on [0, eps) by an even quartic matching value, first and
         second derivative at eps.  Removes the origin cusp of fractional-power
         profiles; used where path simulation needs a C^2 drift."""
-        if not self.radial:
-            raise UnsupportedDimension("patching requires a radial profile")
         e = float(eps)
         v, vp, vpp = self.v0(e), self.v0p(e), self.v0pp(e)
         c4 = (vpp - vp / e) / (8.0 * e * e)
@@ -213,13 +206,13 @@ def _radial_mass(pot, a):
 
 def _radial_log_norm(v0, d, v0_log=None):
     """log of omega_d * int_0^inf exp(-v0(s)) s^(d-1) ds."""
-    probe = Potential(d=d, c=0.0, radial=True, v0=v0, v0p=v0, v0pp=v0, v0_log=v0_log)
+    probe = Potential(d=d, c=0.0, v0=v0, v0p=v0, v0pp=v0, v0_log=v0_log)
     return math.log(_radial_mass(probe, 0.0) * sphere_area(d))
 
 
 def _make_radial(v0, v0p, v0pp, d, name, smooth_radius=0.0, v0_log=None):
     c = _radial_log_norm(v0, d, v0_log)
-    return Potential(d=d, c=c, radial=True, v0=v0, v0p=v0p, v0pp=v0pp,
+    return Potential(d=d, c=c, v0=v0, v0p=v0p, v0pp=v0pp,
                      name=name, smooth_radius=smooth_radius, v0_log=v0_log)
 
 
@@ -869,23 +862,9 @@ def measure_tail(model, which, t):
         return model.source.tail(t_arr)
     if which != "mu":
         raise ValueError("which must be 'mu' or 'nu'")
-    pot = model.potential
-    if pot.radial:
-        flat = np.atleast_1d(t_arr)
-        out = np.array([_mu_radial_tail(pot, max(tv, 0.0)) for tv in flat])
-        return out.reshape(t_arr.shape) if t_arr.shape else float(out[0])
-    if pot.d == 1:
-        flat = np.atleast_1d(t_arr)
-        out = []
-        for tv in flat:
-            tv = max(tv, 0.0)
-            f = lambda s: np.exp(-pot.value(s))
-            hi, _ = integrate.quad(f, tv, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-            lo, _ = integrate.quad(f, -np.inf, -tv, epsabs=1e-13, epsrel=1e-12, limit=200)
-            out.append(hi + lo if tv > 0 else 1.0)
-        out = np.array(out)
-        return out.reshape(t_arr.shape) if t_arr.shape else float(out[0])
-    raise UnsupportedDimension("non-radial tails are implemented for d = 1 only")
+    flat = np.atleast_1d(t_arr)
+    out = np.array([_mu_radial_tail(model.potential, max(tv, 0.0)) for tv in flat])
+    return out.reshape(t_arr.shape) if t_arr.shape else float(out[0])
 
 
 def _mu_radial_tail(pot, t):

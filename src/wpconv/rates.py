@@ -221,27 +221,36 @@ def varphi_phi(phi, r):
     return out if np.asarray(r).shape else float(out[0])
 
 
-def beta_phi(model, phi, r, compact_branch=None, half=True, mu_tail=None):
+def _beta_values(model, phi, t, compact_branch, half, mu_tail):
+    """beta at the sublevel radii t = varphi(r): the tails at t/2 (t with
+    half=False), floored at R + R0 on the compact branch.  mu_tail maps an
+    array of radii to mu(|x| >= radius)."""
+    t = 0.5 * t if half else t
+    if compact_branch:
+        t = np.maximum(t, model.source.support_radius + phi.r0)
+        return np.asarray(mu_tail(t), dtype=float)
+    return np.asarray(mu_tail(t), dtype=float) \
+        + np.asarray(model.source.tail(t), dtype=float)
+
+
+def _tabulated_mu_tail(pot, t):
+    """mu(|x| >= t) read from one mu_tail_table spanning the radii t."""
+    pos = t[t > 0.0]
+    table = model_mod.mu_tail_table(pot, float(pos.min()) if pos.size else 1e-6,
+                                    float(t.max()) if t.size else 1.0)
+    return table(t)
+
+
+def beta_phi(model, phi, r, compact_branch=None, half=True):
     """Spatial-tail bound at the sublevel radius: mu-tail + nu-tail of
     varphi(r)/2 in general; for compactly supported nu the mu-tail restricted
     to {|x| >= R + R0} alone (the nu term is identically zero there)."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if compact_branch is None:
         compact_branch = bool(np.isfinite(model.source.support_radius))
-    t = np.asarray(varphi_phi(phi, r_arr), dtype=float)
-    if half:
-        t = 0.5 * t
-    if compact_branch:
-        floor = model.source.support_radius + phi.r0
-        t_eff = np.maximum(t, floor)
-        mu_t = mu_tail(t_eff) if mu_tail is not None \
-            else model_mod.measure_tail(model, "mu", t_eff)
-        out = np.asarray(mu_t, dtype=float)
-    else:
-        mu_t = mu_tail(t) if mu_tail is not None \
-            else model_mod.measure_tail(model, "mu", t)
-        out = np.asarray(mu_t, dtype=float) \
-            + np.asarray(model.source.tail(t), dtype=float)
+    out = _beta_values(model, phi, np.asarray(varphi_phi(phi, r_arr), dtype=float),
+                       compact_branch, half,
+                       lambda t: model_mod.measure_tail(model, "mu", t))
     return out if np.asarray(r).shape else float(out[0])
 
 
@@ -391,58 +400,41 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
     if r_grid is None:
         r_grid = np.geomspace(1.0, 1e8, int(8 * points_per_decade) + 1)
     r_grid = np.asarray(r_grid, dtype=float)
+    if np.any(r_grid <= 0.0):
+        raise ValueError("r must be positive")
 
-    exp_case = cfg.case in ("b", "cor_b")
     s_max = 100.0 * max(cfg.R0, 1.0)
-    phi = None
-    t_vals = None
     prefix = None
     for _ in range(40):
-        if exp_case:
-            phi = lyap.phi_case_b(work, cfg, s_max=s_max,
-                                  points_per_decade=points_per_decade,
-                                  prefix=prefix)
-            prefix = (phi.grid, phi.psi)
-        else:
-            phi = lyap.phi_case_a(work, cfg, s_max=s_max,
-                                  points_per_decade=points_per_decade,
-                                  psi_scale=psi_scale, prefix=prefix)
-            prefix = (phi.grid, phi.psi / psi_scale)
-        try:
-            t_vals = varphi_phi(phi, r_grid)
+        phi = lyap.phi_profile(work, cfg, s_max=s_max,
+                               points_per_decade=points_per_decade,
+                               psi_scale=psi_scale, prefix=prefix)
+        prefix = (phi.grid, phi.psi / psi_scale)
+        # varphi_phi's test: the sublevel set of 1/r reaches past the grid end
+        saturated = phi.values.min() >= 1.0 / r_grid
+        if not np.any(saturated):
             break
-        except SaturatedAtGridEnd:
-            if s_max >= s_max_cap:
-                # serve the r prefix below the first saturated 1/r
-                served = int(np.argmax(phi.values.min() >= 1.0 / r_grid))
-                if served < 32:
-                    raise
+        if s_max >= s_max_cap:
+            # serve the r prefix below the first saturated 1/r; with too short
+            # a prefix varphi_phi raises SaturatedAtGridEnd below
+            served = int(np.argmax(saturated))
+            if served >= 32:
                 r_grid = r_grid[:served]
-                t_vals = varphi_phi(phi, r_grid)
-                break
-            s_max = min(s_max * 4.0, s_max_cap)
-    if t_vals is None:
+            break
+        s_max = min(s_max * 4.0, s_max_cap)
+    else:
         raise SaturatedAtGridEnd("profile grid never covered the r grid")
+    t_vals = varphi_phi(phi, r_grid)
 
-    t_half = 0.5 * np.asarray(t_vals) if half else np.asarray(t_vals)
     if compact_branch is None:
         compact_branch = bool(np.isfinite(work.source.support_radius))
-    floor = work.source.support_radius + phi.r0 if compact_branch else 0.0
-    t_eff = np.maximum(t_half, floor) if compact_branch else t_half
-    pos = t_eff[t_eff > 0.0]
-    mu_tail = model_mod.mu_tail_table(
-        work.potential, float(pos.min()) if pos.size else 1e-6,
-        float(t_eff.max()) if t_eff.size else 1.0)
-    beta_vals = beta_phi(work, phi, r_grid, compact_branch=compact_branch,
-                         half=half, mu_tail=mu_tail)
+    beta_vals = _beta_values(work, phi, t_vals, compact_branch, half,
+                             lambda t: _tabulated_mu_tail(work.potential, t))
     keep = np.isfinite(beta_vals) & (beta_vals > 1e-300)
     r_kept = r_grid[keep]
-    beta_kept = np.minimum.accumulate(beta_vals[keep])
-    varphi_tab = RateTable(
-        grid=r_kept,
-        values=np.maximum.accumulate(np.asarray(varphi_phi(phi, r_kept))),
-        monotonicity="nondecreasing")
-    beta_tab = RateTable(grid=r_kept, values=beta_kept,
+    varphi_tab = RateTable(grid=r_kept, values=np.maximum.accumulate(t_vals[keep]),
+                           monotonicity="nondecreasing")
+    beta_tab = RateTable(grid=r_kept, values=np.minimum.accumulate(beta_vals[keep]),
                          monotonicity="nonincreasing")
     alpha_tab = alpha_from_beta(beta_tab, c0=c0, s_grid=s_grid,
                                 points_per_decade=points_per_decade)

@@ -202,8 +202,6 @@ def sample_convolution(model, seed, n, proposal_exponent=1.0):
 
 def _sample_mu_rejection_2d(model, rng, n, q):
     pot = model.potential
-    if not pot.radial:
-        raise UnsupportedDimension("d=2 rejection requires a radial potential")
     d = 2
     # proposal radius density ~ s (1+s)^-(d+q+1), normalized numerically
     ss = np.geomspace(1e-4, max(model.truncation_radius, 1e3), 4000)

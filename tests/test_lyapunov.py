@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +132,7 @@ def test_eta_window_psi_array_matches_per_radius_calls(models):
 @pytest.mark.parametrize("pot", [M.log_potential(2.0), M.power_potential(2.0, d=2)],
                          ids=["log_d1", "power_d2"])
 def test_eta_window_non_radial_matches_radial_closed_form(pot):
+    """An off-centre (non-radial) source enters eta only through R."""
     R = 0.7
     src = M.point_mass(location=[R] + [0.0] * (pot.d - 1), d=pot.d)
     cfg = L.DriftConfig(case="cor_a", R0=2.0)
@@ -140,8 +140,6 @@ def test_eta_window_non_radial_matches_radial_closed_form(pot):
     closed = L.eta_window(M.ConvolutionModel(pot, src), s, cfg)
     vp = pot.v0p(s)
     np.testing.assert_array_equal(closed, vp * s - R * np.abs(vp))
-    general = M.ConvolutionModel(replace(pot, radial=False), src)
-    np.testing.assert_allclose(L.eta_window(general, s, cfg), closed, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,41 +226,41 @@ def test_p_sigma_shared_panel_rule_is_bitwise_on_criterion_06_grids(name):
 # phi profiles
 # ---------------------------------------------------------------------------
 
-def test_phi_case_a_power_law_slopes(models):
+def test_phi_profile_cor_a_power_law_slopes(models):
     cfg32 = L.resolve_r0(models["3_2"], L.DriftConfig(case="cor_a"))
-    phi = L.phi_case_a(models["3_2"], cfg32, s_max=1e4)
+    phi = L.phi_profile(models["3_2"], cfg32, s_max=1e4)
     msk = phi.grid >= 1e2
     slope = np.polyfit(np.log(phi.grid[msk]), np.log(phi.values[msk]), 1)[0]
     assert abs(slope - 2.0 * (0.6 - 1.0)) < 0.05
 
     cfg33 = L.resolve_r0(models["3_3"], L.DriftConfig(case="cor_a"))
-    phi33 = L.phi_case_a(models["3_3"], cfg33, s_max=1e4)
+    phi33 = L.phi_profile(models["3_3"], cfg33, s_max=1e4)
     msk = phi33.grid >= 1e2
     slope33 = np.polyfit(np.log(phi33.grid[msk]), np.log(phi33.values[msk]), 1)[0]
     assert abs(slope33 - (-2.0)) < 0.05
 
 
-def test_phi_case_b_point_mass_closed_form():
+def test_phi_profile_b_point_mass_closed_form():
     p, delta = 1.5, 0.75
     m = M.ConvolutionModel(M.power_potential(p), M.point_mass())
     cfg = L.DriftConfig(case="b", R0=1.0, delta=delta)
-    phi = L.phi_case_b(m, cfg, s_max=50.0, include_radii=[1.0, 4.0, 20.0])
+    phi = L.phi_profile(m, cfg, s_max=50.0, include_radii=[1.0, 4.0, 20.0])
     for s in [1.0, 4.0, 20.0]:
         expect = (1.0 - delta) * (delta * p ** 2 * s ** (2 * p - 2)
                                   - p * (1 + p - 2) * s ** (p - 2))
         assert phi(s) == pytest.approx(expect, rel=1e-10)
 
 
-def test_phi_case_b_quadratic_value():
+def test_case_b_integrand_quadratic_value():
     m = M.ConvolutionModel(M.quadratic_potential(), M.point_mass())
     cfg = L.DriftConfig(case="b", R0=1.0, delta=0.75)
     val = L.case_b_integrand(m, 2.0, cfg)
     assert (1.0 - cfg.delta) * val == pytest.approx(2.5, rel=1e-12)
 
 
-def test_phi_case_b_loglog_slope(models):
+def test_phi_profile_cor_b_loglog_slope(models):
     cfg = L.resolve_r0(models["3_4"], L.DriftConfig(case="cor_b", delta=0.75))
-    phi = L.phi_case_b(models["3_4"], cfg, s_max=1e4)
+    phi = L.phi_profile(models["3_4"], cfg, s_max=1e4)
     msk = phi.grid >= 1e2
     slope = np.polyfit(np.log(phi.grid[msk]), np.log(phi.values[msk]), 1)[0]
     assert abs(slope - (-2.0)) < 0.1
@@ -271,13 +269,43 @@ def test_phi_case_b_loglog_slope(models):
 def test_phi_profile_interpolation_and_extension():
     m = M.ConvolutionModel(M.power_potential(1.5), M.point_mass())
     cfg = L.DriftConfig(case="a", R0=1.0)
-    phi = L.phi_case_a(m, cfg, s_max=100.0)
+    phi = L.phi_profile(m, cfg, s_max=100.0)
     # constant extension below R0
     assert phi(0.1) == pytest.approx(phi(1.0), rel=1e-12)
     # log-log interpolation is exact for pure powers between grid nodes
     mid = math.sqrt(phi.grid[10] * phi.grid[11])
-    dense = L.phi_case_a(m, cfg, s_max=100.0, include_radii=[mid])
+    dense = L.phi_profile(m, cfg, s_max=100.0, include_radii=[mid])
     assert phi(mid) == pytest.approx(dense(mid), rel=1e-4)
+
+
+@pytest.mark.parametrize("case", ["a", "b", "cor_a", "cor_b"])
+def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
+    """A profile grown from a shorter one evaluates only the new radii and
+    equals a fresh build bit for bit.  The source is atomic: for a density
+    source the tilted kernel pads each chunk of radii to its widest row, so
+    case 'a' agrees only to about 2e-15 relative there."""
+    m = M.ConvolutionModel(M.log_potential(2.0), M.symmetric_pair(1.0))
+    cfg = L.resolve_r0(m, L.DriftConfig(case=case))
+    short = L.phi_profile(m, cfg, s_max=10.0 * cfg.R0)
+    fresh = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0)
+    scanned = []
+    scan = L._case_scan_values
+
+    def counting_scan(model, grid, cfg, strict):
+        scanned.append(grid.size)
+        return scan(model, grid, cfg, strict)
+
+    monkeypatch.setattr(L, "_case_scan_values", counting_scan)
+    grown = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0,
+                          prefix=(short.grid, short.psi))
+    assert scanned == [fresh.grid.size - short.grid.size]
+    for field in ("grid", "values", "psi", "log_p_sigma"):
+        a, b = getattr(grown, field), getattr(fresh, field)
+        if b is None:
+            assert a is None
+        else:
+            np.testing.assert_array_equal(a, b)
+
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +429,6 @@ def test_rate_quantities_stable_under_quadrature_refinement(models):
     psi1 = L.psi_case_a(m, ss, cfg)
     psi2 = L.psi_case_a(m2, ss, cfg)
     np.testing.assert_allclose(psi1, psi2, rtol=1e-3)
-    phi1 = L.phi_case_a(m, cfg, s_max=100.0)
-    phi2 = L.phi_case_a(m2, cfg, s_max=100.0)
+    phi1 = L.phi_profile(m, cfg, s_max=100.0)
+    phi2 = L.phi_profile(m2, cfg, s_max=100.0)
     np.testing.assert_allclose(phi1(ss), phi2(ss), rtol=1e-3)

@@ -295,17 +295,6 @@ def test_density_normalization_lattice(lattice_well):
     assert abs(M.density_normalization(lattice_well) - 1.0) < 1e-6
 
 
-def test_non_radial_high_dimension_tail_unsupported():
-    from wpconv.errors import UnsupportedDimension
-    pot = M.log_potential(2.0, d=2)
-    # break the radial flag to exercise the guard
-    from dataclasses import replace
-    bad = replace(pot, radial=False)
-    m = M.ConvolutionModel(bad, M.point_mass(d=2))
-    with pytest.raises(UnsupportedDimension):
-        M.measure_tail(m, "mu", 1.0)
-
-
 def test_quadrature_refinement_stability(power_uniform):
     """Doubling the per-panel node count moves p and grad V_nu by < 0.1%."""
     m = power_uniform

@@ -370,6 +370,15 @@ def test_compare_sigma_perturbed_rate():
     assert rep["bounded"], rep
 
 
+def test_compare_sigma_rejects_psi_scales_for_exponential_case():
+    """Case cor_b has no drift rate to scale: psi_scales must not be dropped
+    silently (the report would claim bounded ratios of identical tables)."""
+    m = P.make_model("example_3_3", p=2.0)
+    with pytest.raises(ValueError, match="psi_scale=2.*'cor_b'"):
+        R.compare_sigma(m, L.DriftConfig(case="cor_b"), [1.0],
+                        psi_scales=[1.0, 2.0])
+
+
 def test_compare_stability_identical_measures():
     m = M.ConvolutionModel(M.log_potential(2.0), M.point_mass())
     cfg = L.DriftConfig(case="cor_a", sigma=1.5)
