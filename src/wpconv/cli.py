@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -102,21 +102,24 @@ def _check_keys(doc, allowed, path):
             raise ConfigError(f"{path}{k}: unknown key")
 
 
-def load_config(source):
-    """Parse and validate a configuration from a path or inline YAML text."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if os.path.exists(str(source)):
-            with open(source) as fh:
-                text = fh.read()
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config does not parse as YAML: {exc}") from exc
+def _read_config(source):
+    """The configuration mapping in a YAML file, or in inline YAML text."""
+    text = source
+    if os.path.exists(str(source)):
+        with open(source) as fh:
+            text = fh.read()
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config does not parse as YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
+    return doc
+
+
+def load_config(source):
+    """Parse and validate a configuration from a path or inline YAML text."""
+    doc = source if isinstance(source, dict) else _read_config(source)
     _check_keys(doc, _TOP_KEYS, "")
     preset = doc.get("preset")
     custom = doc.get("custom")
@@ -505,8 +508,8 @@ def _run_sweep(model, comparison, dcfg, cfg, param, values):
                 res = rates_mod.rate_tables(sub_model, dcfg, r_grid=r_grid,
                                             via_comparison=sub_comp)
             else:
-                c = lyap.DriftConfig(case="cor_b" if dcfg.case.startswith("cor")
-                                     else "b", sigma=dcfg.sigma, delta=float(val))
+                c = replace(dcfg, case="cor_b" if dcfg.case.startswith("cor") else "b",
+                            delta=float(val))
                 res = rates_mod.rate_tables(
                     model if comparison is None else comparison, c, r_grid=r_grid)
             try:
@@ -574,14 +577,7 @@ def main(argv=None):
         return 0
 
     try:
-        text = args.config
-        if os.path.exists(text):
-            with open(text) as fh:
-                text = fh.read()
-        doc = yaml.safe_load(text)
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a mapping")
-        doc = apply_overrides(doc, getattr(args, "overrides", []))
+        doc = apply_overrides(_read_config(args.config), getattr(args, "overrides", []))
         if getattr(args, "output_dir", None):
             doc["output_dir"] = args.output_dir
         cfg = load_config(doc)

@@ -527,17 +527,10 @@ def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,
     if not np.isfinite(R):
         raise HypothesisFailed("stability comparison requires compact nu")
     pot = mu_model.potential
-    ratios = []
-    for r in eval_radii:
-        eta_mu = float(pot.v0p(r)) * r
-        if R > 0.0:
-            win = np.linspace(max(r - R, 1e-9), r + R, max(cfg.window_samples, 3))
-            vp = pot.v0p(win)
-            eta_win = float(np.min(vp * win - R * np.abs(vp)))
-        else:
-            eta_win = eta_mu
-        ratios.append(eta_win / eta_mu)
-    eta0 = min(ratios)
+    r = np.asarray(eval_radii, dtype=float)
+    # window infimum of eta over [r-R, r+R] against eta_mu(r) = v0'(r) r
+    ratios = lyap.eta_window_psi(conv_model, r, cfg, strict=False) / pot.v0p(r)
+    eta0 = float(np.min(ratios))
     w0 = sigma0 / (1.0 + sigma0)
     if eta0 <= w0:
         raise HypothesisFailed(

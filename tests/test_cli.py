@@ -204,6 +204,22 @@ def test_sigma_sweep_csv_holds_the_compared_tables(tmp_path):
         np.testing.assert_array_equal(data[:, col], res.alpha.value_at(data[:, 0]))
 
 
+def test_delta_sweep_csv_holds_the_tables_at_the_users_R0(tmp_path):
+    """sweep.csv of a delta sweep tabulates case-cor_b runs at the user's R0."""
+    cfg = cli.load_config(
+        "preset: example_3_3\nR0: 5.0\nstages: []\noutput_dir: " + str(tmp_path)
+        + "\n" + FAST_GRIDS)
+    status, _ = cli.sweep(cfg, "delta", [0.5, 0.75])
+    assert status == 0
+    data = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    model, _ = cli.build_model(cfg)
+    r_grid = cli._r_grid(cfg)[0]
+    for col, delta in enumerate((0.5, 0.75), start=1):
+        res = R.rate_tables(model, L.DriftConfig(case="cor_b", R0=5.0, delta=delta),
+                            r_grid=r_grid)
+        np.testing.assert_array_equal(data[:, col], res.alpha_final.value_at(data[:, 0]))
+
+
 def test_sweep_p_recovers_both_exponents(tmp_path):
     """p-sweep of the lattice preset: fitted power exponents track 2/p."""
     cfg = cli.load_config(
@@ -232,3 +248,10 @@ def test_main_subcommands(tmp_path, capsys):
     cfgfile.write_text("preset: example_3_3\nstages: []\n")
     assert cli.main(["run", str(cfgfile), "-o", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_main_reports_malformed_yaml_as_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.yaml"
+    cfgfile.write_text("preset: example_3_3\np: [1, 2\n")
+    assert cli.main(["validate", str(cfgfile)]) == 1
+    assert "config error" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 """Smoke tests of the demos: each must run to completion.  Demo 05 is the one
-place outside the test suite that runs semigroup_decay; demo 01 (about 8 s)
-is left out to keep the suite fast."""
+place outside the test suite that runs semigroup_decay."""
 
 import os
 import subprocess
@@ -20,8 +19,8 @@ def _run_demo(name, cwd):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["02_drift_certificate.py", "03_rate_functions.py",
-                                  "04_robustness_and_stability.py"])
+@pytest.mark.parametrize("name", ["01_convolution_model.py", "02_drift_certificate.py",
+                                  "03_rate_functions.py", "04_robustness_and_stability.py"])
 def test_demo_runs(name, tmp_path):
     _run_demo(name, tmp_path)
 

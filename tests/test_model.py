@@ -284,15 +284,14 @@ def test_radial_mass_rule_matches_adaptive_quadrature(name):
 # normalization invariants
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fixture", ["gaussian_pair", "power_uniform", "log_uniform", "loglog_uniform"])
+@pytest.mark.parametrize("fixture", ["gaussian_pair", "power_uniform", "log_uniform",
+                                     "loglog_uniform", "lattice_well", "well_power_density"])
 def test_density_normalization(fixture, request):
-    m = request.getfixturevalue(fixture)
-    assert abs(M.density_normalization(m) - 1.0) < 1e-6
-
-
-@pytest.mark.slow
-def test_density_normalization_lattice(lattice_well):
-    assert abs(M.density_normalization(lattice_well) - 1.0) < 1e-6
+    grid, complement, width = M.density_normalization(
+        request.getfixturevalue(fixture), return_parts=True)
+    assert abs(grid + complement - 1.0) < 1e-6
+    # the analytic complement must not be what carries the tolerance
+    assert width <= 1e-7
 
 
 def test_quadrature_refinement_stability(power_uniform):
