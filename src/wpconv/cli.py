@@ -184,7 +184,10 @@ def apply_overrides(doc, pairs):
         if "=" not in pair:
             raise ConfigError(f"--set {pair!r}: expected key=value")
         key, _, raw = pair.partition("=")
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"--set {key}: value does not parse as YAML: {exc}") from exc
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:

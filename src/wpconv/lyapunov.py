@@ -283,9 +283,11 @@ def _refined_grid(R0, s_max, include=None):
     n = int(decades * _REFINE_PER_DECADE) + 2
     g = np.geomspace(R0, s_max, n)
     if include is not None:
-        g = np.concatenate([g, np.asarray(include, dtype=float)])
+        # past s_max the same log step continues up to the largest included radius
+        k = np.arange(1.0, math.log(np.max(include) / s_max) / math.log(g[-1] / g[-2]))
+        g = np.concatenate([g, s_max * (g[-1] / g[-2]) ** k, include])
     g = np.unique(g)
-    return g[(g >= R0 * (1 - 1e-13)) & (g <= s_max * (1 + 1e-13))]
+    return g[g >= R0 * (1 - 1e-13)]
 
 
 def _log_p_sigma_on_grid(grid, psi_vals, sigma, d):
@@ -423,7 +425,7 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     fine = _refined_grid(R0, s_max, include=grid)
     psi_fine = np.exp(np.interp(np.log(fine), np.log(grid), np.log(psi)))
     logp_fine, _ = _log_p_sigma_on_grid(fine, psi_fine, cfg.sigma, model.d)
-    logp = logp_fine[np.clip(np.searchsorted(fine, grid), 0, fine.size - 1)]
+    logp = logp_fine[np.searchsorted(fine, grid)]
     phi_vals = np.exp(np.log(psi) - math.log(1.0 + cfg.sigma) - logp)
     return RadialProfile(grid=grid, values=phi_vals, r0=R0, name=name,
                          psi=psi, log_p_sigma=logp)

@@ -856,21 +856,52 @@ def tilted_u_moment(model, x, h):
 
 
 def measure_tail(model, which, t):
-    """mu(|x| >= t) or nu(|z| >= t); vectorized over t, nonincreasing."""
+    """mu(|x| >= t) or nu(|z| >= t); vectorized over t, nonincreasing.
+
+    The mu tail is 1 for t <= 1e-12.  Above, the gaps between the sorted
+    distinct radii are integrated in y = log s on panels cut at the radii and
+    every half unit of y, graded toward a gap's lower end as _radial_mass
+    grades where d y - v0(e^y) falls by more than 8 across the gap; 12
+    Gauss-Legendre nodes are exact to 2e-16 on a panel falling by e^8.  Gap
+    masses sum from the far end in log space, plus _radial_mass(max t).  This
+    is within 1e-12 of a _radial_mass per radius (5e-10 for loglog, whose far
+    integrand cancels); one radius gets exactly that value.
+    """
     t_arr = np.asarray(t, dtype=float)
     if which == "nu":
         return model.source.tail(t_arr)
     if which != "mu":
         raise ValueError("which must be 'mu' or 'nu'")
-    flat = np.atleast_1d(t_arr)
-    out = np.array([_mu_radial_tail(model.potential, max(tv, 0.0)) for tv in flat])
-    return out.reshape(t_arr.shape) if t_arr.shape else float(out[0])
-
-
-def _mu_radial_tail(pot, t):
-    if t <= 1e-12:
-        return 1.0
-    return float(sphere_area(pot.d) * math.exp(-pot.c) * _radial_mass(pot, t))
+    pot = model.potential
+    out = np.ones(t_arr.shape)
+    far = t_arr > 1e-12
+    radii, inverse = np.unique(t_arr[far], return_inverse=True)
+    if radii.size:
+        y = np.log(radii)
+        g = np.maximum(pot.d * y - _v0_of_log(pot, y), -800.0)  # no -inf - -inf
+        steep = g[:-1] - g[1:] > 8.0
+        graded = y[:-1][steep, None] + 2.0 ** -np.arange(12.0)
+        halves = np.arange(math.ceil(2.0 * y[0]), math.floor(2.0 * y[-1]) + 1) / 2.0
+        edges = np.unique(np.concatenate([halves, y, graded[graded < y[1:][steep, None]]]))
+        # log mass of each panel, in blocks of 2^13 nodes that stay in cache
+        t, w = _gauss_legendre(12)
+        panel = np.empty(edges.size - 1)
+        step = (1 << 13) // t.size
+        for i in range(0, panel.size, step):
+            e = edges[i:i + step + 1]
+            half = 0.5 * np.diff(e)
+            nodes = e[:-1, None] + half[:, None] * (t + 1.0)
+            logt = pot.d * nodes - _v0_of_log(pot, nodes)
+            top = np.max(logt, axis=1)
+            top = np.where(np.isfinite(top), top, 0.0)
+            logt -= top[:, None]
+            with np.errstate(divide="ignore"):
+                panel[i:i + step] = top + np.log(half * (np.exp(logt, out=logt) @ w))
+        # log mass from each edge out to y[-1]
+        rev = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel[::-1])])[::-1]
+        mass = _radial_mass(pot, float(radii[-1])) + np.exp(rev[np.searchsorted(edges, y)])
+        out[far] = (sphere_area(pot.d) * math.exp(-pot.c) * mass)[inverse]
+    return out if t_arr.shape else float(out)
 
 
 def _log_panel_rule(logg, dy):
@@ -885,38 +916,6 @@ def _log_panel_rule(logg, dy):
                         - np.log(np.maximum(da, 1e-300)),
                         -0.5 * da)
     return hi + corr + np.log(dy)
-
-
-def mu_tail_table(pot, t_lo, t_hi, points_per_decade=200, far_extension=False):
-    """Vectorized mu(|x| >= t) on [t_lo, t_hi]: cumulative log-space panels
-    from the far end (so small tails keep relative accuracy) plus the analytic
-    remainder beyond the grid.  far_extension appends a coarse wing out to the
-    float range, needed when the density decays only logarithmically and
-    representable mass sits beyond t_hi."""
-    t_lo = max(t_lo, 1e-9)
-    n = max(int(points_per_decade * math.log10(max(t_hi / t_lo, 1.0001))) + 2, 8)
-    grid = np.geomspace(t_lo, max(t_hi, t_lo * 1.0001), n)
-    if far_extension and grid[-1] < 1e290:
-        wing = np.geomspace(grid[-1], 1e290,
-                            max(int(32 * math.log10(1e290 / grid[-1])), 8))
-        grid = np.unique(np.concatenate([grid, wing]))
-    y = np.log(grid)
-    logg = pot.d * y - _v0_of_log(pot, y)
-    panel = _log_panel_rule(logg, np.diff(y))
-    rem = _radial_mass(pot, float(grid[-1]))
-    rev = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel[::-1])])[::-1]
-    log_mass = np.logaddexp(rev, math.log(rem) if rem > 0.0 else -np.inf)
-    log_tail = log_mass + math.log(sphere_area(pot.d)) - pot.c
-    tails = np.minimum(np.exp(log_tail), 1.0)
-
-    def tail(t):
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, grid[0], grid[-1])
-        out = np.exp(np.interp(np.log(tc), np.log(grid),
-                               np.log(np.maximum(tails, 1e-320))))
-        return np.where(t <= 1e-12, 1.0, out)
-
-    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +983,7 @@ def density_normalization(model, return_parts=False):
         # {|X+Z| > T} subset {|X| > L} union {|Z| > T-L}, and contains
         # {|Z| > T+L, |X| <= L}
         L = model.reach()
-        mu_l = _mu_radial_tail(model.potential, L)
+        mu_l = measure_tail(model, "mu", L)
         lo = max(float(src.tail(T + L)) - mu_l, 0.0)
         hi = float(src.tail(max(T - L, 0.0))) + mu_l
     complement = 0.5 * (lo + hi)

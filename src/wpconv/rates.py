@@ -221,36 +221,19 @@ def varphi_phi(phi, r):
     return out if np.asarray(r).shape else float(out[0])
 
 
-def _beta_values(model, phi, t, compact_branch, half, mu_tail):
-    """beta at the sublevel radii t = varphi(r): the tails at t/2 (t with
-    half=False), floored at R + R0 on the compact branch.  mu_tail maps an
-    array of radii to mu(|x| >= radius)."""
-    t = 0.5 * t if half else t
-    if compact_branch:
-        t = np.maximum(t, model.source.support_radius + phi.r0)
-        return np.asarray(mu_tail(t), dtype=float)
-    return np.asarray(mu_tail(t), dtype=float) \
-        + np.asarray(model.source.tail(t), dtype=float)
-
-
-def _tabulated_mu_tail(pot, t):
-    """mu(|x| >= t) read from one mu_tail_table spanning the radii t."""
-    pos = t[t > 0.0]
-    table = model_mod.mu_tail_table(pot, float(pos.min()) if pos.size else 1e-6,
-                                    float(t.max()) if t.size else 1.0)
-    return table(t)
-
-
 def beta_phi(model, phi, r, compact_branch=None, half=True):
     """Spatial-tail bound at the sublevel radius: mu-tail + nu-tail of
     varphi(r)/2 in general; for compactly supported nu the mu-tail restricted
     to {|x| >= R + R0} alone (the nu term is identically zero there)."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    t = varphi_phi(phi, np.atleast_1d(np.asarray(r, dtype=float)))
+    t = 0.5 * t if half else t
     if compact_branch is None:
         compact_branch = bool(np.isfinite(model.source.support_radius))
-    out = _beta_values(model, phi, np.asarray(varphi_phi(phi, r_arr), dtype=float),
-                       compact_branch, half,
-                       lambda t: model_mod.measure_tail(model, "mu", t))
+    if compact_branch:
+        t = np.maximum(t, model.source.support_radius + phi.r0)
+    out = model_mod.measure_tail(model, "mu", t)
+    if not compact_branch:
+        out = out + np.asarray(model.source.tail(t), dtype=float)
     return out if np.asarray(r).shape else float(out[0])
 
 
@@ -426,10 +409,7 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
         raise SaturatedAtGridEnd("profile grid never covered the r grid")
     t_vals = varphi_phi(phi, r_grid)
 
-    if compact_branch is None:
-        compact_branch = bool(np.isfinite(work.source.support_radius))
-    beta_vals = _beta_values(work, phi, t_vals, compact_branch, half,
-                             lambda t: _tabulated_mu_tail(work.potential, t))
+    beta_vals = beta_phi(work, phi, r_grid, compact_branch, half)
     keep = np.isfinite(beta_vals) & (beta_vals > 1e-300)
     r_kept = r_grid[keep]
     varphi_tab = RateTable(grid=r_kept, values=np.maximum.accumulate(t_vals[keep]),

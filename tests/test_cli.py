@@ -79,6 +79,8 @@ def test_overrides_dotted_paths():
     assert cfg.nu == {"kind": "point_mass"}
     with pytest.raises(ConfigError, match="expected key=value"):
         cli.apply_overrides(doc, ["oops"])
+    with pytest.raises(ConfigError, match="--set p: value does not parse as YAML"):
+        cli.apply_overrides(doc, ["p=[1,2"])
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +257,5 @@ def test_main_reports_malformed_yaml_as_config_error(tmp_path, capsys):
     cfgfile.write_text("preset: example_3_3\np: [1, 2\n")
     assert cli.main(["validate", str(cfgfile)]) == 1
     assert "config error" in capsys.readouterr().err
+    assert cli.main(["validate", "{preset: example_3_3}", "--set", "p=[1,2"]) == 1
+    assert "config error: --set p" in capsys.readouterr().err

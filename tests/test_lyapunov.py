@@ -278,6 +278,18 @@ def test_phi_profile_interpolation_and_extension():
     assert phi(mid) == pytest.approx(dense(mid), rel=1e-4)
 
 
+def test_phi_profile_last_node_matches_a_longer_build(models):
+    """The anchored grid's last node lies past s_max; its p_sigma is read at
+    that node, not at s_max, so it agrees with a longer build like every
+    other node."""
+    cfg = L.resolve_r0(models["3_3"], L.DriftConfig(case="cor_a"))
+    short = L.phi_profile(models["3_3"], cfg, s_max=1e5)
+    long = L.phi_profile(models["3_3"], cfg, s_max=1e6)
+    assert short.grid[-1] > 1e5
+    np.testing.assert_array_equal(short.grid, long.grid[:short.grid.size])
+    np.testing.assert_allclose(short.values, long.values[:short.grid.size], rtol=1e-7)
+
+
 @pytest.mark.parametrize("case", ["a", "b", "cor_a", "cor_b"])
 def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
     """A profile grown from a shorter one evaluates only the new radii and

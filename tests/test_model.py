@@ -10,6 +10,8 @@ from wpconv import model as M
 from wpconv import presets as P
 from wpconv.errors import ConfigError, NumericUnderflow
 
+from conftest import PRESET_RATE_RUNS
+
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
@@ -278,6 +280,48 @@ def test_radial_mass_rule_matches_adaptive_quadrature(name):
     for a in (0.0, 1e-3, 0.7, 17.0, 1e5, 1e7, 1e9):
         ref = _radial_mass_quad(pot, a)
         assert M._radial_mass(pot, a) == pytest.approx(ref, rel=rtol, abs=0.0), a
+
+
+def _per_radius_mu_tail(pot, t):
+    """mu(|x| >= t) with one _radial_mass per radius."""
+    return np.array([1.0 if x <= 1e-12 else
+                     M.sphere_area(pot.d) * math.exp(-pot.c) * M._radial_mass(pot, x)
+                     for x in np.ravel(t)])
+
+
+MU_TAIL_CASES = {
+    "quadratic": (M.quadratic_potential(), np.geomspace(1.0, 26.0, 15)),
+    "smooth_well_q0.3": (M.smooth_well_potential(0.3), np.geomspace(1e3, 1e12, 40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MU_TAIL_CASES) + sorted(PRESET_RATE_RUNS))
+def test_measure_tail_matches_the_per_radius_rule(case, preset_rate_run):
+    """The one-pass tail over sorted radii against a _radial_mass per radius,
+    on sparse steep inputs and at the radii the preset rate chains ask for."""
+    if case in MU_TAIL_CASES:
+        pot, t = MU_TAIL_CASES[case]
+        model = M.ConvolutionModel(pot, M.uniform_density(1.0))
+    else:
+        model, _, _, t = preset_rate_run(case)
+    got = M.measure_tail(model, "mu", t)
+    ref = _per_radius_mu_tail(model.potential, t)
+    # loglog: see test_radial_mass_rule_matches_adaptive_quadrature; below the
+    # normal float range only absolute accuracy is defined
+    rtol = 5e-10 if case.startswith("example_3_4") else 1e-12
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-12 * np.finfo(float).tiny)
+    top = np.argmax(t)
+    assert got[top] == ref[top]
+
+
+@pytest.mark.parametrize("name", sorted(RADIAL_MASS_POTENTIALS))
+def test_measure_tail_of_one_radius_is_the_per_radius_value(name):
+    pot = RADIAL_MASS_POTENTIALS[name]
+    model = M.ConvolutionModel(pot, M.point_mass(d=pot.d))
+    for t in (0.0, 1e-12, 1e-3, 0.7, 17.0, 1e5, 1e9):
+        ref = _per_radius_mu_tail(model.potential, t)[0]
+        assert M.measure_tail(model, "mu", t) == ref
+        np.testing.assert_array_equal(M.measure_tail(model, "mu", np.array([t])), [ref])
 
 
 # ---------------------------------------------------------------------------

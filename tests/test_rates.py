@@ -10,6 +10,8 @@ from wpconv import rates as R
 from wpconv import presets as P
 from wpconv.errors import HypothesisFailed, InconclusiveFit, SaturatedAtGridEnd
 
+from conftest import PRESET_RATE_RUNS
+
 
 def profile(grid, values, r0=None):
     return L.RadialProfile(grid=np.asarray(grid, dtype=float),
@@ -244,6 +246,20 @@ def test_beta_compact_branch_is_mu_tail_only(alpha_33):
     assert R.beta_phi(m, phi, r) == pytest.approx(expect, rel=1e-9)
     # nu contributes nothing once the radius passes the support
     assert M.measure_tail(m, "nu", max(t, floor)) == 0.0
+
+
+@pytest.mark.parametrize("case", sorted(PRESET_RATE_RUNS))
+def test_rate_tables_beta_is_beta_phi_where_the_running_minimum_is_idle(
+        case, preset_rate_run):
+    """rate_tables and beta_phi read one mu-tail path: beta agrees bit for bit
+    wherever the running minimum leaves it alone."""
+    model, r_grid, res, _ = preset_rate_run(case)
+    raw = R.beta_phi(model, res.phi, r_grid)
+    keep = np.isfinite(raw) & (raw > 1e-300)
+    np.testing.assert_array_equal(res.beta.grid, r_grid[keep])
+    raw = raw[keep]
+    idle = raw == np.minimum.accumulate(raw)
+    np.testing.assert_array_equal(res.beta.values[idle], raw[idle])
 
 
 def test_beta_degenerate_sublevel_gives_two():

@@ -119,12 +119,7 @@ def test_convolution_cdf_blocks_match_one_shot(m33):
     """The compact-source CDF, evaluated in row blocks, equals the one-shot
     sum over all rows bit for bit, across several block boundaries."""
     x = np.linspace(-60.0, 60.0, 10_001)
-    tail = M.mu_tail_table(m33.potential, 1e-8, 1e12, points_per_decade=400,
-                           far_extension=True)
-
-    def F_mu(y):
-        tl = tail(np.abs(y))
-        return np.where(y >= 0.0, 1.0 - 0.5 * tl, 0.5 * tl)
+    F_mu = V._mu_cdf(m33)
     nodes, wts = M._gauss_legendre(96)
     R = m33.source.support_radius
     zn, wn = nodes * R, wts * R * m33.source.density(nodes * R)
