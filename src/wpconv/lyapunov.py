@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import model as model_mod
 from .errors import DriftConditionFailed, InvalidCertificate, UnsupportedDimension
@@ -297,7 +296,8 @@ def _log_p_sigma_on_grid(grid, psi_vals, sigma, d):
     with c_k >= 0 and I nondecreasing, hence exactly nonincreasing in sigma.
     """
     w = sigma / (sigma + 1.0)
-    I = integrate.cumulative_trapezoid(psi_vals, grid, initial=0.0)
+    # cumulative trapezoid of psi, in scipy's cumulative_trapezoid operation order
+    I = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (psi_vals[1:] + psi_vals[:-1]) / 2.0)])
     logg = (1.0 - d) * np.log(grid) + w * I
     # the integrand varies exponentially: the log-linear panel rule is exact
     # when logg is linear on a panel

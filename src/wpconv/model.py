@@ -21,7 +21,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import ConfigError, NumericUnderflow, UnsupportedDimension
 
@@ -57,7 +56,12 @@ _REACH_LOG = 41.5
 
 def sphere_area(d):
     """Surface measure of the unit sphere in R^d."""
-    return 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
+    # Gamma(d/2) by the exact recurrence up from Gamma(1/2) or Gamma(1)
+    gamma, x = (math.sqrt(math.pi), 0.5) if d % 2 else (1.0, 1.0)
+    while x < d / 2.0:
+        gamma *= x
+        x += 1.0
+    return 2.0 * np.pi ** (d / 2.0) / gamma
 
 
 @dataclass(frozen=True)
@@ -409,24 +413,76 @@ def symmetric_pair(a=1.0, d=1):
     return discrete_atoms(loc, [0.5, 0.5], d=d)
 
 
+# Euler-Maclaurin coefficients (2k)!/B_2k of cephes' Hurwitz zeta
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x, q):
+    """zeta(x, q) = sum_{i>=0} (q+i)^-x for x > 1, q >= 1, elementwise.
+
+    Cephes' algorithm: nine direct terms (fewer once a term drops below
+    MACHEP of the sum), then Euler-Maclaurin with twelve Bernoulli terms;
+    q > 1e8 takes the asymptotic (1/(x-1) + 1/(2q)) q^(1-x).  Every step is
+    cephes' own, so only numpy's power, which may differ from libm's pow in
+    the last bit, separates the values from scipy.special.zeta.
+    """
+    x, q = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(q, dtype=float))
+    out = np.empty(x.shape)
+    far = q > 1e8
+    out[far] = (1.0 / (x[far] - 1.0) + 1.0 / (2.0 * q[far])) * q[far] ** (1.0 - x[far])
+    x, q = x[~far], q[~far]
+    s = q ** -x
+    a, b = q, s
+    live = np.ones(s.shape, dtype=bool)
+    for _ in range(9):
+        a = a + 1.0
+        b = np.where(live, a ** -x, b)
+        s = np.where(live, s + b, s)
+        live &= np.abs(b / s) >= _MACHEP
+    w = a
+    s = np.where(live, s + b * w / (x - 1.0) - 0.5 * b, s)
+    a, k = 1.0, 0.0
+    for A in _ZETA_A:
+        a = a * (x + k)
+        b = b / w
+        t = a * b / A
+        s = np.where(live, s + t, s)
+        live &= np.abs(t / s) >= _MACHEP
+        a = a * (x + (k + 1.0))
+        b = b / w
+        k += 2.0
+    out[~far] = s
+    return out
+
+
 def _ptail_sum(m, q, terms=120):
-    """sum_{i>=m} 1/(1+i^q) for integer m >= 1, via alternating Hurwitz-zeta series.
+    """sum_{i>=m} 1/(1+i^q) for integers m >= 1 (scalar or array), via the
+    alternating Hurwitz-zeta series.
 
     1/(1+i^q) = sum_k (-1)^(k+1) i^(-kq) converges for i >= 2; the i=1 term
-    (value 1/2) is added explicitly when m == 1.
+    (value 1/2) is added explicitly where m == 1.  Term k is of order
+    m^(-kq) relative to the sum, so a row keeps its first ceil(37/(q log10 m))
+    terms (all `terms` at m = 2) and the rest, below 1e-37, are zeros.  Rows
+    are padded to a multiple of 8 columns, so each row sums in the order of
+    np.sum over the full `terms`.
     """
-    m = int(m)
-    if m < 1:
+    m = np.asarray(m, dtype=float)
+    if np.any(m < 1):
         raise ValueError("m >= 1 required")
-    extra = 0.0
-    if m == 1:
-        extra, m = 0.5, 2
-    k = np.arange(1, terms + 1, dtype=float)
-    z = special.zeta(k * q, m)
-    signs = np.where(k % 2 == 1, 1.0, -1.0)
-    series = signs * z
-    # geometric decay (ratio <= 2^-q); truncation below double precision
-    return extra + float(np.sum(series))
+    extra = np.where(m == 1.0, 0.5, 0.0)
+    mm = np.maximum(m, 2.0).ravel()
+    n = np.clip(np.ceil(37.0 / (q * np.log10(mm))), 1, terms).astype(int)
+    width = min(terms, 8 * -(-int(n.max(initial=1)) // 8))
+    rows, cols = np.nonzero(np.arange(width) < n[:, None])
+    z = _hurwitz_zeta((cols + 1.0) * q, mm[rows])
+    series = np.zeros((mm.size, width))
+    series[rows, cols] = np.where(cols % 2 == 0, z, -z)
+    out = extra + np.sum(series, axis=1).reshape(m.shape)
+    return out if out.ndim else float(out)
 
 
 def integer_lattice(p, n_max=200_000):
@@ -447,18 +503,11 @@ def integer_lattice(p, n_max=200_000):
     trunc = 2.0 * _ptail_sum(n_max + 1, q) / gamma
 
     def tail(t):
+        # one series per distinct ceil(t)
         t = np.asarray(t, dtype=float)
-        out = np.ones(np.shape(t))
-        flat = np.atleast_1d(t)
-        res = np.empty_like(flat)
-        for j, tv in enumerate(flat):
-            if tv <= 0.0:
-                res[j] = 1.0
-            else:
-                m = int(math.ceil(tv))
-                res[j] = 2.0 * _ptail_sum(max(m, 1), q) / gamma
-        out = res.reshape(np.shape(t)) if np.shape(t) else float(res[0])
-        return out
+        m, inv = np.unique(np.maximum(np.ceil(t), 1.0), return_inverse=True)
+        out = np.where(t > 0.0, 2.0 * _ptail_sum(m, q)[inv.reshape(t.shape)] / gamma, 1.0)
+        return out if out.ndim else float(out)
 
     return SourceMeasure(kind="discrete_atoms", d=1, support_radius=np.inf,
                          tail=tail, locations=i.reshape(-1, 1), weights=w,
@@ -487,28 +536,41 @@ def power_tail_density(p, reach=None):
         raise ValueError("power-tail density requires p > 0")
     q = 1.0 + p
 
-    def half_tail(t):
-        # int_t^inf dz/(1+z^q), t >= 0
-        if t < 2.0:
-            head = integrate.quad(lambda z: 1.0 / (1.0 + z ** q), t, 2.0,
-                                  epsabs=1e-14, epsrel=1e-14,
-                                  full_output=1)[0]
-            return head + half_tail(2.0)
-        k = np.arange(1, 120, dtype=float)
-        terms = np.where(k % 2 == 1, 1.0, -1.0) * t ** (1.0 - k * q) / (k * q - 1.0)
-        return float(np.sum(terms))
+    k = np.arange(1, 120, dtype=float)
+    signs = np.where(k % 2 == 1, 1.0, -1.0)
+    nodes, weights = _gauss_legendre(16)
+    # quarter-unit panels on [1/2, 2], then dyadic ones graded toward the
+    # cusp of z^q at 0
+    edges = np.concatenate([np.arange(2.0, 0.5, -0.25), 2.0 ** -np.arange(1.0, 61.0), [0.0]])
 
-    gamma = 2.0 * half_tail(0.0)
+    def panel_mass(a, b):
+        # int_a^b dz/(1+z^q) on one 16-point Gauss-Legendre panel per pair
+        half = 0.5 * (b - a)[..., None]
+        z = a[..., None] + half * (nodes + 1.0)
+        return np.sum(half * weights / (1.0 + z ** q), axis=-1)
+
+    # above[j] = int_{edges[j]}^2
+    above = np.concatenate([[0.0], np.cumsum(panel_mass(edges[1:], edges[:-1]))])
+
+    def half_tail(t):
+        # int_t^inf dz/(1+z^q), t >= 0: the alternating series in t^-q from 2
+        # on, plus the panels of [t, 2] below it
+        t = np.asarray(t, dtype=float)
+        far = np.sum(signs * np.maximum(t, 2.0)[..., None] ** (1.0 - k * q) / (k * q - 1.0),
+                     axis=-1)
+        j = np.maximum(np.searchsorted(-edges, -t, side="right") - 1, 0)
+        near = panel_mass(np.minimum(t, 2.0), edges[j]) + above[j]
+        return np.where(t < 2.0, near + far, far)
+
+    gamma = 2.0 * float(half_tail(0.0))
 
     def density(z):
         z = np.asarray(z, dtype=float)
         return 1.0 / (gamma * (1.0 + np.abs(z) ** q))
 
     def tail(t):
-        t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t)
-        res = np.array([2.0 * half_tail(max(tv, 0.0)) / gamma for tv in flat])
-        return res.reshape(np.shape(t)) if np.shape(t) else float(res[0])
+        out = 2.0 * half_tail(np.maximum(t, 0.0)) / gamma
+        return out if out.ndim else float(out)
 
     if reach is None:
         # density quantile cutoff for node placement; the analytic tail covers the rest

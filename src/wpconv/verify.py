@@ -242,16 +242,18 @@ def _mu_cdf(model):
     log_nodes = np.log(nodes)
     log_tails = np.log(np.maximum(model_mod.measure_tail(model, "mu", nodes), 1e-320))
 
-    def F_mu(x):
-        # in place: the (rows, 96) temporaries of the KS blocks dominate the cost
-        r = np.abs(x)
-        tiny = r <= 1e-12
+    def F_mu(x, work=None, mask=None):
+        # x is left intact; `work` (float) and `mask` (bool), buffers of x's
+        # shape, hold the log radii and the masks, so a blockwise caller
+        # allocates them once.  The result is np.interp's own array.
+        r = np.abs(x, out=work)
+        tiny = np.less_equal(r, 1e-12, out=mask)
         tail = np.interp(np.log(np.clip(r, nodes[0], nodes[-1], out=r), out=r),
                          log_nodes, log_tails)
         np.exp(tail, out=tail)
         tail[tiny] = 1.0
         tail *= 0.5
-        return np.subtract(1.0, tail, out=tail, where=x >= 0.0)
+        return np.subtract(1.0, tail, out=tail, where=np.greater_equal(x, 0.0, out=mask))
     return F_mu
 
 
@@ -282,9 +284,16 @@ def convolution_cdf(model):
 
         def F(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.concatenate([
-                np.sum(wn * F_mu(x[k:k + CDF_BLOCK, None] - zn), axis=1)
-                for k in range(0, max(x.size, 1), CDF_BLOCK)])
+            out = np.empty(x.shape)
+            rows = min(x.size, CDF_BLOCK)
+            diff, work = np.empty((2, rows, zn.size))
+            mask = np.empty((rows, zn.size), dtype=bool)
+            for k in range(0, x.size, CDF_BLOCK):
+                n = min(CDF_BLOCK, x.size - k)
+                d = np.subtract(x[k:k + n, None], zn, out=diff[:n])
+                f = F_mu(d, work[:n], mask[:n])
+                np.sum(np.multiply(f, wn, out=f), axis=1, out=out[k:k + n])
+            return out
         return F
     raise UnsupportedDimension("convolution CDF needs compact or atomic source")
 

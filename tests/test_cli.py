@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +263,54 @@ def test_main_reports_malformed_yaml_as_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert cli.main(["validate", "{preset: example_3_3}", "--set", "p=[1,2"]) == 1
     assert "config error: --set p" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies: numpy and PyYAML only
+# ---------------------------------------------------------------------------
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def _python(code, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    proc = _python("import sys\nimport wpconv, wpconv.cli\n"
+                   "assert 'scipy' not in sys.modules, sorted(sys.modules)\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_succeeds_with_scipy_blocked(tmp_path):
+    """The lattice (Hurwitz-zeta tail) and power-tail (panel tail) sources
+    build and run the rate chain with every scipy import failing."""
+    runs = []
+    for name in ("example_3_1", "lemma_3_2"):
+        text = f"preset: {name}\nstages: [rate, fit]\n" + FAST_GRIDS
+        runs.append(f"assert cli.main(['run', {text!r}, '-o', {str(tmp_path / name)!r}]) == 0")
+    code = BLOCK_SCIPY + "\n".join([
+        "from wpconv import cli, presets",
+        "presets.make_model('example_3_1')",
+        "presets.make_model('lemma_3_2')",
+        *runs,
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)",
+    ])
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("example_3_1", "lemma_3_2"):
+        assert (tmp_path / name / "fit.json").exists()

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from wpconv import model as M
 from wpconv import presets as P
@@ -223,6 +223,100 @@ def test_lattice_tail_matches_brute(lattice_well):
     brute = 2.0 * np.sum(1.0 / (1.0 + j ** 2)) / (np.pi / np.tanh(np.pi))
     assert nu.tail(10.0) == pytest.approx(brute, abs=1e-7)
     assert nu.tail(9.5) == nu.tail(10.0)  # atoms live on the integers
+
+
+ZETA_Q = (1.2, 1.5, 2.0, 3.0)
+
+
+def test_hurwitz_zeta_matches_scipy():
+    """Cephes' algorithm in numpy against scipy.special.zeta, k = 1..120 and
+    m from 1 to 1e12, across the q > 1e8 asymptotic branch.  Only numpy's
+    power separates the two (last-bit differences), so 6e-16 relative; values
+    below 1e-300 lose bits to subnormal intermediates and get 1e-310 absolute."""
+    m = np.unique(np.concatenate([np.ceil(np.geomspace(1.0, 1e12, 400)),
+                                  [1e8 - 1.0, 1e8, 1e8 + 1.0, 1e8 + 2.0]]))
+    k = np.arange(1, 121)
+    for q in ZETA_Q:
+        x, mm = np.broadcast_arrays(k * q, m[:, None])
+        with np.errstate(invalid="ignore"):  # 0/0 once q^-x underflows
+            z = M._hurwitz_zeta(x, mm)
+        np.testing.assert_allclose(z, special.zeta(x, mm), rtol=6e-16, atol=1e-310)
+
+
+def _ptail_sum_scipy(m, q, terms=120):
+    """The alternating Hurwitz-zeta series on scipy's zeta, summed in full."""
+    extra, m = (0.5, 2) if m == 1 else (0.0, m)
+    k = np.arange(1, terms + 1, dtype=float)
+    return extra + float(np.sum(np.where(k % 2 == 1, 1.0, -1.0) * special.zeta(k * q, m)))
+
+
+@pytest.mark.parametrize("q", ZETA_Q)
+def test_ptail_sum_normalizer_and_truncation_within_one_ulp(q):
+    for m in (1, 200_001):
+        ref = _ptail_sum_scipy(m, q)
+        assert abs(M._ptail_sum(m, q) - ref) <= np.spacing(ref)
+
+
+def test_lattice_tail_matches_scipy_series():
+    nu = M.integer_lattice(1.0)
+    gamma = 1.0 + 2.0 * _ptail_sum_scipy(1, 2.0)
+    t = np.geomspace(1.0, 1e12, 1000)
+    ref = np.array([2.0 * _ptail_sum_scipy(int(math.ceil(v)), 2.0) / gamma for v in t])
+    np.testing.assert_allclose(nu.tail(t), ref, rtol=1e-15, atol=0.0)
+
+
+def _power_tail_quad(p, t):
+    """The power-tail density's tail: adaptive quadrature on [t, 2] with
+    breaks at the powers of 2 (a single [t, 2] interval is off by 1.7e-15 at
+    p = 0.5, t = 1e-6, against the hypergeometric closed form), and the
+    alternating series beyond 2."""
+    q = 1.0 + p
+    k = np.arange(1, 120, dtype=float)
+    signs = np.where(k % 2 == 1, 1.0, -1.0)
+
+    def half(t):
+        if t >= 2.0:
+            return float(np.sum(signs * t ** (1.0 - k * q) / (k * q - 1.0)))
+        breaks = [b for b in 2.0 ** -np.arange(0.0, 60.0) if t < b]
+        return integrate.quad(lambda z: 1.0 / (1.0 + z ** q), t, 2.0, points=breaks,
+                              epsabs=1e-15, epsrel=1e-15, limit=200,
+                              full_output=1)[0] + half(2.0)
+
+    return np.array([half(v) / half(0.0) for v in t])
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 3.0])
+def test_power_tail_density_tail_matches_quad(p):
+    t = np.concatenate([np.linspace(0.0, 2.0, 81), np.geomspace(1e-6, 100.0, 120)])
+    nu = M.power_tail_density(p)
+    np.testing.assert_allclose(nu.tail(t), _power_tail_quad(p, t), rtol=1e-15, atol=0.0)
+
+
+def test_power_tail_density_at_p1_is_the_cauchy_density():
+    """At p = 1 the normalizer is pi, as the quad-based rule also gave."""
+    z = np.linspace(-50.0, 50.0, 201)
+    np.testing.assert_array_equal(M.power_tail_density(1.0).density(z),
+                                  1.0 / (np.pi * (1.0 + np.abs(z) ** 2.0)))
+
+
+def test_sphere_area_matches_scipy_gamma_bitwise():
+    for d in range(1, 7):
+        assert M.sphere_area(d) == 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
+
+
+@pytest.mark.parametrize("nu", [M.integer_lattice(1.0), M.power_tail_density(1.5)],
+                         ids=["lattice", "power_tail"])
+def test_source_tails_are_array_at_once(nu):
+    t = np.array([[-1.0, 0.0, 0.4, 1.0], [2.5, 10.0, 1e3, 1e9]])
+    out = nu.tail(t)
+    assert out.shape == t.shape
+    assert out[0, 0] == 1.0 and out[0, 1] == 1.0
+    for idx in np.ndindex(t.shape):
+        scalar = nu.tail(float(t[idx]))
+        assert isinstance(scalar, float) and scalar == out[idx]
+        assert nu.tail(np.array(t[idx])) == scalar
+    np.testing.assert_array_equal(nu.tail(t.ravel()), out.ravel())
+    assert np.all(np.diff(out[1]) < 0.0)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=2, max_size=8))
