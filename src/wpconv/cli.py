@@ -307,8 +307,14 @@ def run(config):
             status = max(status, 2)
 
     model, comparison = build_model(cfg)
+    work = comparison if comparison is not None else model
     dcfg = _drift_config(cfg)
     order = _stage_closure(cfg.stages)
+    # the stages that share dcfg resolve R0 once, at the first of them; if
+    # that fails, each stage resolves again and reports the failure itself
+    needs_r0 = {"conditions", "drift", "rate"}
+    if cfg.sweep.get("param", "sigma") == "sigma":
+        needs_r0.add("sweep")
     r_grid_full, hint_window, ppd = _r_grid(cfg)
     rate_result = None
     certificate = None
@@ -317,8 +323,14 @@ def run(config):
 
     try:
         for stage in order:
+            if stage in needs_r0:
+                needs_r0 = set()
+                try:
+                    dcfg = lyap.resolve_r0(work, dcfg)
+                except DriftConditionFailed:
+                    pass
+
             if stage == "conditions":
-                work = comparison if comparison is not None else model
                 rep = lyap.check_conditions(work, dcfg)
                 doc = rep.to_dict()
                 doc["schema_version"] = SCHEMA_VERSION
@@ -329,7 +341,6 @@ def run(config):
                      "" if rep.all_ok else "a drift hypothesis failed on the grid")
 
             elif stage == "drift":
-                work = comparison if comparison is not None else model
                 rcfg = lyap.resolve_r0(work, dcfg)
                 npts = int(cfg.grids.get("certificate_points", 200))
                 grid = np.geomspace(rcfg.R0, 10.0 * rcfg.R0, npts)
@@ -426,7 +437,10 @@ def run(config):
                     model, f, t_grid, n_paths=int(cfg.samples["n_paths"]),
                     dt=float(cfg.samples["dt"]), seed=cfg.seeds["decay"],
                     n_inner=int(cfg.samples["n_inner"]))
-                trace.to_csv(os.path.join(outdir, "decay.csv"))
+                _write_csv(os.path.join(outdir, "decay.csv"),
+                           ("t", "variance", "ci_halfwidth"),
+                           (trace.times, trace.variance_estimates,
+                            trace.confidence_halfwidths))
                 artifacts["decay"] = trace
                 mark(stage, True)
 
@@ -501,6 +515,7 @@ def _run_sweep(model, comparison, dcfg, cfg, param, values):
         cols = [grid] + [t.value_at(grid) for t in tables]
         return doc, (header, cols)
     if param in ("p", "delta"):
+        dcfg = _drift_config(cfg)  # the user's R0: R0 depends on the model and delta
         rows = {}
         fits = {}
         for val in values:

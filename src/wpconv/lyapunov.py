@@ -18,9 +18,10 @@ ball of radius R around x.
 p_sigma(r) = ( int_R0^r s^(1-d) exp[w int_R0^s psi] ds + 1 )
              / ( r^(1-d) exp[w int_R0^r psi] ),   w = sigma/(sigma+1),
 
-computed entirely in log space on a shared refined grid, so the exact
-monotonicity p_sigma2 <= p_sigma1 for sigma2 > sigma1 holds termwise in the
-discretization.
+computed entirely in log space on the anchored lattice R0 10^(k/1600) merged
+with the requested radii, so the exact monotonicity p_sigma2 <= p_sigma1 for
+sigma2 > sigma1 holds termwise in the discretization, and p_sigma(r) depends on
+psi on [R0, r] alone, not on how far a profile extends (prefix property).
 """
 
 import math
@@ -277,16 +278,17 @@ def drift_rate(model, s, cfg, strict=True):
 _REFINE_PER_DECADE = 1600
 
 
-def _refined_grid(R0, s_max, include=None):
-    decades = max(math.log10(s_max / R0), 1e-6)
-    n = int(decades * _REFINE_PER_DECADE) + 2
-    g = np.geomspace(R0, s_max, n)
-    if include is not None:
-        # past s_max the same log step continues up to the largest included radius
-        k = np.arange(1.0, math.log(np.max(include) / s_max) / math.log(g[-1] / g[-2]))
-        g = np.concatenate([g, s_max * (g[-1] / g[-2]) ** k, include])
-    g = np.unique(g)
-    return g[g >= R0 * (1 - 1e-13)]
+def _anchored_grid(R0, s_max, points_per_decade, include_radii=None):
+    """Log-step grid anchored at R0 so that extending s_max keeps every
+    previous node (prefix property; lets callers reuse tabulated rates)."""
+    n = max(int(math.ceil(math.log10(max(s_max / R0, 1.0 + 1e-9))
+                          * points_per_decade)), 1)
+    grid = R0 * 10.0 ** (np.arange(n + 1) / points_per_decade)
+    if include_radii is not None:
+        grid = np.unique(np.concatenate(
+            [grid, np.asarray(include_radii, dtype=float)]))
+        grid = grid[grid >= R0]
+    return grid
 
 
 def _log_p_sigma_on_grid(grid, psi_vals, sigma, d):
@@ -307,40 +309,32 @@ def _log_p_sigma_on_grid(grid, psi_vals, sigma, d):
     return lognum - logg, I
 
 
+def _log_p_sigma(psi, r, sigma, R0, d):
+    """log p_sigma at the radii r on the anchored lattice merged with r: the
+    nodes below a radius do not depend on the other radii, so each value
+    depends on psi on [R0, r] alone.  Radii below R0 read the value at R0."""
+    grid = _anchored_grid(R0, float(np.max(r)), _REFINE_PER_DECADE, include_radii=r)
+    vals = np.asarray(psi(grid), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DriftConditionFailed("drift rate is not finite on the grid")
+    logp, _ = _log_p_sigma_on_grid(grid, vals, sigma, d)
+    return logp[np.searchsorted(grid, r)]
+
+
 def p_sigma(psi, r, cfg, d):
     """The integral correction factor at radii r >= R0.
 
-    psi is a vectorized map of the radius; the cumulative integrals are shared
-    across all requested radii on one refined log-spaced grid that contains
-    them, so p_sigma(R0) = R0^(d-1) exactly.
+    psi is a vectorized map of the radius; the cumulative integrals run on
+    the anchored lattice merged with the requested radii, so p_sigma(R0) =
+    R0^(d-1) exactly and no value depends on the other radii requested.
     """
     if cfg.R0 is None:
         raise ValueError("cfg.R0 must be set (use resolve_r0)")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr < cfg.R0 * (1.0 - 1e-12)):
         raise ValueError("p_sigma is defined for r >= R0")
-    grid = _refined_grid(cfg.R0, max(float(r_arr.max()), cfg.R0 * (1 + 1e-9)),
-                         include=r_arr)
-    vals = np.asarray(psi(grid), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DriftConditionFailed("drift rate is not finite on the grid")
-    logp, _ = _log_p_sigma_on_grid(grid, vals, cfg.sigma, d)
-    idx = np.searchsorted(grid, np.clip(r_arr, grid[0], grid[-1]))
-    out = np.exp(logp[idx])
+    out = np.exp(_log_p_sigma(psi, r_arr, cfg.sigma, cfg.R0, d))
     return out if np.asarray(r).shape else float(out[0])
-
-
-def _anchored_grid(R0, s_max, points_per_decade, include_radii=None):
-    """Log-step grid anchored at R0 so that extending s_max keeps every
-    previous node (prefix property; lets callers reuse tabulated rates)."""
-    n = max(int(math.ceil(math.log10(max(s_max / R0, 1.0 + 1e-9))
-                          * points_per_decade)), 1)
-    grid = R0 * 10.0 ** (np.arange(n + 1) / points_per_decade)
-    if include_radii is not None:
-        grid = np.unique(np.concatenate(
-            [grid, np.asarray(include_radii, dtype=float)]))
-        grid = grid[grid >= R0]
-    return grid
 
 
 def case_b_integrand(model, x, cfg):
@@ -391,9 +385,9 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     Lyapunov function.
 
     psi_scale multiplies the drift rate of cases 'a'/'cor_a' before the
-    correction integrals (used by the perturbation comparisons);
-    prefix=(grid, case values) reuses values already tabulated on an
-    anchored-grid prefix."""
+    correction integrals (used by the perturbation comparisons); prefix, a
+    profile built with the same model, cfg and psi_scale, lends its psi on
+    the nodes the two grids share."""
     exp_case = cfg.case in ("b", "cor_b")
     if exp_case and psi_scale != 1.0:
         raise ValueError(f"psi_scale={psi_scale:g} scales the drift rate of cases "
@@ -405,14 +399,13 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     grid = _anchored_grid(R0, s_max, points_per_decade, include_radii)
     k = 0
     if prefix is not None and include_radii is None:
-        old_grid, old_vals = prefix
-        k = min(old_grid.size, grid.size)
-        if not np.array_equal(old_grid[:k], grid[:k]):
+        k = min(prefix.grid.size, grid.size)
+        if not np.array_equal(prefix.grid[:k], grid[:k]):
             k = 0
-    vals = _case_scan_values(model, grid[k:], cfg, strict=True)
+    psi = psi_scale * np.asarray(_case_scan_values(model, grid[k:], cfg, strict=True),
+                                 dtype=float)
     if k:
-        vals = np.concatenate([old_vals[:k], vals])
-    psi = psi_scale * np.asarray(vals, dtype=float)
+        psi = np.concatenate([prefix.psi[:k], psi])
     bad = psi <= 0.0
     if np.any(bad):
         what = "case-b integrand" if exp_case else "drift rate"
@@ -421,12 +414,11 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     if exp_case:
         return RadialProfile(grid=grid, values=(1.0 - cfg.delta) * psi, r0=R0,
                              name=name, psi=psi)
-    # refine by log-log interpolation for the cumulative integrals
-    fine = _refined_grid(R0, s_max, include=grid)
-    psi_fine = np.exp(np.interp(np.log(fine), np.log(grid), np.log(psi)))
-    logp_fine, _ = _log_p_sigma_on_grid(fine, psi_fine, cfg.sigma, model.d)
-    logp = logp_fine[np.searchsorted(fine, grid)]
-    phi_vals = np.exp(np.log(psi) - math.log(1.0 + cfg.sigma) - logp)
+    # the cumulative integrals read psi log-log interpolated between the nodes
+    log_grid, log_psi = np.log(grid), np.log(psi)
+    logp = _log_p_sigma(lambda s: np.exp(np.interp(np.log(s), log_grid, log_psi)),
+                        grid, cfg.sigma, R0, model.d)
+    phi_vals = np.exp(log_psi - math.log(1.0 + cfg.sigma) - logp)
     return RadialProfile(grid=grid, values=phi_vals, r0=R0, name=name,
                          psi=psi, log_p_sigma=logp)
 

@@ -42,8 +42,6 @@ class PresetSpec:
     d: int = 1
     R: float = 1.0
     well_exponent: float = 0.5
-    sigma: float = 1.0
-    delta: float = 0.75
     nu: Optional[dict] = None
 
 
@@ -65,8 +63,7 @@ def validate_preset(name, p=None, d=1, **kw):
     if not 0.0 < we < 1.0:
         raise ConfigError("well_exponent: must lie in (0, 1)")
     return PresetSpec(name=name, p=p, d=int(d), R=float(kw.get("R", 1.0)),
-                      well_exponent=float(we), sigma=float(kw.get("sigma", 1.0)),
-                      delta=float(kw.get("delta", 0.75)), nu=kw.get("nu"))
+                      well_exponent=float(we), nu=kw.get("nu"))
 
 
 def make_source(spec, d=1):

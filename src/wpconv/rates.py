@@ -285,7 +285,8 @@ def fit_asymptotics(alpha, families=("power", "poly_log", "stretched_exp"),
         s_hi = math.sqrt(float(alpha.grid[0]) * float(alpha.grid[-1]))
         fit_window = (s_lo, s_hi)
     lo, hi = fit_window
-    msk = (alpha.grid >= lo) & (alpha.grid <= hi)
+    # tolerant edges: sqrt(g0 gN) is an odd grid's middle node up to rounding
+    msk = (alpha.grid >= lo * (1.0 - 1e-12)) & (alpha.grid <= hi * (1.0 + 1e-12))
     if int(msk.sum()) < 10:
         raise ValueError("fit window must contain at least 10 grid points")
     s = alpha.grid[msk]
@@ -387,12 +388,11 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
         raise ValueError("r must be positive")
 
     s_max = 100.0 * max(cfg.R0, 1.0)
-    prefix = None
+    phi = None
     for _ in range(40):
         phi = lyap.phi_profile(work, cfg, s_max=s_max,
                                points_per_decade=points_per_decade,
-                               psi_scale=psi_scale, prefix=prefix)
-        prefix = (phi.grid, phi.psi / psi_scale)
+                               psi_scale=psi_scale, prefix=phi)
         # varphi_phi's test: the sublevel set of 1/r reaches past the grid end
         saturated = phi.values.min() >= 1.0 / r_grid
         if not np.any(saturated):

@@ -418,15 +418,6 @@ class DecayTrace:
         if np.any(np.asarray(self.confidence_halfwidths) < 0.0):
             raise ValueError("halfwidths must be nonnegative")
 
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "variance", "ci_halfwidth"])
-            for row in zip(self.times, self.variance_estimates,
-                           self.confidence_halfwidths):
-                w.writerow([repr(float(v)) for v in row])
-
 
 def _drift_table(model, edge):
     """Drift -dV_nu/dx of the origin-patched model (d = 1) at nodes uniform in

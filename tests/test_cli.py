@@ -180,6 +180,34 @@ def test_run_decay_stage_small(tmp_path):
     rows = (tmp_path / "decay.csv").read_text().splitlines()
     assert rows[0] == "t,variance,ci_halfwidth"
     assert len(rows) == 4
+    assert all(len([float(v) for v in row.split(",")]) == 3 for row in rows[1:])
+    assert not (tmp_path / "decay.csv.tmp").exists()
+
+
+def test_run_resolves_r0_once_for_its_stages(tmp_path, monkeypatch):
+    """conditions, drift and rate share one R0 scan, and their artifacts
+    equal those of runs that each resolve R0 themselves."""
+    text = ("preset: example_3_3\n"
+            "grids: {r_min: 1.0e-1, r_max: 1.0e+7, points_per_decade: 80, "
+            "certificate_points: 40}\n")
+    scans = []
+    resolve = L.resolve_r0
+
+    def counting(model, cfg, *args, **kw):
+        if cfg.R0 is None:
+            scans.append(model.name)
+        return resolve(model, cfg, *args, **kw)
+
+    monkeypatch.setattr(L, "resolve_r0", counting)
+    both = tmp_path / "both"
+    status, _ = run_cfg(text + "stages: [conditions, drift, rate]\n", both)
+    assert status == 0
+    assert scans == ["example_3_3"]
+    for stage, name in (("conditions", "conditions.json"),
+                        ("drift", "certificate.json"), ("rate", "beta.csv")):
+        alone = tmp_path / stage
+        run_cfg(text + f"stages: [{stage}]\n", alone)
+        assert (alone / name).read_bytes() == (both / name).read_bytes()
 
 
 def test_sweep_single_value_degenerates(tmp_path):

@@ -213,7 +213,8 @@ def test_p_sigma_shared_panel_rule_is_bitwise_on_criterion_06_grids(name):
     work = P.make_model(name)
     cfg0 = L.resolve_r0(work, P.default_drift_config(name))
     rr = np.geomspace(cfg0.R0, 1e3, 60)
-    grid = L._refined_grid(cfg0.R0, float(rr.max()), include=rr)
+    grid = L._anchored_grid(cfg0.R0, float(rr.max()), L._REFINE_PER_DECADE,
+                            include_radii=rr)
     vals = L.drift_rate(work, grid, cfg0)
     for sig in (0.5, 1.0, 2.0, 5.0):
         logp, I = L._log_p_sigma_on_grid(grid, vals, sig, work.d)
@@ -280,14 +281,14 @@ def test_phi_profile_interpolation_and_extension():
 
 def test_phi_profile_last_node_matches_a_longer_build(models):
     """The anchored grid's last node lies past s_max; its p_sigma is read at
-    that node, not at s_max, so it agrees with a longer build like every
-    other node."""
+    that node, not at s_max, so it equals a longer build's like every other
+    node."""
     cfg = L.resolve_r0(models["3_3"], L.DriftConfig(case="cor_a"))
     short = L.phi_profile(models["3_3"], cfg, s_max=1e5)
     long = L.phi_profile(models["3_3"], cfg, s_max=1e6)
     assert short.grid[-1] > 1e5
     np.testing.assert_array_equal(short.grid, long.grid[:short.grid.size])
-    np.testing.assert_allclose(short.values, long.values[:short.grid.size], rtol=1e-7)
+    np.testing.assert_array_equal(short.values, long.values[:short.grid.size])
 
 
 @pytest.mark.parametrize("case", ["a", "b", "cor_a", "cor_b"])
@@ -309,7 +310,7 @@ def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
 
     monkeypatch.setattr(L, "_case_scan_values", counting_scan)
     grown = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0,
-                          prefix=(short.grid, short.psi))
+                          prefix=short)
     assert scanned == [fresh.grid.size - short.grid.size]
     for field in ("grid", "values", "psi", "log_p_sigma"):
         a, b = getattr(grown, field), getattr(fresh, field)

@@ -262,6 +262,20 @@ def test_rate_tables_beta_is_beta_phi_where_the_running_minimum_is_idle(
     np.testing.assert_array_equal(res.beta.values[idle], raw[idle])
 
 
+@pytest.mark.parametrize("case", ["example_3_3", "example_3_4", "lemma_3_2"])
+def test_rate_tables_profile_extends_its_first_round_bitwise(case, preset_rate_run):
+    """A profile node depends on its radius alone: the first growth round's
+    profile equals the final rate_tables profile on every shared node."""
+    model, _, res, _ = preset_rate_run(case)
+    cfg = res.config
+    first = L.phi_profile(model, cfg, s_max=100.0 * max(cfg.R0, 1.0))
+    n = first.grid.size
+    assert res.phi.grid.size > n
+    for field in ("grid", "values", "psi", "log_p_sigma"):
+        np.testing.assert_array_equal(getattr(first, field),
+                                      getattr(res.phi, field)[:n])
+
+
 def test_beta_degenerate_sublevel_gives_two():
     m = M.ConvolutionModel(M.quadratic_potential(), M.symmetric_pair(1.0))
     g = np.geomspace(1.0, 10.0, 50)
@@ -343,6 +357,25 @@ def test_fit_exact_stretched_exponential():
     fit = R.fit_asymptotics(alpha, fit_window=(ss[0], 1e-1))
     assert fit.family == "stretched_exp"
     assert fit.exponent == pytest.approx(0.8, abs=0.05)
+
+
+def test_fit_default_window_keeps_the_middle_node_of_an_odd_grid():
+    """The default upper edge sqrt(g0 gN) is the middle node of an odd-length
+    geometric grid up to rounding; moving the grid ends by one ulp must not
+    move that node in or out of the fit."""
+    ss = np.geomspace(1e-8, 1e-1, 401)
+    counts = set()
+    for lo_dir in (None, -np.inf, np.inf):
+        for hi_dir in (None, -np.inf, np.inf):
+            g = ss.copy()
+            if lo_dir is not None:
+                g[0] = np.nextafter(g[0], lo_dir)
+            if hi_dir is not None:
+                g[-1] = np.nextafter(g[-1], hi_dir)
+            fit = R.fit_asymptotics(R.RateTable(grid=g, values=7.0 * g ** -3.0),
+                                    families=("power",))
+            counts.add(fit.diagnostics["power"]["n_points"])
+    assert counts == {201}
 
 
 def test_fit_requires_enough_points_and_conclusive_r2():
