@@ -251,8 +251,21 @@ def _r_grid(cfg):
     r_min = float(g.get("r_min", hints["r_min"]))
     r_max = float(g.get("r_max", hints["r_max"]))
     ppd = int(g.get("points_per_decade", 200))
-    n = max(int(ppd * math.log10(r_max / r_min)) + 1, 16)
-    return np.geomspace(r_min, r_max, n), hints.get("fit_window"), ppd
+    return _log_grid(r_min, r_max, ppd), hints.get("fit_window"), ppd
+
+
+def _log_grid(lo, hi, ppd):
+    """Geometric grid on [lo, hi] with ppd points per decade, at least 16."""
+    return np.geomspace(lo, hi, max(int(ppd * math.log10(hi / lo)) + 1, 16))
+
+
+def _fit(cfg, hint_window, table):
+    """fit_asymptotics of an alpha table with the configured families and
+    window (the preset's hint window by default)."""
+    window = cfg.fit.get("window", hint_window)
+    families = tuple(cfg.fit.get("families", ("power", "poly_log", "stretched_exp")))
+    return rates_mod.fit_asymptotics(table, families=families,
+                                     fit_window=tuple(window) if window else None)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +318,12 @@ def run(config):
         stage_status[stage] = {"ok": bool(ok), "note": note}
         if not ok:
             status = max(status, 2)
+
+    def fail(stage, name, flag, exc):
+        # the stage's document records the failure in place of its result
+        _write_json(os.path.join(outdir, name),
+                    {"schema_version": SCHEMA_VERSION, flag: False, "error": str(exc)})
+        mark(stage, False, str(exc))
 
     model, comparison = build_model(cfg)
     work = comparison if comparison is not None else model
@@ -360,11 +379,8 @@ def run(config):
             elif stage == "rate":
                 s_grid = None
                 if cfg.grids.get("s_min") and cfg.grids.get("s_max"):
-                    s_grid = np.geomspace(float(cfg.grids["s_min"]),
-                                          float(cfg.grids["s_max"]),
-                                          max(int(ppd * math.log10(
-                                              float(cfg.grids["s_max"])
-                                              / float(cfg.grids["s_min"]))) + 1, 16))
+                    s_grid = _log_grid(float(cfg.grids["s_min"]),
+                                       float(cfg.grids["s_max"]), ppd)
                 rate_result = rates_mod.rate_tables(
                     model, dcfg, r_grid=r_grid_full, s_grid=s_grid, c0=c0_used,
                     points_per_decade=ppd, half=cfg.half_factor,
@@ -380,23 +396,15 @@ def run(config):
                 mark(stage, True)
 
             elif stage == "fit":
-                window = cfg.fit.get("window", hint_window)
-                families = tuple(cfg.fit.get("families",
-                                             ("power", "poly_log", "stretched_exp")))
                 try:
-                    fit_result = rates_mod.fit_asymptotics(
-                        rate_result.alpha_final, families=families,
-                        fit_window=tuple(window) if window else None)
+                    fit_result = _fit(cfg, hint_window, rate_result.alpha_final)
                     doc = fit_result.to_dict()
                     doc["c0_used"] = c0_used
                     _write_json(os.path.join(outdir, "fit.json"), doc)
                     artifacts["fit"] = doc
                     mark(stage, fit_result.conclusive)
                 except InconclusiveFit as exc:
-                    _write_json(os.path.join(outdir, "fit.json"),
-                                {"schema_version": SCHEMA_VERSION,
-                                 "conclusive": False, "error": str(exc)})
-                    mark(stage, False, str(exc))
+                    fail(stage, "fit.json", "conclusive", exc)
 
             elif stage == "verify":
                 corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
@@ -421,10 +429,7 @@ def run(config):
                     mark(stage, report.passed,
                          "" if report.passed else "holdout violations")
                 except CalibrationFailed as exc:
-                    _write_json(os.path.join(outdir, "wpi_report.json"),
-                                {"schema_version": SCHEMA_VERSION,
-                                 "passed": False, "error": str(exc)})
-                    mark(stage, False, str(exc))
+                    fail(stage, "wpi_report.json", "passed", exc)
 
             elif stage == "decay":
                 f = verify_mod.TestFunction(
@@ -467,10 +472,7 @@ def run(config):
                     artifacts["stability"] = doc
                     mark(stage, doc["bounded"])
                 except HypothesisFailed as exc:
-                    _write_json(os.path.join(outdir, "stability.json"),
-                                {"schema_version": SCHEMA_VERSION,
-                                 "bounded": False, "error": str(exc)})
-                    mark(stage, False, str(exc))
+                    fail(stage, "stability.json", "bounded", exc)
 
     except (DriftConditionFailed, InvalidCertificate, SaturatedAtGridEnd) as exc:
         mark(stage, False, f"{type(exc).__name__}: {exc}")
@@ -500,10 +502,7 @@ def _write_manifest(outdir, cfg, stage_status, c0_used, comparison, error=None):
 
 
 def _run_sweep(model, comparison, dcfg, cfg, param, values):
-    r_grid, hint_window, ppd = _r_grid(cfg)
-    families = tuple(cfg.fit.get("families",
-                                 ("power", "poly_log", "stretched_exp")))
-    window = cfg.fit.get("window", hint_window)
+    r_grid, hint_window, _ = _r_grid(cfg)
     if param == "sigma":
         doc, runs = rates_mod._sigma_runs(
             model if comparison is None else comparison, dcfg, values,
@@ -531,10 +530,7 @@ def _run_sweep(model, comparison, dcfg, cfg, param, values):
                 res = rates_mod.rate_tables(
                     model if comparison is None else comparison, c, r_grid=r_grid)
             try:
-                fit = rates_mod.fit_asymptotics(
-                    res.alpha_final, families=families,
-                    fit_window=tuple(window) if window else None)
-                fits[f"{param}={val:g}"] = fit.to_dict()
+                fits[f"{param}={val:g}"] = _fit(cfg, hint_window, res.alpha_final).to_dict()
             except InconclusiveFit as exc:
                 fits[f"{param}={val:g}"] = {"conclusive": False, "error": str(exc)}
             rows[f"{param}={val:g}"] = res.alpha_final

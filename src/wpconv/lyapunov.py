@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _CASES = ("a", "b", "cor_a", "cor_b")
+SPHERE_SAMPLES = 64   # directions of a sphere infimum in d > 1
+WINDOW_SAMPLES = 33   # points of a radius-window infimum, both ends included
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,6 @@ class DriftConfig:
     R0: Optional[float] = None
     sigma: float = 1.0
     delta: float = 0.75
-    sphere_samples: int = 64
-    window_samples: int = 33
 
     def __post_init__(self):
         if self.case not in _CASES:
@@ -212,14 +212,14 @@ def _tilted_radial_drift(model, x):
 def psi_case_a(model, s, cfg, strict=True):
     """inf over the sphere |x| = s of E_{nu_x}[<x, grad V(x-z)>] / |x|.
 
-    Exact two-point infimum in d = 1; cfg.sphere_samples directions otherwise.
+    Exact two-point infimum in d = 1; SPHERE_SAMPLES directions otherwise.
     Vectorized over s.  With strict=True, a nonpositive value at s >= R0
     raises DriftConditionFailed.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0.0):
         raise ValueError("radii must be positive")
-    pts = _sphere_points(model, s_arr, cfg.sphere_samples)
+    pts = _sphere_points(model, s_arr, SPHERE_SAMPLES)
     out = np.min(_tilted_radial_drift(model, pts), axis=1)
     if strict and cfg.R0 is not None:
         bad = (s_arr >= cfg.R0) & (out <= 0.0)
@@ -243,7 +243,7 @@ def eta_window(model, s, cfg):
 
 def eta_window_psi(model, r, cfg, strict=True):
     """psi(r) = (1/r) inf of eta over the window [r-R, r+R]; the window
-    infimum is taken over cfg.window_samples points including both endpoints."""
+    infimum is taken over WINDOW_SAMPLES points including both endpoints."""
     R = model.source.support_radius
     if not np.isfinite(R):
         raise DriftConditionFailed("window construction requires compact nu")
@@ -254,7 +254,7 @@ def eta_window_psi(model, r, cfg, strict=True):
         raise DriftConditionFailed(
             f"window [r-R, r+R] leaves the positive axis at r={r_arr[crossing][0]:g}")
     lo = np.where(crossing, np.minimum(1e-9, r_arr * 1e-9), lo)
-    win = np.linspace(lo, r_arr + R, max(cfg.window_samples, 3), axis=-1)
+    win = np.linspace(lo, r_arr + R, WINDOW_SAMPLES, axis=-1)
     out = np.min(eta_window(model, win, cfg), axis=-1) / r_arr
     if strict and cfg.R0 is not None:
         bad = (r_arr >= cfg.R0) & (out <= 0.0)
@@ -358,7 +358,7 @@ def _ball_infimum_integrand(model, s, cfg):
     pot, R = model.potential, model.source.support_radius
     s = np.asarray(s, dtype=float)
     lo = np.maximum(s - R, max(pot.smooth_radius + 1e-12, 1e-12))
-    win = np.linspace(lo, s + R, max(cfg.window_samples, 3), axis=-1)
+    win = np.linspace(lo, s + R, WINDOW_SAMPLES, axis=-1)
     vp = pot.v0p(win)
     lap = pot.v0pp(win) + (pot.d - 1) * vp / win
     return np.min(cfg.delta * vp ** 2 - lap, axis=-1)
@@ -371,7 +371,7 @@ def _case_scan_values(model, grid, cfg, strict):
     if cfg.case in ("a", "cor_a"):
         return drift_rate(model, grid, cfg, strict=strict)
     if cfg.case == "b":
-        pts = _sphere_points(model, grid, cfg.sphere_samples)
+        pts = _sphere_points(model, grid, SPHERE_SAMPLES)
         return np.min(case_b_integrand(model, pts, cfg), axis=1)
     return _ball_infimum_integrand(model, grid, cfg)
 
@@ -591,7 +591,7 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
 
     idx = np.clip(np.searchsorted(phi.grid, radii), 0, phi.grid.size - 1)
     phi_s = phi.values[idx][:, None]
-    points = _sphere_points(model, radii, min(cfg.sphere_samples, 16))
+    points = _sphere_points(model, radii, 16)
     if exp_case:
         lw = _exp_case_lw(model, points, cfg.delta)
     else:

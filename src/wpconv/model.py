@@ -624,14 +624,14 @@ class ConvolutionModel:
                        name=self.name + "_patched")
 
 
-def _profile_reach(potential, log_drop, cap=1e7):
+def _profile_reach(potential, log_drop):
     v0 = potential.v0
     base = float(v0(0.0))
     lo, hi = 1.0, 2.0
     while float(v0(hi)) - base < log_drop:
         hi *= 2.0
-        if hi > cap:
-            return cap
+        if hi > 1e7:
+            return 1e7
     while float(v0(lo)) - base >= log_drop:
         lo *= 0.5
         if lo < 1e-12:

@@ -369,7 +369,7 @@ def _density_ratio_bounds(model, comparison, n=600):
 
 
 def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
-                points_per_decade=200, compact_branch=None, half=True,
+                points_per_decade=200, half=True,
                 via_comparison=None, psi_scale=1.0, s_max_cap=3e8):
     """Run the full chain phi -> varphi -> beta -> alpha.
 
@@ -409,7 +409,7 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
         raise SaturatedAtGridEnd("profile grid never covered the r grid")
     t_vals = varphi_phi(phi, r_grid)
 
-    beta_vals = beta_phi(work, phi, r_grid, compact_branch, half)
+    beta_vals = beta_phi(work, phi, r_grid, half=half)
     keep = np.isfinite(beta_vals) & (beta_vals > 1e-300)
     r_kept = r_grid[keep]
     varphi_tab = RateTable(grid=r_kept, values=np.maximum.accumulate(t_vals[keep]),

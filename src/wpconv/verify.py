@@ -1,9 +1,10 @@
 """Monte Carlo validation of computed rate functions.
 
-sample_convolution draws X + Z with X from the base measure (inverse CDF on a
-tabulated body grid plus analytic log-space tail inversion, so heavy tails are
-sampled without truncating representable mass) and Z from the perturbing
-measure.  empirical_wpi calibrates the single constant c of
+sample_convolution draws X + Z with X from the base measure and Z from the
+perturbing measure.  In d = 1, |X| inverts a log-log table of the exact
+model.measure_tail out to 1e300, so heavy tails are sampled without truncating
+representable mass; convolution_cdf, the KS reference, reads the same table.
+empirical_wpi calibrates the single constant c of
 
     Var(f) <= c * alpha(r) * E(|grad f|^2) + r * Osc^2(f)
 
@@ -42,6 +43,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 CDF_BLOCK = 4096      # rows per block of the compact-source CDF
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
+PROPOSAL_EXPONENT = 1.0  # q of the d = 2 rejection proposal, radius density ~ s (1+s)^-(3+q)
 
 
 # ---------------------------------------------------------------------------
@@ -112,50 +114,40 @@ class SampleBatch:
     method: str
 
 
-def _mu_body_and_tail(pot):
-    """Inverse-CDF data for the symmetric radial base measure in d = 1:
-    a dense body grid plus a log-radius tail table reaching the float range."""
-    body_hi = model_mod._profile_reach(pot, 14.0 * math.log(10.0), cap=1e6)
-    xs = np.unique(np.concatenate([
-        np.arange(0.0, min(50.0, body_hi), 2e-3),
-        np.geomspace(max(min(50.0, body_hi) * 0.99, 1e-3), body_hi, 3000)]))
-    dens = np.exp(-pot.c - pot.v0(xs))
-    half_cdf = np.concatenate([[0.0], np.cumsum(
-        0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
-    mass_body = half_cdf[-1]                      # one-sided body mass
-    # one-sided tail table in y = log s out to the float range
-    y = np.linspace(math.log(body_hi), 690.0, 4000)
-    logg = pot.d * y - model_mod._v0_of_log(pot, y)
-    panel = model_mod._log_panel_rule(logg, np.diff(y))
-    rev = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel[::-1])])[::-1]
-    with np.errstate(divide="ignore"):
-        tail_y = np.exp(rev - pot.c)              # one-sided tail at each y node
-    return xs, half_cdf, mass_body, y, tail_y
+def _mu_log_tail(model):
+    """The one tabulated mu law in d = 1: log radii and log measure_tail (mu)
+    at 400 nodes per decade from 1e-8 to 1e12, then 32 per decade on to 1e300
+    (past e^690, so logarithmic tails keep their representable mass)."""
+    nodes = np.unique(np.concatenate([np.geomspace(1e-8, 1e12, 8002),
+                                      np.geomspace(1e12, 1e300, 9217)]))
+    tails = model_mod.measure_tail(model, "mu", nodes)
+    return np.log(nodes), np.log(np.maximum(tails, 1e-320))
 
 
-def _sample_mu_1d(pot, rng, n):
-    xs, half_cdf, mass_body, y, tail_y = _mu_body_and_tail(pot)
-    total_half = mass_body + float(tail_y[0])
+def _invert_tail(log_q, log_t, log_tails):
+    """Radii t with tail(t) = exp(log_q): the decreasing table (log_t,
+    log_tails) interpolated log-log and clamped at its ends."""
+    return np.exp(np.interp(-log_q, -log_tails, log_t))
+
+
+def _sample_mu_1d(model, rng, n):
+    """|X| = T^-1(1 - u) for the mu tail T, on the strictly decreasing part of
+    the measure_tail table (below the 1e-320 floor it is flat); a fair sign."""
+    log_t, log_tails = _mu_log_tail(model)
+    strict = np.concatenate([[True], np.diff(log_tails) < 0.0])
     u = rng.uniform(0.0, 1.0, size=n)
     signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    mag = np.empty(n)
-    u_half = u * total_half
-    body = u_half <= mass_body
-    mag[body] = np.interp(u_half[body], half_cdf, xs)
-    # tail: invert the (decreasing) one-sided tail table in log radius
-    t_req = total_half - u_half[~body]
-    t_req = np.clip(t_req, tail_y[-1], tail_y[0])
-    tail_pos = np.maximum(tail_y, 1e-320)
-    mag[~body] = np.exp(np.interp(-np.log(t_req), -np.log(tail_pos), y))
-    return signs * mag
+    return signs * _invert_tail(np.log1p(-u), log_t[strict], log_tails[strict])
 
 
 def _sample_source(src, rng, n):
+    """n draws from the source, shape (n, d); densities only in d = 1."""
     if src.kind in ("point_mass", "discrete_atoms"):
         cum = np.cumsum(src.weights)
-        cum = cum / cum[-1]
-        idx = np.searchsorted(cum, rng.uniform(size=n), side="left")
-        return src.locations[idx, 0]
+        idx = np.searchsorted(cum / cum[-1], rng.uniform(size=n), side="left")
+        return src.locations[idx]
+    if src.d != 1:
+        raise UnsupportedDimension(f"d={src.d} sampling supports atom sources")
     if np.isfinite(src.support_radius):
         R = src.support_radius
         zz = np.linspace(-R, R, 20001)
@@ -163,46 +155,41 @@ def _sample_source(src, rng, n):
         cdf = np.concatenate([[0.0], np.cumsum(
             0.5 * (dens[1:] + dens[:-1]) * np.diff(zz))])
         cdf = cdf / cdf[-1]
-        return np.interp(rng.uniform(size=n), cdf, zz)
+        return np.interp(rng.uniform(size=n), cdf, zz)[:, None]
     # unbounded density: magnitudes through the analytic tail map
     tt = np.geomspace(1e-6, 1e12, 4000)
     tails = np.asarray(src.tail(tt), dtype=float)
     tails = np.minimum.accumulate(np.clip(tails, 1e-300, 1.0))
     u = rng.uniform(size=n)
     signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    mag = np.exp(np.interp(-np.log(np.clip(u, tails[-1], tails[0])),
-                           -np.log(tails), np.log(tt)))
+    mag = _invert_tail(np.log(np.clip(u, tails[-1], tails[0])),
+                       np.log(tt), np.log(tails))
     mag[u >= tails[0]] = 0.0
-    return signs * mag
+    return (signs * mag)[:, None]
 
 
-def sample_convolution(model, seed, n, proposal_exponent=1.0):
+def sample_convolution(model, seed, n):
     """n independent draws of X + Z; reproducible per (seed, model spec).
 
-    d = 1 uses inverse-CDF sampling of the base measure (tabulated body plus
-    analytic tail); d = 2 uses rejection from a heavy-tailed radial proposal.
+    d = 1 draws |X| by inverting the exact measure_tail table that the KS
+    reference CDF (convolution_cdf) reads; d = 2 uses rejection from a
+    heavy-tailed radial proposal.  Z comes from the source.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
     if model.d == 1:
-        x = _sample_mu_1d(model.potential, rng, n)
-        z = _sample_source(model.source, rng, n)
-        pts = (x + z)[:, None]
+        x = _sample_mu_1d(model, rng, n)[:, None]
+        pts = x + _sample_source(model.source, rng, n)
         return SampleBatch(seed=seed, size=n, points=pts, method="inverse_cdf")
     if model.d == 2:
-        pts = _sample_mu_rejection_2d(model, rng, n, proposal_exponent)
-        if model.source.kind in ("point_mass", "discrete_atoms"):
-            cum = np.cumsum(model.source.weights)
-            idx = np.searchsorted(cum / cum[-1], rng.uniform(size=n), side="left")
-            z = model.source.locations[idx]
-        else:
-            raise UnsupportedDimension("d=2 sampling supports atom sources")
-        return SampleBatch(seed=seed, size=n, points=pts + z, method="rejection")
+        pts = _sample_mu_rejection_2d(model, rng, n)
+        pts = pts + _sample_source(model.source, rng, n)
+        return SampleBatch(seed=seed, size=n, points=pts, method="rejection")
     raise UnsupportedDimension("samplers are implemented for d <= 2")
 
 
-def _sample_mu_rejection_2d(model, rng, n, q):
+def _sample_mu_rejection_2d(model, rng, n):
     pot = model.potential
-    d = 2
+    d, q = 2, PROPOSAL_EXPONENT
     # proposal radius density ~ s (1+s)^-(d+q+1), normalized numerically
     ss = np.geomspace(1e-4, max(model.truncation_radius, 1e3), 4000)
     gs = ss ** (d - 1) * (1.0 + ss) ** -(d + q + 1.0)
@@ -235,12 +222,8 @@ def _sample_mu_rejection_2d(model, rng, n, q):
 
 
 def _mu_cdf(model):
-    """The CDF of mu in d = 1: exact measure_tail values at 400 nodes per decade
-    to 1e12 and 32 on to 1e290 (logarithmic tails), interpolated log-log."""
-    nodes = np.unique(np.concatenate([np.geomspace(1e-8, 1e12, 8002),
-                                      np.geomspace(1e12, 1e290, 8896)]))
-    log_nodes = np.log(nodes)
-    log_tails = np.log(np.maximum(model_mod.measure_tail(model, "mu", nodes), 1e-320))
+    """The CDF of mu in d = 1 from the _mu_log_tail table, interpolated log-log."""
+    log_nodes, log_tails = _mu_log_tail(model)
 
     def F_mu(x, work=None, mask=None):
         # x is left intact; `work` (float) and `mask` (bool), buffers of x's
@@ -248,7 +231,7 @@ def _mu_cdf(model):
         # allocates them once.  The result is np.interp's own array.
         r = np.abs(x, out=work)
         tiny = np.less_equal(r, 1e-12, out=mask)
-        tail = np.interp(np.log(np.clip(r, nodes[0], nodes[-1], out=r), out=r),
+        tail = np.interp(np.log(np.maximum(r, 1e-12, out=r), out=r),
                          log_nodes, log_tails)
         np.exp(tail, out=tail)
         tail[tiny] = 1.0

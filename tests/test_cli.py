@@ -135,11 +135,18 @@ def test_run_infeasible_radius_exits_two(tmp_path):
 
 
 def test_run_artifacts_are_reproducible(tmp_path):
+    """Two runs write the same bytes: the drift certificate, the rate
+    tables, the fit and the sigma sweep; the manifest differs in its
+    timestamp alone."""
     a, b = tmp_path / "a", tmp_path / "b"
-    text = "preset: example_3_3\nstages: [rate, fit]\n" + FAST_GRIDS
-    run_cfg(text, a)
+    text = ("preset: example_3_3\nstages: [drift, rate, fit, sweep]\n"
+            "sweep: {param: sigma, values: [1, 2]}\n"
+            "grids: {r_min: 1.0e-1, r_max: 1.0e+7, points_per_decade: 80, "
+            "certificate_points: 40}\n")
+    assert run_cfg(text, a)[0] == 0
     run_cfg(text, b)
-    for name in ("alpha.csv", "beta.csv", "fit.json"):
+    for name in ("certificate.json", "alpha.csv", "beta.csv", "fit.json",
+                 "sweep.json", "sweep.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())

@@ -77,6 +77,48 @@ def test_sampler_gaussian_second_moment():
     assert oracle == pytest.approx(0.5, rel=1e-10)
 
 
+class _FixedUniform:
+    """Generator stand-in: the first uniform draw returns u, later ones
+    (the signs) return ones, so every sign is +."""
+
+    def __init__(self, u):
+        self.u, self.calls = u, 0
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.calls += 1
+        return self.u.copy() if self.calls == 1 else np.ones(size)
+
+
+FIXED_U = np.concatenate([np.geomspace(1e-6, 0.5, 200),
+                          1.0 - np.geomspace(0.5, 1e-14, 200)[1:]])
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_sampler_inverts_the_closed_form_mu_tail(p):
+    """Closed form: for log_potential(p) in d = 1, mu(|x| >= t) = (1+t)^-p,
+    so the draw at u is |X| = (1-u)^(-1/p) - 1, here from 2e-6 out to 1e28."""
+    m = M.ConvolutionModel(M.log_potential(p), M.point_mass())
+    x = V._sample_mu_1d(m, _FixedUniform(FIXED_U), FIXED_U.size)
+    np.testing.assert_allclose(x, (1.0 - FIXED_U) ** (-1.0 / p) - 1.0,
+                               rtol=1e-5, atol=0.0)
+
+
+def test_sampler_and_ks_cdf_read_one_mu_table():
+    """F_mu of the draw at u is (1+u)/2 to rounding: the sampler inverts the
+    table the KS reference CDF interpolates.  The loglog tail of example_3_4
+    keeps about 1e-3 of mu beyond 1e300, the table's end; those draws sit
+    at the end rather than further in."""
+    m = P.make_model("example_3_4", p=2.0)
+    F_mu = V._mu_cdf(m)
+    x = V._sample_mu_1d(m, _FixedUniform(FIXED_U), FIXED_U.size)
+    half_tail = 0.5 * (1.0 - FIXED_U)
+    beyond = half_tail < 1.0 - F_mu(np.array([1e300]))[0]
+    assert beyond.any() and not beyond.all()
+    np.testing.assert_allclose(x[beyond], 1e300, rtol=1e-12)
+    np.testing.assert_allclose(1.0 - F_mu(x[~beyond]), half_tail[~beyond],
+                               rtol=1e-9, atol=0.0)
+
+
 def test_sampler_two_atom_symmetry():
     m = M.ConvolutionModel(M.quadratic_potential(), M.symmetric_pair(1.0))
     n = 200_000
