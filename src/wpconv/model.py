@@ -87,7 +87,8 @@ class Potential:
     vectorized over radii.  c makes exp(-V) integrate to one.
     value/gradient/laplacian are derived from the profile; the gradient at
     the exact origin is reported as zero (symmetric minimum), which callers
-    must avoid when the profile has a cusp there.
+    must avoid when the profile has a cusp there.  c and measure_tail read
+    lattice, the _RadialLattice of v0 (measure_tail builds it if missing).
     """
 
     d: int
@@ -97,9 +98,7 @@ class Potential:
     v0pp: Callable
     name: str = "potential"
     smooth_radius: float = 0.0  # profile is C^2 only for s > smooth_radius
-    # v0(e^y) in a form stable for huge y; needed only when exp(-v0) decays
-    # so slowly that mass beyond representable s matters (log-type profiles)
-    v0_log: Optional[Callable] = None
+    lattice: Optional["_RadialLattice"] = None
 
     def value(self, x):
         s = _radii(x, self.d)
@@ -153,9 +152,8 @@ class Potential:
             si = np.minimum(s, e)
             return np.where(s < e, 2.0 * b2 + 12.0 * c4 * si * si, base_v0pp(np.maximum(s, e)))
 
-        c = _radial_log_norm(v0, self.d, self.v0_log)
-        return replace(self, v0=v0, v0p=v0p, v0pp=v0pp, c=c, smooth_radius=0.0,
-                       name=self.name + "_patched")
+        return _make_radial(v0, v0p, v0pp, self.d, self.name + "_patched",
+                            far=self.lattice and self.lattice.far, seam=math.log(e))
 
 
 def _as_points(x, d):
@@ -172,51 +170,73 @@ def _radii(x, d):
     return np.sqrt(np.sum(pts * pts, axis=-1))
 
 
-def _v0_of_log(pot, y):
-    """v0(e^y), stable for arbitrarily large y."""
-    if pot.v0_log is not None:
-        return pot.v0_log(y)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        v = pot.v0(np.exp(np.minimum(y, 690.0)))
-    # light-tailed profiles: beyond e^690 the density is identically zero anyway
-    return np.where(y > 690.0, np.inf, v)
+# the anchored lattice: half units of y = log s from s = 1e-18 (the mass
+# below is dropped) to y = 690, where e^y nears the float range
+_HALF_UNITS = np.arange(-83, 1381) / 2.0
 
 
-def _radial_mass(pot, a):
-    """int_a^inf exp(-v0(s)) s^(d-1) ds, as int exp(d y - v0(e^y)) dy.
+def _log_density(v0, d, y):
+    """The log radial density g(y) = d y - v0(e^y); -inf or nan where v0 overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d * y - v0(np.exp(y))
 
-    One composite Gauss-Legendre rule in y = log s: half-unit panels up to
-    y = 16 (edges also at the s marks below), then doubling panels out to
-    y = 1e15, all nodes in one stable v0(e^y) call, so profiles whose density
-    decays only logarithmically keep their (real) far-tail mass.  Mass below
-    s = 1e-18 (at most 1e-18^d exp(-v0(0)) / d) is dropped.
+
+def _log_panel_mass(v0, d, a, b):
+    """log int_a^b e^g dy for each pair a <= b: one 16-point Gauss-Legendre
+    panel, or, where g falls by more than 8, panels cut at a + 2^-k
+    (k = 11..1) below b, graded toward a."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf past a profile's float range
+        steep = _log_density(v0, d, a) - _log_density(v0, d, b) > 8.0
+    t, w = _gauss_legendre(16)
+    out = np.empty(a.shape)
+    for rows, cuts in ((~steep, np.empty(0)), (steep, 2.0 ** -np.arange(11.0, 0.0, -1.0))):
+        lo, hi = a[rows, None], b[rows, None]
+        edges = np.concatenate([lo, np.minimum(lo + cuts, hi), hi], axis=1)
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        g = _log_density(v0, d, edges[:, :-1, None] + half * (t + 1.0))
+        top = np.max(g, axis=(1, 2))
+        top = np.where(np.isfinite(top), top, 0.0)
+        terms = half * w * np.exp(g - top[:, None, None])
+        with np.errstate(divide="ignore"):
+            out[rows] = top + np.log(np.sum(terms, axis=(1, 2)))
+    return out
+
+
+class _RadialLattice:
+    """log M(y) = log int_y^inf e^g du, the mass of exp(-v0(|x|)) dx / omega_d
+    beyond |x| = e^y, on panels anchored at the half units of y from -41.5
+    and at a patched profile's seam.  Log-type profiles end them at y = 40 and
+    pass far(y), the closed-form log M(y) beyond; the others end at the first
+    half unit past the peak of g below log(1e-320) (y = 690 at the latest),
+    with no mass beyond.  suffix[i] is log M(edges[i]).
     """
-    ya = math.log(max(a, 1e-18))
-    marks = np.log([0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e2, 1e3, 1e4, 1e5, 1e6])
-    far = [max(ya, 16.0)]
-    while far[-1] < 1e15:
-        far.append(min(max(2.0 * far[-1], far[-1] + 5.0), 1e15))
-    # edges graded toward ya resolve a tail that starts steep (v0(a) large)
-    edges = np.concatenate([[ya], ya + 2.0 ** -np.arange(12.0),
-                            np.arange(math.ceil(2.0 * ya), 33) / 2.0, marks, far])
-    edges = np.unique(edges[edges >= ya])
-    t, w = _gauss_legendre(48)
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = edges[:-1, None] + half * (t + 1.0)
-    return float(np.sum(half * w * np.exp(pot.d * nodes - _v0_of_log(pot, nodes))))
+
+    def __init__(self, v0, d, far=None, seam=None):
+        if far is None:
+            g = _log_density(v0, d, _HALF_UNITS)
+            end = (g < math.log(1e-320)) & (np.arange(g.size) > np.nanargmax(g))
+        else:  # e^(1-y) < 1e-16 past y = 40, where far is exact
+            end = _HALF_UNITS >= 40.0
+        edges = _HALF_UNITS[:np.argmax(np.append(end, True)) + 1]
+        if seam is not None and edges[0] < seam < edges[-1]:
+            edges = np.union1d(edges, [seam])
+        panels = _log_panel_mass(v0, d, edges[:-1], edges[1:])
+        # either side of the largest panel sums smallest first: above it from
+        # the far end, below it as the total less the sum from the near end
+        k = int(np.argmax(panels))
+        rest = far(edges[-1]) if far is not None else -np.inf
+        above = np.logaddexp.accumulate(np.append(panels[k:], rest)[::-1])[::-1]
+        below = np.logaddexp.accumulate(np.append(-np.inf, panels[:k]))
+        total = np.logaddexp(below[-1], above[0])
+        self.suffix = np.append(total + np.log1p(-np.exp(below[:-1] - total)), above)
+        self.edges, self.far = edges, far
 
 
-def _radial_log_norm(v0, d, v0_log=None):
-    """log of omega_d * int_0^inf exp(-v0(s)) s^(d-1) ds."""
-    probe = Potential(d=d, c=0.0, v0=v0, v0p=v0, v0pp=v0, v0_log=v0_log)
-    return math.log(_radial_mass(probe, 0.0) * sphere_area(d))
-
-
-def _make_radial(v0, v0p, v0pp, d, name, smooth_radius=0.0, v0_log=None):
-    c = _radial_log_norm(v0, d, v0_log)
-    return Potential(d=d, c=c, v0=v0, v0p=v0p, v0pp=v0pp,
-                     name=name, smooth_radius=smooth_radius, v0_log=v0_log)
+def _make_radial(v0, v0p, v0pp, d, name, smooth_radius=0.0, far=None, seam=None):
+    lattice = _RadialLattice(v0, d, far, seam)
+    return Potential(d=d, c=math.log(sphere_area(d)) + float(lattice.suffix[0]), v0=v0,
+                     v0p=v0p, v0pp=v0pp, name=name, smooth_radius=smooth_radius,
+                     lattice=lattice)
 
 
 def power_potential(p, d=1):
@@ -238,9 +258,9 @@ def log_potential(p, d=1):
     v0 = lambda s: k * np.log1p(s)
     v0p = lambda s: k / (1.0 + np.asarray(s, dtype=float))
     v0pp = lambda s: -k / (1.0 + np.asarray(s, dtype=float)) ** 2
-    v0_log = lambda y: k * np.logaddexp(0.0, np.asarray(y, dtype=float))
-    return _make_radial(v0, v0p, v0pp, d, f"log(p={p})", smooth_radius=1e-12,
-                        v0_log=v0_log)
+    # e^(d y) (1 + e^y)^-k = e^(-p y) to 1e-16 for y >= 40
+    far = lambda y: -p * y - math.log(p)
+    return _make_radial(v0, v0p, v0pp, d, f"log(p={p})", smooth_radius=1e-12, far=far)
 
 
 def loglog_potential(p, d=1):
@@ -263,12 +283,9 @@ def loglog_potential(p, d=1):
         ls = np.log(es)
         return -d / (1.0 + s) ** 2 - p * (ls + 1.0) / (es * ls) ** 2
 
-    def v0_log(y):
-        y = np.asarray(y, dtype=float)
-        return d * np.logaddexp(0.0, y) + p * np.log(np.logaddexp(1.0, y))
-
-    return _make_radial(v0, v0p, v0pp, d, f"loglog(p={p})", smooth_radius=1e-12,
-                        v0_log=v0_log)
+    # e^(d y) (1 + e^y)^-d log(e + e^y)^-p = y^-p to 1e-16 for y >= 40
+    far = lambda y: (1.0 - p) * np.log(y) - math.log(p - 1.0)
+    return _make_radial(v0, v0p, v0pp, d, f"loglog(p={p})", smooth_radius=1e-12, far=far)
 
 
 def smooth_well_potential(exponent=0.5, d=1):
@@ -920,14 +937,12 @@ def tilted_u_moment(model, x, h):
 def measure_tail(model, which, t):
     """mu(|x| >= t) or nu(|z| >= t); vectorized over t, nonincreasing.
 
-    The mu tail is 1 for t <= 1e-12.  Above, the gaps between the sorted
-    distinct radii are integrated in y = log s on panels cut at the radii and
-    every half unit of y, graded toward a gap's lower end as _radial_mass
-    grades where d y - v0(e^y) falls by more than 8 across the gap; 12
-    Gauss-Legendre nodes are exact to 2e-16 on a panel falling by e^8.  Gap
-    masses sum from the far end in log space, plus _radial_mass(max t).  This
-    is within 1e-12 of a _radial_mass per radius (5e-10 for loglog, whose far
-    integrand cancels); one radius gets exactly that value.
+    The mu tail is 1 for t <= 1e-12.  Above, it reads the potential's
+    _RadialLattice at y = log t: the partial panel up to the next anchored
+    edge plus the suffix mass from that edge, or, past a log-type profile's
+    last edge (y = 40), its closed-form remainder alone.  So each value
+    depends on its radius alone; against closed forms ((1+t)^-p, erfc) it is
+    within a few ulp of its log.
     """
     t_arr = np.asarray(t, dtype=float)
     if which == "nu":
@@ -935,34 +950,18 @@ def measure_tail(model, which, t):
     if which != "mu":
         raise ValueError("which must be 'mu' or 'nu'")
     pot = model.potential
+    lat = pot.lattice or _RadialLattice(pot.v0, pot.d)
     out = np.ones(t_arr.shape)
     far = t_arr > 1e-12
-    radii, inverse = np.unique(t_arr[far], return_inverse=True)
-    if radii.size:
-        y = np.log(radii)
-        g = np.maximum(pot.d * y - _v0_of_log(pot, y), -800.0)  # no -inf - -inf
-        steep = g[:-1] - g[1:] > 8.0
-        graded = y[:-1][steep, None] + 2.0 ** -np.arange(12.0)
-        halves = np.arange(math.ceil(2.0 * y[0]), math.floor(2.0 * y[-1]) + 1) / 2.0
-        edges = np.unique(np.concatenate([halves, y, graded[graded < y[1:][steep, None]]]))
-        # log mass of each panel, in blocks of 2^13 nodes that stay in cache
-        t, w = _gauss_legendre(12)
-        panel = np.empty(edges.size - 1)
-        step = (1 << 13) // t.size
-        for i in range(0, panel.size, step):
-            e = edges[i:i + step + 1]
-            half = 0.5 * np.diff(e)
-            nodes = e[:-1, None] + half[:, None] * (t + 1.0)
-            logt = pot.d * nodes - _v0_of_log(pot, nodes)
-            top = np.max(logt, axis=1)
-            top = np.where(np.isfinite(top), top, 0.0)
-            logt -= top[:, None]
-            with np.errstate(divide="ignore"):
-                panel[i:i + step] = top + np.log(half * (np.exp(logt, out=logt) @ w))
-        # log mass from each edge out to y[-1]
-        rev = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel[::-1])])[::-1]
-        mass = _radial_mass(pot, float(radii[-1])) + np.exp(rev[np.searchsorted(edges, y)])
-        out[far] = (sphere_area(pot.d) * math.exp(-pot.c) * mass)[inverse]
+    y = np.log(t_arr[far])
+    j = np.searchsorted(lat.edges, y)
+    inside = j < lat.edges.size
+    log_mass = np.full(y.shape, -np.inf)
+    if lat.far is not None:
+        log_mass[~inside] = lat.far(y[~inside])
+    y, j = y[inside], j[inside]
+    log_mass[inside] = np.logaddexp(_log_panel_mass(pot.v0, pot.d, y, lat.edges[j]), lat.suffix[j])
+    out[far] = np.exp(log_mass - lat.suffix[0])
     return out if t_arr.shape else float(out)
 
 

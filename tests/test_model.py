@@ -8,6 +8,7 @@ from scipy import integrate, special
 
 from wpconv import model as M
 from wpconv import presets as P
+from wpconv import verify as V
 from wpconv.errors import ConfigError, NumericUnderflow
 
 from conftest import PRESET_RATE_RUNS
@@ -330,26 +331,33 @@ def test_tail_monotonicity(ts):
     assert np.all(np.diff(nu) <= 1e-12)
 
 
-def _radial_mass_quad(pot, a):
+def _radial_mass_quad(pot, a, far=None):
     """int_a^inf exp(-v0(s)) s^(d-1) ds by adaptive quadrature: s-space
-    panels up to 1e6, then doubling panels in y = log s."""
-    f = lambda s: np.exp(-pot.v0(s)) * s ** (pot.d - 1)
+    panels up to 1e6, then doubling panels in y = log s up to y = 100, plus
+    far(100), the closed-form mass beyond, where a profile leaves some.  The
+    integrand is scaled by exp(v0(a)), so a mass below the normal float
+    range is as accurate as its last rounding allows."""
+    v0a = float(pot.v0(a))
+    f = lambda s: np.exp(v0a - pot.v0(s)) * s ** (pot.d - 1)
     marks = [0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1e2, 1e3, 1e4, 1e5, 1e6]
     edges = [a] + [m for m in marks if a < m] if a < 1e6 else []
     total = sum(integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=1e-12,
                                limit=200, full_output=1)[0]
                 for lo, hi in zip(edges[:-1], edges[1:]))
-    g = lambda y: np.exp(pot.d * y - M._v0_of_log(pot, y))
+    g = lambda y: np.exp(pot.d * y + v0a - pot.v0(np.exp(y)))
     ya = math.log(max(a, 1e6))
-    while ya < 1e15:
-        yb = min(max(2.0 * ya, ya + 5.0), 1e15)
-        part = integrate.quad(g, ya, yb, epsabs=1e-300, epsrel=1e-10, limit=100,
-                              full_output=1)[0]
-        total += part
-        if part <= 1e-14 * total and yb >= 1e3:
-            break
+    while ya < 100.0:
+        yb = min(max(2.0 * ya, ya + 5.0), 100.0)
+        total += integrate.quad(g, ya, yb, epsabs=1e-300, epsrel=1e-10, limit=100,
+                                full_output=1)[0]
         ya = yb
-    return total
+    return math.exp(-v0a) * total + (far(100.0) if far else 0.0)
+
+
+def _mass(pot, a):
+    """int_a^inf exp(-v0(s)) s^(d-1) ds as read through c and measure_tail."""
+    model = M.ConvolutionModel(pot, M.point_mass(d=pot.d))
+    return math.exp(pot.c) / M.sphere_area(pot.d) * M.measure_tail(model, "mu", a)
 
 
 RADIAL_MASS_POTENTIALS = {
@@ -363,24 +371,40 @@ RADIAL_MASS_POTENTIALS = {
     "power_d2": M.power_potential(1.5, d=2),
 }
 
+# loglog_potential(p), d = 1: c and mu(|x| >= t) at t = 1e7, 1e100, from
+# 30-digit mpmath integrals to infinity (example_3_4 is p = 2)
+LOGLOG_MPMATH = {
+    "loglog_p1.5": (1.63217703387868828882,
+                    {1e7: 0.194785958217374314286, 1e100: 0.0515355206152065597160}),
+    "example_3_4": (1.08633762827670599516,
+                    {1e7: 0.0418722044969151492398, 1e100: 0.00293105433626263129104}),
+}
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(RADIAL_MASS_POTENTIALS))
 def test_radial_mass_rule_matches_adaptive_quadrature(name):
     pot = RADIAL_MASS_POTENTIALS[name]
-    # d*y - v0(e^y) of a loglog profile cancels to ulp(y) on the far panels
-    # (y up to 1e15), which neither rule can beat: the p = 1.5 mass is good
-    # to about 1e-10 either way
-    rtol = 5e-10 if name.startswith(("example_3_4", "loglog")) else 1e-12
+    if name in LOGLOG_MPMATH:
+        # the quadrature stops at y = 100, short of a loglog profile's mass
+        c, tails = LOGLOG_MPMATH[name]
+        assert pot.c == pytest.approx(c, rel=1e-15, abs=0.0)
+        model = M.ConvolutionModel(pot, M.point_mass())
+        for t, tail in tails.items():
+            assert M.measure_tail(model, "mu", t) == pytest.approx(tail, rel=1e-15, abs=0.0), t
+        return
     for a in (0.0, 1e-3, 0.7, 17.0, 1e5, 1e7, 1e9):
         ref = _radial_mass_quad(pot, a)
-        assert M._radial_mass(pot, a) == pytest.approx(ref, rel=rtol, abs=0.0), a
+        assert _mass(pot, a) == pytest.approx(ref, rel=1e-12, abs=0.0), a
 
 
-def _per_radius_mu_tail(pot, t):
-    """mu(|x| >= t) with one _radial_mass per radius."""
-    return np.array([1.0 if x <= 1e-12 else
-                     M.sphere_area(pot.d) * math.exp(-pot.c) * M._radial_mass(pot, x)
-                     for x in np.ravel(t)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radial_lattice_ends_before_the_profile_leaves_the_float_range():
+    """v0 = r^3 - r^2 is inf - inf = nan past s = 1e154; the lattice must end
+    where the density falls below 1e-320, long before that."""
+    pot = M.expression_potential("r**3 - r**2")
+    for a in (0.0, 0.7, 2.0):
+        assert _mass(pot, a) == pytest.approx(_radial_mass_quad(pot, a), rel=1e-12, abs=0.0), a
 
 
 MU_TAIL_CASES = {
@@ -389,33 +413,106 @@ MU_TAIL_CASES = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(MU_TAIL_CASES) + sorted(PRESET_RATE_RUNS))
 def test_measure_tail_matches_the_per_radius_rule(case, preset_rate_run):
-    """The one-pass tail over sorted radii against a _radial_mass per radius,
-    on sparse steep inputs and at the radii the preset rate chains ask for."""
+    """The tail over a whole radius array against _radial_mass_quad per
+    radius, on sparse steep inputs and at the radii the preset rate chains
+    ask for (every 8th distinct one and the largest, to bound the quad cost)."""
+    far = None
     if case in MU_TAIL_CASES:
         pot, t = MU_TAIL_CASES[case]
         model = M.ConvolutionModel(pot, M.uniform_density(1.0))
+        checked = t
     else:
         model, _, _, t = preset_rate_run(case)
-    got = M.measure_tail(model, "mu", t)
-    ref = _per_radius_mu_tail(model.potential, t)
-    # loglog: see test_radial_mass_rule_matches_adaptive_quadrature; below the
-    # normal float range only absolute accuracy is defined
-    rtol = 5e-10 if case.startswith("example_3_4") else 1e-12
-    np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-12 * np.finfo(float).tiny)
-    top = np.argmax(t)
-    assert got[top] == ref[top]
+        distinct = np.unique(t)
+        checked = np.append(distinct[::8], distinct[-1])
+        if case == "example_3_4":  # loglog, p = 2: y^-2 density beyond y = 100
+            far = lambda y: 1.0 / y
+    got = dict(zip(t, M.measure_tail(model, "mu", t)))
+    pot = model.potential
+    total = _radial_mass_quad(pot, 0.0, far)
+    ref = [1.0 if x <= 1e-12 else _radial_mass_quad(pot, x, far) / total for x in checked]
+    # below the normal float range only absolute accuracy is defined
+    np.testing.assert_allclose([got[x] for x in checked], ref, rtol=1e-12,
+                               atol=1e-12 * np.finfo(float).tiny)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(RADIAL_MASS_POTENTIALS))
 def test_measure_tail_of_one_radius_is_the_per_radius_value(name):
+    """A one-radius call, scalar or array, gives the value the radius gets in
+    a call over all the radii; t <= 1e-12 gives 1."""
     pot = RADIAL_MASS_POTENTIALS[name]
     model = M.ConvolutionModel(pot, M.point_mass(d=pot.d))
-    for t in (0.0, 1e-12, 1e-3, 0.7, 17.0, 1e5, 1e9):
-        ref = _per_radius_mu_tail(model.potential, t)[0]
+    ts = np.array([0.0, 1e-12, 1e-3, 0.7, 17.0, 1e5, 1e9])
+    every = M.measure_tail(model, "mu", ts)
+    assert every[0] == every[1] == 1.0
+    for t, ref in zip(ts, every):
         assert M.measure_tail(model, "mu", t) == ref
         np.testing.assert_array_equal(M.measure_tail(model, "mu", np.array([t])), [ref])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["example_3_1", "example_3_2", "example_3_3",
+                                  "example_3_4", "lemma_3_2"])
+def test_measure_tail_of_each_radius_is_independent_of_the_others(name):
+    """Each radius of a shuffled subset of the verify table's nodes gets,
+    bit for bit, what a one-radius call gives it."""
+    model = P.make_model(name)
+    log_t, _ = V._mu_log_tail(model)
+    t = np.random.default_rng(3).permutation(np.exp(log_t))[:400]
+    one = [M.measure_tail(model, "mu", x) for x in t]
+    np.testing.assert_array_equal(M.measure_tail(model, "mu", t), one)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [0.5, 2.0, 4.0])
+def test_log_potential_tail_is_the_closed_form(p):
+    """log_potential(p), d = 1: mu(|x| >= t) = (1+t)^-p, within 4 ulp of
+    |log tail| (plus 4e-16), wherever the tail is above 1e-300."""
+    model = M.ConvolutionModel(M.log_potential(p), M.point_mass())
+    t = np.geomspace(1e-10, 1e150, 3001)
+    exact = np.exp(-p * np.log1p(t))
+    keep = exact > 1e-300
+    t, exact = t[keep], exact[keep]
+    err = np.abs(M.measure_tail(model, "mu", t) / exact - 1.0)
+    assert np.all(err <= 4.0 * np.spacing(np.abs(np.log(exact))) + 4e-16)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadratic_tail_is_erfc():
+    """quadratic_potential(), d = 1: mu(|x| >= t) = erfc(t), within 4 ulp of
+    |log tail| (plus 4e-16) and the rounding of log t, which moves the log
+    tail by kappa * eps with kappa = |d log erfc / d log t|."""
+    model = M.ConvolutionModel(M.quadratic_potential(), M.point_mass())
+    t = np.concatenate([np.geomspace(1e-10, 1.0, 400), np.linspace(1.0, 26.5, 2001)])
+    exact = special.erfc(t)
+    kappa = 2.0 / math.sqrt(math.pi) * t * np.exp(-t * t) / exact
+    err = np.abs(M.measure_tail(model, "mu", t) / exact - 1.0)
+    bound = 4.0 * np.spacing(np.abs(np.log(exact))) + 4e-16 + kappa * np.finfo(float).eps
+    assert np.all(err <= bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [0.4, 0.5])
+def test_patched_mass_matches_quad_split_at_the_seam(q):
+    """power_potential(q).patched(0.1): the normalization and the tail mass at
+    a = 0.05 and 0.2 against adaptive quadrature split at the seam s = 0.1."""
+    pot = M.power_potential(q).patched(0.1)
+    f = lambda s: math.exp(-float(pot.v0(s)))
+
+    def mass(a):
+        edges = [a] + [e for e in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5) if e > a] + [np.inf]
+        return sum(integrate.quad(f, lo, hi, epsabs=1e-300, epsrel=1e-13, limit=200,
+                                  full_output=1)[0] for lo, hi in zip(edges[:-1], edges[1:]))
+
+    total = mass(0.0)
+    assert pot.c == pytest.approx(math.log(2.0 * total), rel=1e-14, abs=0.0)
+    model = M.ConvolutionModel(pot, M.point_mass())
+    for a in (0.05, 0.2):
+        assert M.measure_tail(model, "mu", a) == pytest.approx(mass(a) / total, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
