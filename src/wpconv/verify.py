@@ -11,10 +11,15 @@ empirical_wpi calibrates the single constant c of
 on a calibration split of a bounded-function corpus and reports the slack on
 the holdout split.  semigroup_decay runs nested Euler-Maruyama paths of the
 diffusion with drift -grad V_nu and reports the variance of the conditional
-mean of a test function over time.
+mean of a test function over time.  Its normals are drawn a block of
+DECAY_ROWS steps ahead on a second CPU when the process may use one (inline
+otherwise); the trace is bitwise that of the step-by-step stream.
 """
 
 import math
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +48,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 CDF_BLOCK = 4096      # rows per block of the compact-source CDF
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
+DECAY_ROWS = 8        # Euler steps of normals per block drawn ahead
 PROPOSAL_EXPONENT = 1.0  # q of the d = 2 rejection proposal, radius density ~ s (1+s)^-(3+q)
 
 
@@ -130,10 +136,11 @@ def _invert_tail(log_q, log_t, log_tails):
     return np.exp(np.interp(-log_q, -log_tails, log_t))
 
 
-def _sample_mu_1d(model, rng, n):
+def _sample_mu_1d(model, rng, n, table=None):
     """|X| = T^-1(1 - u) for the mu tail T, on the strictly decreasing part of
-    the measure_tail table (below the 1e-320 floor it is flat); a fair sign."""
-    log_t, log_tails = _mu_log_tail(model)
+    the measure_tail table (below the 1e-320 floor it is flat); a fair sign.
+    `table` is _mu_log_tail(model) when the caller already has it."""
+    log_t, log_tails = table or _mu_log_tail(model)
     strict = np.concatenate([[True], np.diff(log_tails) < 0.0])
     u = rng.uniform(0.0, 1.0, size=n)
     signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
@@ -221,9 +228,10 @@ def _sample_mu_rejection_2d(model, rng, n):
     return out
 
 
-def _mu_cdf(model):
-    """The CDF of mu in d = 1 from the _mu_log_tail table, interpolated log-log."""
-    log_nodes, log_tails = _mu_log_tail(model)
+def _mu_cdf(model, table=None):
+    """The CDF of mu in d = 1 from the _mu_log_tail table (built unless given),
+    interpolated log-log."""
+    log_nodes, log_tails = table or _mu_log_tail(model)
 
     def F_mu(x, work=None, mask=None):
         # x is left intact; `work` (float) and `mask` (bool), buffers of x's
@@ -245,9 +253,12 @@ def convolution_cdf(model):
     (numerically exact far out) mixed over the source.  Vectorized callable."""
     if model.d != 1:
         raise UnsupportedDimension("convolution CDF implemented for d = 1")
-    src = model.source
-    F_mu = _mu_cdf(model)
+    return _mixed_cdf(model.source, _mu_cdf(model))
 
+
+def _mixed_cdf(src, F_mu):
+    """The CDF x -> E F_mu(x - Z) over source draws Z: a sum over atoms, or
+    96 Gauss-Legendre nodes on the support of a compact density."""
     if src.kind in ("point_mass", "discrete_atoms"):
         z = src.locations[:, 0]
         w = src.weights / src.weights.sum()
@@ -266,16 +277,18 @@ def convolution_cdf(model):
         wn = wts * R * src.density(zn)
 
         def F(x):
+            # node-major: row i of d, x - zn[i], is sorted when x is
             x = np.atleast_1d(np.asarray(x, dtype=float))
             out = np.empty(x.shape)
             rows = min(x.size, CDF_BLOCK)
-            diff, work = np.empty((2, rows, zn.size))
-            mask = np.empty((rows, zn.size), dtype=bool)
+            diff, work = np.empty((2, zn.size, rows))
+            mask = np.empty((zn.size, rows), dtype=bool)
+            f = work.reshape(rows, zn.size)    # F_mu is done with work on return
             for k in range(0, x.size, CDF_BLOCK):
                 n = min(CDF_BLOCK, x.size - k)
-                d = np.subtract(x[k:k + n, None], zn, out=diff[:n])
-                f = F_mu(d, work[:n], mask[:n])
-                np.sum(np.multiply(f, wn, out=f), axis=1, out=out[k:k + n])
+                d = np.subtract(x[k:k + n], zn[:, None], out=diff[:, :n])
+                np.copyto(f[:n], F_mu(d, work[:, :n], mask[:, :n]).T)
+                np.sum(np.multiply(f[:n], wn, out=f[:n]), axis=1, out=out[k:k + n])
             return out
         return F
     raise UnsupportedDimension("convolution CDF needs compact or atomic source")
@@ -283,10 +296,14 @@ def convolution_cdf(model):
 
 def ks_statistic(model, seed, n):
     """Kolmogorov-Smirnov distance between the empirical CDF of n convolution
-    samples and the quadrature CDF."""
-    batch = sample_convolution(model, seed, n)
-    x = np.sort(batch.points[:, 0])
-    F = convolution_cdf(model)(x)
+    samples (sample_convolution's draws) and the quadrature CDF."""
+    if model.d != 1:
+        raise UnsupportedDimension("convolution CDF implemented for d = 1")
+    table = _mu_log_tail(model)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    x = np.sort(_sample_mu_1d(model, rng, n, table)
+                + _sample_source(model.source, rng, n)[:, 0])
+    F = _mixed_cdf(model.source, _mu_cdf(model, table))(x)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
@@ -424,6 +441,50 @@ def _drift(table, x, out, w, idx):
     return np.multiply(out, np.sign(x, out=w), out=out)
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _normal_rows(rng, rows, n):
+    """`rows` rows of length n, bitwise `rows` calls rng.standard_normal(out=z)
+    with z of shape (n,), filled DECAY_ROWS at a time into two alternating
+    buffers (a row is valid until the next is asked for).  With a second CPU a
+    worker thread fills the next block meanwhile; it touches only rng, and it
+    is stopped and joined when the generator finishes or is closed."""
+    bufs = np.empty((2, DECAY_ROWS, n))
+    plan = [(b & 1, min(DECAY_ROWS, rows - k))
+            for b, k in enumerate(range(0, rows, DECAY_ROWS))]
+    if _cpu_count() < 2:
+        for j, m in plan:
+            yield from rng.standard_normal(out=bufs[j, :m])
+        return
+    free = threading.Semaphore(2)      # buffers the worker may fill
+    filled = threading.Semaphore(0)    # blocks the caller may read
+    stop = threading.Event()
+
+    def fill():
+        for j, m in plan:
+            free.acquire()
+            if stop.is_set():
+                return
+            rng.standard_normal(out=bufs[j, :m])
+            filled.release()
+
+    worker = threading.Thread(target=fill, name="wpconv-normals", daemon=True)
+    worker.start()
+    try:
+        for j, m in plan:
+            filled.acquire()
+            yield from bufs[j, :m]
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        worker.join()
+
+
 def semigroup_decay(model, f, t_grid, n_paths, dt, seed, n_inner=256):
     """Variance of the conditional-mean estimator of f along the diffusion
     with drift -grad V_nu and diffusion sqrt(2), nested over n_paths starting
@@ -436,33 +497,38 @@ def semigroup_decay(model, f, t_grid, n_paths, dt, seed, n_inner=256):
     rng = np.random.default_rng(np.random.PCG64(seed))
     starts = sample_convolution(model, seed + 1, n_paths).points[:, 0]
     pos = np.repeat(starts, n_inner)
-    step, w, z = (np.empty(pos.size) for _ in range(3))
+    step, w = np.empty((2, pos.size))
     idx = np.empty(pos.size, dtype=np.intp)
     sq2dt = math.sqrt(2.0 * dt)
 
+    segments, t_now = [], 0.0          # (Euler steps, end time) per t_grid point
+    for t_target in t_grid:
+        k = int(round((t_target - t_now) / dt))
+        t_now += k * dt
+        segments.append((k, t_now))
+    rows = sum(max(k, 0) for k, _ in segments)
+
     variances = []
     halfwidths = []
-    t_now = 0.0
-    for t_target in t_grid:
-        steps = int(round((t_target - t_now) / dt))
-        for _ in range(steps):
-            pos += np.multiply(_drift(table, pos, step, w, idx), dt, out=step)
-            pos += np.multiply(rng.standard_normal(out=z), sq2dt, out=z)
-        t_now += steps * dt
-        if np.any(np.abs(pos) > guard):
-            raise StepSizeTooLarge(
-                f"path left the guarded domain (|x| > {guard:g}) at t={t_now:g}")
-        vals = np.asarray(f.value(pos), dtype=float).reshape(n_paths, n_inner)
-        inner_mean = vals.mean(axis=1)
-        inner_var = vals.var(axis=1, ddof=1)
-        grand = inner_mean.mean()
-        dev = (inner_mean - grand) ** 2
-        raw = float(np.sum(dev) / (n_paths - 1))
-        correction = float(inner_var.mean()) / n_inner
-        v_hat = max(raw - correction, 0.0)
-        se = float(np.std(dev, ddof=1)) / math.sqrt(n_paths)
-        variances.append(v_hat)
-        halfwidths.append(2.0 * se)
+    with closing(_normal_rows(rng, rows, pos.size)) as normals:
+        for k, t_now in segments:
+            for _ in range(k):
+                pos += np.multiply(_drift(table, pos, step, w, idx), dt, out=step)
+                pos += np.multiply(next(normals), sq2dt, out=step)
+            if np.any(np.abs(pos) > guard):
+                raise StepSizeTooLarge(
+                    f"path left the guarded domain (|x| > {guard:g}) at t={t_now:g}")
+            vals = np.asarray(f.value(pos), dtype=float).reshape(n_paths, n_inner)
+            inner_mean = vals.mean(axis=1)
+            inner_var = vals.var(axis=1, ddof=1)
+            grand = inner_mean.mean()
+            dev = (inner_mean - grand) ** 2
+            raw = float(np.sum(dev) / (n_paths - 1))
+            correction = float(inner_var.mean()) / n_inner
+            v_hat = max(raw - correction, 0.0)
+            se = float(np.std(dev, ddof=1)) / math.sqrt(n_paths)
+            variances.append(v_hat)
+            halfwidths.append(2.0 * se)
     return DecayTrace(times=t_grid, variance_estimates=np.array(variances),
                       confidence_halfwidths=np.array(halfwidths))
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -170,6 +172,32 @@ def test_convolution_cdf_blocks_match_one_shot(m33):
     assert np.array_equal(V.convolution_cdf(m33)(x), one_shot)
 
 
+def test_convolution_cdf_unsorted_input_matches_one_shot(m33):
+    """The node-major blocks sort nothing: on shuffled x the CDF still equals
+    the one-shot sum over all rows bit for bit."""
+    x = np.random.default_rng(8).permutation(np.linspace(-60.0, 60.0, 10_001))
+    F_mu = V._mu_cdf(m33)
+    nodes, wts = M._gauss_legendre(96)
+    R = m33.source.support_radius
+    zn, wn = nodes * R, wts * R * m33.source.density(nodes * R)
+    one_shot = np.sum(wn * F_mu(x[:, None] - zn), axis=1)
+    assert np.array_equal(V.convolution_cdf(m33)(x), one_shot)
+
+
+@pytest.mark.parametrize("name", ["example_3_3", "two_atoms"])
+def test_ks_statistic_is_sampler_against_cdf(name, m33):
+    """ks_statistic, which builds the mu table once, equals the KS distance
+    of sample_convolution's draws against convolution_cdf bit for bit."""
+    m = m33 if name == "example_3_3" else M.ConvolutionModel(
+        M.quadratic_potential(), M.symmetric_pair(1.0))
+    n = 20_000
+    x = np.sort(V.sample_convolution(m, 5, n).points[:, 0])
+    F = V.convolution_cdf(m)(x)
+    i = np.arange(1, n + 1)
+    assert V.ks_statistic(m, 5, n) == max(np.max(i / n - F),
+                                          np.max(F - (i - 1) / n))
+
+
 # ---------------------------------------------------------------------------
 # empirical functional inequality
 # ---------------------------------------------------------------------------
@@ -297,11 +325,118 @@ def test_decay_reproducible(m33):
     np.testing.assert_array_equal(a.variance_estimates, b.variance_estimates)
 
 
-def test_decay_explosion_guard():
+def test_decay_explosion_guard(monkeypatch):
+    """The guard raises, and the normals worker is stopped and joined."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: 2)
     m = M.ConvolutionModel(M.quadratic_potential(), M.point_mass())
+    threads = threading.active_count()
     with pytest.raises(StepSizeTooLarge):
         V.semigroup_decay(m, TANH, np.array([50.0]), n_paths=8, dt=1.5,
                           seed=3, n_inner=8)
+    assert threading.active_count() == threads
+
+
+def _decay_reference(model, f, t_grid, n_paths, dt, seed, n_inner):
+    """semigroup_decay's estimator with one rng.standard_normal(out=z) per
+    Euler step, the stream the blockwise draws must reproduce."""
+    guard = 10.0 * model.truncation_radius
+    table = V._drift_table(model, guard * 1.05)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    pos = np.repeat(V.sample_convolution(model, seed + 1, n_paths).points[:, 0],
+                    n_inner)
+    step, w, z = (np.empty(pos.size) for _ in range(3))
+    idx = np.empty(pos.size, dtype=np.intp)
+    out, t_now = [], 0.0
+    for t_target in t_grid:
+        steps = int(round((t_target - t_now) / dt))
+        for _ in range(steps):
+            pos += np.multiply(V._drift(table, pos, step, w, idx), dt, out=step)
+            pos += np.multiply(rng.standard_normal(out=z), math.sqrt(2.0 * dt),
+                               out=z)
+        t_now += steps * dt
+        vals = f.value(pos).reshape(n_paths, n_inner)
+        inner_mean = vals.mean(axis=1)
+        dev = (inner_mean - inner_mean.mean()) ** 2
+        raw = float(np.sum(dev) / (n_paths - 1))
+        correction = float(vals.var(axis=1, ddof=1).mean()) / n_inner
+        out.append((max(raw - correction, 0.0),
+                    2.0 * float(np.std(dev, ddof=1)) / math.sqrt(n_paths)))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_decay_matches_step_by_step_stream(m33, monkeypatch, cpus):
+    """Inline (1 CPU) and worker-thread (2 CPUs) block draws give the trace of
+    the per-step reference loop bit for bit.  The segments take 3, 10, 7 and
+    21 steps: 41 in all, so the last block is partial."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: cpus)
+    t = np.array([0.03, 0.13, 0.2, 0.41])
+    kw = dict(n_paths=12, dt=0.01, seed=23, n_inner=10)
+    threads = threading.active_count()
+    tr = V.semigroup_decay(m33, TANH, t, **kw)
+    assert threading.active_count() == threads
+    var, hw = _decay_reference(m33, TANH, t, **kw)
+    assert np.array_equal(tr.variance_estimates, var)
+    assert np.array_equal(tr.confidence_halfwidths, hw)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_normal_rows_block_fill_is_the_row_stream(monkeypatch, cpus):
+    """A (DECAY_ROWS, n) fill equals DECAY_ROWS successive (n,) draws; the
+    rows (a partial last block included) are the per-row stream."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: cpus)
+    block = np.random.default_rng(4).standard_normal((V.DECAY_ROWS, 7))
+    rng = np.random.default_rng(4)
+    assert np.array_equal(block, [rng.standard_normal(7)
+                                  for _ in range(V.DECAY_ROWS)])
+    rows = 2 * V.DECAY_ROWS + 3
+    rng = np.random.default_rng(6)
+    expect = [rng.standard_normal(7) for _ in range(rows)]
+    got = [r.copy() for r in V._normal_rows(np.random.default_rng(6), rows, 7)]
+    assert np.array_equal(got, expect)
+
+
+def test_normal_rows_streams_under_thread_stress(monkeypatch):
+    """Four generators at once, so more threads than CPUs, with a 1 us switch
+    interval: each still yields its serial stream."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: 2)
+    rows, n = 5 * V.DECAY_ROWS + 1, 64
+    got = {}
+
+    def run(seed):
+        got[seed] = [r.copy() for r in
+                     V._normal_rows(np.random.default_rng(seed), rows, n)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(s,), daemon=True)
+                   for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(got[seed], [rng.standard_normal(n)
+                                          for _ in range(rows)])
+
+
+def test_normal_rows_closed_early_joins_worker(monkeypatch):
+    """Closing the generator mid-stream stops and joins the worker thread."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: 2)
+    threads = threading.active_count()
+    gen = V._normal_rows(np.random.default_rng(1), 10 * V.DECAY_ROWS, 5)
+    next(gen)
+    assert threading.active_count() == threads + 1
+    closer = threading.Thread(target=gen.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10.0)
+    assert not closer.is_alive()
+    assert threading.active_count() == threads
 
 
 def test_decay_heavier_tails_decay_slower():
