@@ -191,7 +191,9 @@ def sphere_directions(d, n):
 
 def _sphere_points(model, s, n):
     """Points on the spheres |x| = s: the exact pair +-s in d = 1, n
-    directions otherwise.  Shape (radii, directions) resp. (radii, n, d)."""
+    directions otherwise.  Shape (radii, directions) resp. (radii, n, d).
+    For a mirror-symmetric nu in d = 1 the pair carries one value, and the
+    evaluators of even quantities (model._fold_even) compute it once."""
     s = np.asarray(s, dtype=float)
     if model.d == 1:
         return np.stack([s, -s], axis=-1)
@@ -202,8 +204,10 @@ def _tilted_radial_drift(model, x):
     """E_{nu_x}[<e, grad V(x - z)>] at x = |x| e, at every point of x."""
     x = np.asarray(x, dtype=float)
     if model.d == 1:
-        sgn = np.where(x >= 0.0, 1.0, -1.0)
-        return sgn * model_mod.tilted_u_moment(model, x, model.potential.grad_1d)
+        def drift(pts):
+            sgn = np.where(pts >= 0.0, 1.0, -1.0)
+            return sgn * model_mod.tilted_u_moment(model, pts, model.potential.grad_1d)
+        return model_mod._fold_even(model, x, drift)
     e = x / np.linalg.norm(x, axis=-1, keepdims=True)
     _, grad = model_mod.v_nu_and_grad(model, x)
     return np.sum(e * grad, axis=-1)
@@ -212,13 +216,14 @@ def _tilted_radial_drift(model, x):
 def psi_case_a(model, s, cfg, strict=True):
     """inf over the sphere |x| = s of E_{nu_x}[<x, grad V(x-z)>] / |x|.
 
-    Exact two-point infimum in d = 1; SPHERE_SAMPLES directions otherwise.
-    Vectorized over s.  With strict=True, a nonpositive value at s >= R0
-    raises DriftConditionFailed.
+    Exact two-point infimum in d = 1, one evaluation per radius when nu is
+    mirror-symmetric (both points carry the same value); SPHERE_SAMPLES
+    directions otherwise.  Vectorized over s.  With strict=True, a
+    nonpositive value at s >= R0 raises DriftConditionFailed.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0.0):
-        raise ValueError("radii must be positive")
+        raise ValueError(f"radii must be positive, got s={s_arr[s_arr <= 0.0][0]:g}")
     pts = _sphere_points(model, s_arr, SPHERE_SAMPLES)
     out = np.min(_tilted_radial_drift(model, pts), axis=1)
     if strict and cfg.R0 is not None:
@@ -331,8 +336,10 @@ def p_sigma(psi, r, cfg, d):
     if cfg.R0 is None:
         raise ValueError("cfg.R0 must be set (use resolve_r0)")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < cfg.R0 * (1.0 - 1e-12)):
-        raise ValueError("p_sigma is defined for r >= R0")
+    below = r_arr < cfg.R0 * (1.0 - 1e-12)
+    if np.any(below):
+        raise ValueError(f"p_sigma is defined for r >= R0, got r={r_arr[below][0]:g} "
+                         f"< R0={cfg.R0:g}")
     out = np.exp(_log_p_sigma(psi, r_arr, cfg.sigma, cfg.R0, d))
     return out if np.asarray(r).shape else float(out[0])
 
@@ -344,7 +351,8 @@ def case_b_integrand(model, x, cfg):
     if model.d == 1:
         def h(u):
             return delta * pot.grad_1d(u) ** 2 - pot.laplacian(np.abs(u))
-        return model_mod.tilted_u_moment(model, x, h)
+        return model_mod._fold_even(model, x,
+                                    lambda pts: model_mod.tilted_u_moment(model, pts, h))
 
     def h(u):
         g = np.asarray(pot.gradient(u))

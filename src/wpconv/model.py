@@ -368,6 +368,9 @@ class SourceMeasure:
                         the measure has unbounded support
     truncation_error -- weight mass beyond the stored atoms (tracked, not lost:
                         tail() remains exact)
+    symmetric        -- nu is invariant under z -> -z, set by the constructors
+                        (then so is mu * nu, and d = 1 evaluators of even
+                        quantities fold the points x and -x)
     """
 
     kind: str
@@ -380,6 +383,7 @@ class SourceMeasure:
     density_reach: float = 0.0
     truncation_error: float = 0.0
     name: str = "nu"
+    symmetric: bool = False
 
     def __post_init__(self):
         if self.kind in ("point_mass", "discrete_atoms"):
@@ -399,13 +403,17 @@ def point_mass(location=0.0, d=1):
     tail = lambda t: np.where(np.asarray(t, dtype=float) <= radius, 1.0, 0.0)
     return SourceMeasure(kind="point_mass", d=d, support_radius=radius,
                          tail=tail, locations=loc, weights=np.array([1.0]),
-                         name="delta")
+                         name="delta", symmetric=radius == 0.0)
 
 
 def discrete_atoms(locations, weights, d=1):
     loc = np.asarray(locations, dtype=float).reshape(-1, d)
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
+    # mirror-symmetric when the atoms and their reflections sort to the same list
+    mirror = [np.lexsort((w,) + tuple(sgn * loc.T[::-1])) for sgn in (1.0, -1.0)]
+    symmetric = bool(np.array_equal(loc[mirror[0]], -loc[mirror[1]])
+                     and np.array_equal(w[mirror[0]], w[mirror[1]]))
     radii = np.sqrt((loc ** 2).sum(axis=1))
     order = np.argsort(radii)
     radii_sorted = radii[order]
@@ -420,7 +428,7 @@ def discrete_atoms(locations, weights, d=1):
 
     return SourceMeasure(kind="discrete_atoms", d=d,
                          support_radius=float(radii.max()), tail=tail,
-                         locations=loc, weights=w, name="atoms")
+                         locations=loc, weights=w, name="atoms", symmetric=symmetric)
 
 
 def symmetric_pair(a=1.0, d=1):
@@ -528,7 +536,7 @@ def integer_lattice(p, n_max=200_000):
 
     return SourceMeasure(kind="discrete_atoms", d=1, support_radius=np.inf,
                          tail=tail, locations=i.reshape(-1, 1), weights=w,
-                         truncation_error=trunc, name=f"lattice(p={p})")
+                         truncation_error=trunc, name=f"lattice(p={p})", symmetric=True)
 
 
 def uniform_density(halfwidth=1.0):
@@ -544,7 +552,8 @@ def uniform_density(halfwidth=1.0):
         return np.clip((R - t) / R, 0.0, 1.0)
 
     return SourceMeasure(kind="density", d=1, support_radius=R, tail=tail,
-                         density=density, density_reach=R, name=f"uniform(R={R})")
+                         density=density, density_reach=R, name=f"uniform(R={R})",
+                         symmetric=True)
 
 
 def power_tail_density(p, reach=None):
@@ -594,7 +603,7 @@ def power_tail_density(p, reach=None):
         reach = (2.0 / (gamma * 1e-10 * p)) ** (1.0 / p)
     return SourceMeasure(kind="density", d=1, support_radius=np.inf, tail=tail,
                          density=density, density_reach=float(reach),
-                         name=f"power_tail(p={p})")
+                         name=f"power_tail(p={p})", symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +876,17 @@ def _reduce(model, x, f=None):
         means.append(np.empty((0,) + np.shape(f(u0, pts))[2:]))
     mean = np.concatenate(means)
     return logp, mean.reshape(shape + mean.shape[1:])
+
+
+def _fold_even(model, x, f):
+    """f(x) for a function f of the points x that is even in x when nu is
+    mirror-symmetric.  On such a d = 1 model, f runs once per distinct |x|
+    and its values are scattered back; otherwise this is f(x)."""
+    if model.d != 1 or not model.source.symmetric:
+        return f(x)
+    x = np.asarray(x, dtype=float)
+    a, inv = np.unique(np.abs(x), return_inverse=True)
+    return np.asarray(f(a))[inv.reshape(x.shape)]
 
 
 def _batch_log_p(model, xs):

@@ -202,7 +202,7 @@ def varphi_phi(phi, r):
     runmin = np.minimum.accumulate(values)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
+        raise ValueError(f"r must be positive, got r={r_arr[r_arr <= 0.0][0]:g}")
     target = 1.0 / r_arr
     saturated = runmin[-1] >= target
     if np.any(saturated):
@@ -335,7 +335,9 @@ class RateResult:
     beta/alpha are the tables of the model the drift construction actually
     ran on; when a comparison model was used (discrete source replaced by its
     equivalent density) alpha_final carries the transferred table and
-    `comparison` the measured density-ratio constants.
+    `comparison` the measured density-ratio constants.  r_truncated counts
+    the requested r cut at the s_max_cap grid end, r_dropped those whose
+    beta underflowed.
     """
 
     phi: lyap.RadialProfile
@@ -346,6 +348,8 @@ class RateResult:
     config: lyap.DriftConfig
     alpha_final: Optional[RateTable] = None
     comparison: Optional[dict] = None
+    r_truncated: int = 0
+    r_dropped: int = 0
 
     def __post_init__(self):
         if self.alpha_final is None:
@@ -362,8 +366,8 @@ def _density_ratio_bounds(model, comparison, n=600):
             -np.geomspace(30.0, T, n // 4)]))
     else:
         xs = np.linspace(-T, T, n)
-    la = model_mod._batch_log_p(model, xs)
-    lb = model_mod._batch_log_p(comparison, xs)
+    la, lb = (model_mod._fold_even(m, xs, lambda pts, m=m: model_mod._batch_log_p(m, pts))
+              for m in (model, comparison))
     ratio = la - lb
     return float(np.exp(ratio.min())), float(np.exp(ratio.max()))
 
@@ -385,9 +389,10 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
         r_grid = np.geomspace(1.0, 1e8, int(8 * points_per_decade) + 1)
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid <= 0.0):
-        raise ValueError("r must be positive")
+        raise ValueError(f"r must be positive, got r={r_grid[r_grid <= 0.0][0]:g}")
 
     s_max = 100.0 * max(cfg.R0, 1.0)
+    n_requested = r_grid.size
     phi = None
     for _ in range(40):
         phi = lyap.phi_profile(work, cfg, s_max=s_max,
@@ -431,7 +436,9 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
                       "comparison_model": via_comparison.name}
     return RateResult(phi=phi, varphi=varphi_tab, beta=beta_tab,
                       alpha=alpha_tab, c0=c0, config=cfg,
-                      alpha_final=alpha_final, comparison=comparison)
+                      alpha_final=alpha_final, comparison=comparison,
+                      r_truncated=n_requested - r_grid.size,
+                      r_dropped=int(np.count_nonzero(~keep)))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,56 @@ def test_psi_lattice_tracks_continuum_then_oscillates():
         L.psi_case_a(m31, period, cfg, strict=True)
 
 
+def _two_point_drift(model, s):
+    """The signed tilted radial drift at x = +s and x = -s, unfolded."""
+    pts = np.stack([s, -s], axis=-1)
+    return np.where(pts >= 0.0, 1.0, -1.0) * M.tilted_u_moment(
+        model, pts, model.potential.grad_1d)
+
+
+def test_psi_asymmetric_source_is_the_explicit_two_point_minimum():
+    m = M.ConvolutionModel(M.quadratic_potential(), M.discrete_atoms([-1.0, 2.0], [1, 1]))
+    assert not m.source.symmetric
+    s = np.geomspace(0.1, 20.0, 60)
+    raw = _two_point_drift(m, s)
+    assert np.max(np.abs(raw[:, 0] - raw[:, 1]) / np.abs(raw).max(axis=1)) > 0.1
+    np.testing.assert_array_equal(L.psi_case_a(m, s, CFG_A, strict=False), raw.min(axis=1))
+
+
+def test_psi_fold_matches_the_two_point_minimum_on_lemma_3_2():
+    """The power-tail source is mirror-symmetric, so psi evaluates +s only.
+
+    Both points carry the same value up to the kernel's own mirror
+    asymmetry (the quadrature nodes of -s are not the exact reflection of
+    those of +s), measured at 1.2e-12 relative below s = 1e5, past the
+    profile end 1.03e5 of the preset's rate chain, and at 1.2e-10 at
+    s = 6.5e6 toward the 1e7 domain cap; the fold differs from the two-point
+    minimum by at most 1.2e-12 resp. 8.0e-11 there.
+    """
+    m = P.make_model("lemma_3_2", p=1.0)
+    assert m.source.symmetric
+    cfg = L.resolve_r0(m, P.default_drift_config("lemma_3_2"))
+    s = np.geomspace(cfg.R0, 1e7, 400)
+    raw = _two_point_drift(m, s)
+    explicit = raw.min(axis=1)
+    rel = np.abs(L.psi_case_a(m, s, cfg) - explicit) / explicit
+    near = s <= 1e5
+    assert np.max(rel[near]) <= 5e-12
+    assert np.max(rel) <= 5e-10
+    # the case-b integrand is folded the same way: one value per pair
+    b = L.case_b_integrand(m, np.stack([s, -s], axis=-1), cfg)
+    np.testing.assert_array_equal(b[:, 0], b[:, 1])
+    unfolded = M.tilted_u_moment(m, -s, lambda u: cfg.delta * m.potential.grad_1d(u) ** 2
+                                 - m.potential.laplacian(np.abs(u)))
+    np.testing.assert_allclose(b[:, 1], unfolded, rtol=5e-10)
+
+
+def test_psi_case_a_names_the_first_nonpositive_radius():
+    m = M.ConvolutionModel(M.quadratic_potential(), M.point_mass())
+    with pytest.raises(ValueError, match=r"radii must be positive, got s=-0\.5"):
+        L.psi_case_a(m, np.array([1.0, -0.5, 0.0]), CFG_A)
+
+
 # ---------------------------------------------------------------------------
 # eta windows
 # ---------------------------------------------------------------------------
@@ -151,6 +201,12 @@ def test_p_sigma_at_r0_is_power_of_r0(d, R0):
     cfg = L.DriftConfig(case="a", R0=R0)
     val = L.p_sigma(lambda s: np.ones(np.shape(s)), R0, cfg, d)
     assert val == pytest.approx(R0 ** (d - 1), rel=1e-12)
+
+
+def test_p_sigma_names_the_radius_below_r0():
+    cfg = L.DriftConfig(case="a", R0=2.0)
+    with pytest.raises(ValueError, match=r"r >= R0, got r=1\.5 < R0=2"):
+        L.p_sigma(lambda s: np.ones(np.shape(s)), np.array([3.0, 1.5, 1.0]), cfg, 1)
 
 
 def test_p_sigma_constant_rate_closed_form():

@@ -194,6 +194,59 @@ def test_tilted_odd_function_vanishes_by_symmetry():
     assert abs(val) < 1e-12
 
 
+@pytest.mark.parametrize("make, symmetric", [
+    (lambda: M.point_mass(0.0), True),
+    (lambda: M.point_mass(0.0, d=2), True),
+    (lambda: M.point_mass(0.5), False),
+    (lambda: M.symmetric_pair(1.0), True),
+    (lambda: M.symmetric_pair(1.0, d=2), True),
+    (lambda: M.discrete_atoms([-1.0, 2.0], [0.5, 0.5]), False),
+    (lambda: M.discrete_atoms([-1.0, 1.0], [0.3, 0.7]), False),
+    (lambda: M.discrete_atoms([[1.0, 2.0], [-1.0, -2.0], [0.0, 0.0]], [1, 1, 3], d=2), True),
+    (lambda: M.discrete_atoms([[1.0, 2.0], [-1.0, 2.0]], [1, 1], d=2), False),
+    (lambda: M.integer_lattice(1.0, n_max=1000), True),
+    (lambda: M.uniform_density(1.0), True),
+    (lambda: M.power_tail_density(1.0), True),
+    (lambda: P.make_source({"kind": "atoms", "locations": [2.0, -2.0, 0.0],
+                            "weights": [1, 1, 2]}), True),
+    (lambda: P.make_source({"kind": "atoms", "locations": [2.0, -2.0],
+                            "weights": [1, 2]}), False),
+    (lambda: P.make_source({"kind": "point_mass", "location": 0.5}), False),
+    (lambda: P.make_source(None), True),
+])
+def test_source_symmetric_flag(make, symmetric):
+    assert make().symmetric is symmetric
+
+
+@pytest.mark.parametrize("src", [M.integer_lattice(1.0, n_max=1000),
+                                 M.uniform_density(1.5), M.power_tail_density(0.7)],
+                         ids=["lattice", "uniform", "power_tail"])
+def test_symmetric_by_construction_matches_the_data(src):
+    """The constructors that set the flag without checking build mirror data."""
+    if src.kind == "density":
+        z = np.linspace(0.0, 40.0, 4001)
+        np.testing.assert_array_equal(src.density(z), src.density(-z))
+    else:
+        assert M.discrete_atoms(src.locations, src.weights).symmetric
+
+
+def test_fold_even_calls_once_per_distinct_radius(lattice_well):
+    x = np.array([[2.0, -2.0], [0.5, -3.0], [3.0, 0.0]])
+    seen = []
+
+    def f(a):
+        seen.append((a, M._batch_log_p(lattice_well, a)))
+        return seen[-1][1]
+    folded = M._fold_even(lattice_well, x, f)
+    (radii, values), = seen
+    np.testing.assert_array_equal(radii, [0.0, 0.5, 2.0, 3.0])
+    np.testing.assert_array_equal(folded, values[np.searchsorted(radii, np.abs(x))])
+    np.testing.assert_allclose(folded, M._batch_log_p(lattice_well, x), rtol=1e-14)
+    # an asymmetric source calls through unchanged
+    m = M.ConvolutionModel(M.quadratic_potential(), M.discrete_atoms([-1.0, 2.0], [1, 1]))
+    np.testing.assert_array_equal(M._fold_even(m, x, lambda a: a), x)
+
+
 # ---------------------------------------------------------------------------
 # tails
 # ---------------------------------------------------------------------------

@@ -160,6 +160,12 @@ def test_varphi_empty_set_and_saturation():
         R.varphi_phi(phi, 1e6)
 
 
+def test_varphi_names_the_first_nonpositive_r():
+    g = np.geomspace(1.0, 10.0, 50)
+    with pytest.raises(ValueError, match=r"r must be positive, got r=-2"):
+        R.varphi_phi(profile(g, 1.0 / g), np.array([0.5, -2.0, 0.0]))
+
+
 def test_varphi_nondecreasing_and_scale_equivariance():
     g = np.geomspace(0.2, 1e4, 700)
     vals = 2.3 / g ** 1.5
@@ -478,6 +484,24 @@ def test_capped_rate_tables_serves_the_unsaturated_prefix():
         served.append(rv)
     assert 32 <= len(served) < rg.size
     np.testing.assert_array_equal(res.varphi.grid, served)
+    assert res.r_truncated == rg.size - len(served) > 0
+    assert res.r_dropped == 0
+
+
+def test_rate_result_counts_nothing_cut_on_example_3_1():
+    from wpconv import cli
+    cfg = {"preset": "example_3_1", "p": 1, "stages": ["rate"]}
+    rg = cli._r_grid(cli.load_config(cfg))[0]
+    res = R.rate_tables(P.make_model("example_3_1", p=1.0), P.default_drift_config("example_3_1"),
+                        r_grid=rg, via_comparison=P.make_model("lemma_3_2", p=1.0))
+    assert (res.r_truncated, res.r_dropped) == (0, 0)
+    assert res.beta.grid.size == rg.size
+
+
+def test_rate_tables_names_the_first_nonpositive_r():
+    m = P.make_model("example_3_3", p=2.0)
+    with pytest.raises(ValueError, match=r"r must be positive, got r=0"):
+        R.rate_tables(m, L.DriftConfig(case="cor_a", R0=3.0), r_grid=[1.0, 0.0, 2.0])
 
 
 def test_comparison_transfer_preserves_order():
