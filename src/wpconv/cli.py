@@ -19,7 +19,6 @@ holds the only timestamp.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -280,16 +279,6 @@ def _write_json(path, doc):
     os.replace(tmp, path)
 
 
-def _write_csv(path, header, columns):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([repr(float(v)) for v in row])
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -386,12 +375,12 @@ def run(config):
                     points_per_decade=ppd, half=cfg.half_factor,
                     via_comparison=comparison)
                 alpha = rate_result.alpha_final
-                _write_csv(os.path.join(outdir, "alpha.csv"), ("s", "alpha"),
-                           (alpha.grid, alpha.values))
-                _write_csv(os.path.join(outdir, "beta.csv"),
-                           ("r", "varphi_phi", "beta"),
-                           (rate_result.beta.grid, rate_result.varphi.values,
-                            rate_result.beta.values))
+                rates_mod.write_csv(os.path.join(outdir, "alpha.csv"),
+                                    ("s", "alpha"), (alpha.grid, alpha.values))
+                rates_mod.write_csv(os.path.join(outdir, "beta.csv"),
+                                    ("r", "varphi_phi", "beta"),
+                                    (rate_result.beta.grid, rate_result.varphi.values,
+                                     rate_result.beta.values))
                 artifacts["rate"] = rate_result
                 mark(stage, True)
 
@@ -442,10 +431,10 @@ def run(config):
                     model, f, t_grid, n_paths=int(cfg.samples["n_paths"]),
                     dt=float(cfg.samples["dt"]), seed=cfg.seeds["decay"],
                     n_inner=int(cfg.samples["n_inner"]))
-                _write_csv(os.path.join(outdir, "decay.csv"),
-                           ("t", "variance", "ci_halfwidth"),
-                           (trace.times, trace.variance_estimates,
-                            trace.confidence_halfwidths))
+                rates_mod.write_csv(os.path.join(outdir, "decay.csv"),
+                                    ("t", "variance", "ci_halfwidth"),
+                                    (trace.times, trace.variance_estimates,
+                                     trace.confidence_halfwidths))
                 artifacts["decay"] = trace
                 mark(stage, True)
 
@@ -456,8 +445,8 @@ def run(config):
                                           param, values)
                 _write_json(os.path.join(outdir, "sweep.json"), doc)
                 if columns is not None:
-                    _write_csv(os.path.join(outdir, "sweep.csv"),
-                               columns[0], columns[1])
+                    rates_mod.write_csv(os.path.join(outdir, "sweep.csv"),
+                                        columns[0], columns[1])
                 artifacts["sweep"] = doc
                 mark(stage, doc.get("bounded", True),
                      "" if doc.get("bounded", True) else "ratio range exceeded factor")

@@ -21,7 +21,10 @@ p_sigma(r) = ( int_R0^r s^(1-d) exp[w int_R0^s psi] ds + 1 )
 computed entirely in log space on the anchored lattice R0 10^(k/1600) merged
 with the requested radii, so the exact monotonicity p_sigma2 <= p_sigma1 for
 sigma2 > sigma1 holds termwise in the discretization, and p_sigma(r) depends on
-psi on [R0, r] alone, not on how far a profile extends (prefix property).
+psi on [R0, r] alone, not on how far a profile extends (prefix property).  A
+profile grown from a shorter one continues the lattice from the seam, the
+shorter one's last node, with the running integral and log-sum carried there;
+both sums are sequential, so the grown profile equals a fresh build bitwise.
 """
 
 import math
@@ -94,6 +97,8 @@ class RadialProfile:
     # 'a'/'cor_a', the integrand infimum for 'b'/'cor_b'
     psi: Optional[np.ndarray] = None
     log_p_sigma: Optional[np.ndarray] = None  # log p_sigma on the same grid ('a'/'cor_a')
+    # running integral and log-sum of the p_sigma lattice at the last node
+    _seam: Optional[tuple] = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -119,7 +124,7 @@ class RadialProfile:
         if k <= 0:
             raise ValueError("scale must be positive")
         return replace(self, values=self.values * k, psi=None, log_p_sigma=None,
-                       name=f"{k}*{self.name}")
+                       _seam=None, name=f"{k}*{self.name}")
 
 
 @dataclass(frozen=True)
@@ -283,47 +288,57 @@ def drift_rate(model, s, cfg, strict=True):
 _REFINE_PER_DECADE = 1600
 
 
-def _anchored_grid(R0, s_max, points_per_decade, include_radii=None):
+def _anchored_grid(R0, s_max, points_per_decade, include_radii=None, lo=None):
     """Log-step grid anchored at R0 so that extending s_max keeps every
-    previous node (prefix property; lets callers reuse tabulated rates)."""
+    previous node (prefix property; lets callers reuse tabulated rates).
+    lo > R0 computes only the nodes >= lo."""
     n = max(int(math.ceil(math.log10(max(s_max / R0, 1.0 + 1e-9))
                           * points_per_decade)), 1)
-    grid = R0 * 10.0 ** (np.arange(n + 1) / points_per_decade)
+    lo = R0 if lo is None else lo
+    k0 = max(int(math.log10(lo / R0) * points_per_decade) - 1, 0)
+    grid = R0 * 10.0 ** (np.arange(k0, n + 1) / points_per_decade)
     if include_radii is not None:
         grid = np.unique(np.concatenate(
             [grid, np.asarray(include_radii, dtype=float)]))
-        grid = grid[grid >= R0]
-    return grid
+    return grid[grid >= lo]
 
 
-def _log_p_sigma_on_grid(grid, psi_vals, sigma, d):
-    """log p_sigma at every grid point via cumulative log-sum-exp trapezoid.
+def _log_p_sigma_on_grid(grid, psi_vals, sigma, d, I0=0.0, cum0=-np.inf):
+    """log p_sigma at every grid point via cumulative log-sum-exp trapezoid;
+    I0 and cum0 seed the running integral I and log-sum cum below grid[0].
 
     Termwise p_sigma = sum_k c_k exp(-w (I_r - I_k)) + exp(-w I_r) r^(d-1)
     with c_k >= 0 and I nondecreasing, hence exactly nonincreasing in sigma.
     """
     w = sigma / (sigma + 1.0)
     # cumulative trapezoid of psi, in scipy's cumulative_trapezoid operation order
-    I = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (psi_vals[1:] + psi_vals[:-1]) / 2.0)])
+    trap = np.diff(grid) * (psi_vals[1:] + psi_vals[:-1]) / 2.0
+    I = np.cumsum(np.concatenate([[I0], trap]))
     logg = (1.0 - d) * np.log(grid) + w * I
     # the integrand varies exponentially: the log-linear panel rule is exact
     # when logg is linear on a panel
     panel = model_mod._log_panel_rule(logg, np.diff(grid))
-    cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel)])
+    cum = np.logaddexp.accumulate(np.concatenate([[cum0], panel]))
     lognum = np.logaddexp(cum, 0.0)
-    return lognum - logg, I
+    return lognum - logg, I, cum
 
 
-def _log_p_sigma(psi, r, sigma, R0, d):
+def _log_p_sigma(psi, r, sigma, R0, d, seam=None):
     """log p_sigma at the radii r on the anchored lattice merged with r: the
     nodes below a radius do not depend on the other radii, so each value
-    depends on psi on [R0, r] alone.  Radii below R0 read the value at R0."""
-    grid = _anchored_grid(R0, float(np.max(r)), _REFINE_PER_DECADE, include_radii=r)
+    depends on psi on [R0, r] alone.  Radii below R0 read the value at R0.
+    seam = (I, cum), the running sums an earlier build carried at min(r),
+    continues the lattice from min(r) instead of R0.  Also returns the
+    running sums at max(r)."""
+    top = float(np.max(r))
+    grid = _anchored_grid(R0, top, _REFINE_PER_DECADE, include_radii=r,
+                          lo=None if seam is None else np.min(r))
     vals = np.asarray(psi(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DriftConditionFailed("drift rate is not finite on the grid")
-    logp, _ = _log_p_sigma_on_grid(grid, vals, sigma, d)
-    return logp[np.searchsorted(grid, r)]
+    logp, I, cum = _log_p_sigma_on_grid(grid, vals, sigma, d, *(seam or ()))
+    end = np.searchsorted(grid, top)
+    return logp[np.searchsorted(grid, r)], (I[end], cum[end])
 
 
 def p_sigma(psi, r, cfg, d):
@@ -340,7 +355,7 @@ def p_sigma(psi, r, cfg, d):
     if np.any(below):
         raise ValueError(f"p_sigma is defined for r >= R0, got r={r_arr[below][0]:g} "
                          f"< R0={cfg.R0:g}")
-    out = np.exp(_log_p_sigma(psi, r_arr, cfg.sigma, cfg.R0, d))
+    out = np.exp(_log_p_sigma(psi, r_arr, cfg.sigma, cfg.R0, d)[0])
     return out if np.asarray(r).shape else float(out[0])
 
 
@@ -424,11 +439,16 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
                              name=name, psi=psi)
     # the cumulative integrals read psi log-log interpolated between the nodes
     log_grid, log_psi = np.log(grid), np.log(psi)
-    logp = _log_p_sigma(lambda s: np.exp(np.interp(np.log(s), log_grid, log_psi)),
-                        grid, cfg.sigma, R0, model.d)
+    # a pure prefix lends its p_sigma values up to its last node, the seam
+    j = k - 1 if k and k == prefix.grid.size and prefix._seam else 0
+    logp, seam = _log_p_sigma(lambda s: np.exp(np.interp(np.log(s), log_grid, log_psi)),
+                              grid[j:], cfg.sigma, R0, model.d,
+                              seam=prefix._seam if j else None)
+    if j:
+        logp = np.concatenate([prefix.log_p_sigma[:j], logp])
     phi_vals = np.exp(log_psi - math.log(1.0 + cfg.sigma) - logp)
     return RadialProfile(grid=grid, values=phi_vals, r0=R0, name=name,
-                         psi=psi, log_p_sigma=logp)
+                         psi=psi, log_p_sigma=logp, _seam=seam)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ F^{-1}(s) = inf{r : F(r) <= s}, evaluated tablewise.
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -29,6 +30,7 @@ from .errors import HypothesisFailed, InconclusiveFit, SaturatedAtGridEnd
 
 __all__ = [
     "RateTable",
+    "write_csv",
     "AsymptoticFit",
     "RateResult",
     "varphi_phi",
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +151,7 @@ class RateTable:
                    extrapolation=doc.get("extrapolation", "clamp"))
 
     def to_csv(self, path, header=("abscissa", "value")):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for a, v in zip(self.grid, self.values):
-                w.writerow([repr(float(a)), repr(float(v))])
+        write_csv(path, header, (self.grid, self.values))
 
     @classmethod
     def from_csv(cls, path, monotonicity="nonincreasing"):
@@ -160,6 +159,36 @@ class RateTable:
             rows = list(csv.reader(fh))
         data = np.array([[float(a), float(b)] for a, b in rows[1:]])
         return cls(grid=data[:, 0], values=data[:, 1], monotonicity=monotonicity)
+
+
+def _repr_runs(block):
+    """repr of every float of block, computed once per run of equal bit
+    patterns (so -0.0 and 0.0 stay distinct)."""
+    bits = block.view(np.int64)
+    new = np.concatenate([[True], bits[1:] != bits[:-1]])
+    reps = np.array([repr(v) for v in block[new].tolist()], dtype=object)
+    return reps[np.cumsum(new) - 1].tolist()
+
+
+def write_csv(path, header, columns):
+    """Write equal-length float columns under one header row, with \\r\\n line
+    ends and each float as Python's shortest round-trip repr, to path.tmp
+    renamed into place."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    lengths = [c.size for c in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns of unequal length {lengths}")
+    tmp, step = str(path) + ".tmp", 2 * len(cols)
+    with open(tmp, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+            # cell, separator, ..., cell, line end: one string per block
+            parts = [","] * (step * min(CSV_BLOCK_ROWS, lengths[0] - lo))
+            for i, c in enumerate(cols):
+                parts[2 * i::step] = _repr_runs(c[lo:lo + CSV_BLOCK_ROWS])
+            parts[step - 1::step] = ["\r\n"] * (len(parts) // step)
+            fh.write("".join(parts))
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

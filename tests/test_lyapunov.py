@@ -273,7 +273,7 @@ def test_p_sigma_shared_panel_rule_is_bitwise_on_criterion_06_grids(name):
                             include_radii=rr)
     vals = L.drift_rate(work, grid, cfg0)
     for sig in (0.5, 1.0, 2.0, 5.0):
-        logp, I = L._log_p_sigma_on_grid(grid, vals, sig, work.d)
+        logp, I, _ = L._log_p_sigma_on_grid(grid, vals, sig, work.d)
         ref_logp, ref_I = _log_p_sigma_inline(grid, vals, sig, work.d)
         np.testing.assert_array_equal(logp, ref_logp)
         np.testing.assert_array_equal(I, ref_I)
@@ -374,6 +374,53 @@ def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
             assert a is None
         else:
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("psi_scale", [1.0, 0.7])
+@pytest.mark.parametrize("name", ["example_3_2", "example_3_3", "example_3_4",
+                                  "lemma_3_2"])
+def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_scale):
+    """Each growth round runs the p_sigma lattice from the seam, the last
+    node of the profile it grows, and equals a fresh build bit for bit.
+    psi is read from one table: lemma_3_2's tilted kernel rounds a radius
+    differently in different batches, which is not what this test is about."""
+    m = P.make_model(name)
+    cfg = L.resolve_r0(m, P.default_drift_config(name))
+    top = 1600.0 * max(cfg.R0, 1.0)
+    nodes = L._anchored_grid(cfg.R0, top, 200)
+    table = dict(zip(nodes, L._case_scan_values(m, nodes, cfg, strict=True)))
+    monkeypatch.setattr(L, "_case_scan_values",
+                        lambda model, grid, cfg, strict: np.array([table[x] for x in grid]))
+    calls = []
+    on_grid = L._log_p_sigma_on_grid
+
+    def recording(grid, *args):
+        calls.append((grid[0], grid.size))
+        return on_grid(grid, *args)
+
+    monkeypatch.setattr(L, "_log_p_sigma_on_grid", recording)
+    grown = None
+    for s_max in (top / 16.0, top / 4.0, top):
+        prev, calls[:] = grown, []
+        grown = L.phi_profile(m, cfg, s_max=s_max, psi_scale=psi_scale, prefix=prev)
+        lattice = L._anchored_grid(cfg.R0, grown.grid[-1], L._REFINE_PER_DECADE,
+                                   include_radii=grown.grid)
+        seam = cfg.R0 if prev is None else prev.grid[-1]
+        assert calls == [(seam, int(np.sum(lattice >= seam)))]
+        fresh = L.phi_profile(m, cfg, s_max=s_max, psi_scale=psi_scale)
+        for field in ("grid", "values", "psi", "log_p_sigma"):
+            np.testing.assert_array_equal(getattr(grown, field), getattr(fresh, field))
+        assert grown._seam == fresh._seam
+    assert prev.grid.size < grown.grid.size
+
+    scaled = grown.scaled(2.0)
+    assert scaled._seam is None and scaled.log_p_sigma is None
+    # include_radii, or a grid the prefix is longer than: the full build
+    for kw in ({"s_max": top, "include_radii": nodes[3:4]},
+               {"s_max": top / 4.0}):
+        calls[:] = []
+        L.phi_profile(m, cfg, psi_scale=psi_scale, prefix=grown, **kw)
+        assert calls[0][0] == cfg.R0
 
 
 

@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +80,75 @@ def test_rate_table_serialization_round_trip(tmp_path):
     t3 = R.RateTable.from_csv(pth)
     np.testing.assert_array_equal(t.grid, t3.grid)
     np.testing.assert_array_equal(t.values, t3.values)
+
+
+def _write_csv_reference(path, header, columns):
+    """The row-by-row writer write_csv replaced, kept as its reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([repr(float(v)) for v in row])
+
+
+SPECIAL = [-0.0, 0.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+           5e-324, -5e-324, 1e16, 1e16, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 13, 4095, 4096, 4097, 2 * 4096 + 5])
+def test_write_csv_matches_the_row_writer(tmp_path, n):
+    """Bytes equal the row-by-row csv.writer + repr(float(v)) writer across
+    block edges, on signed zeros, nan, infinities, subnormals, long runs of
+    equal values and plain lists."""
+    assert R.CSV_BLOCK_ROWS == 4096
+    rng = np.random.default_rng(n)
+    distinct = np.geomspace(1e-9, 1e9, n)
+    runs = np.repeat(rng.standard_normal(n // 50 + 1), 50)[:n]
+    special = np.resize(np.array(SPECIAL), n)
+    ints = list(range(n))
+    header = ("s", "runs", "special", "ints")
+    for cols in [(distinct, runs, special, ints),
+                 (distinct.tolist(), runs.tolist(), special.tolist(), ints)]:
+        R.write_csv(tmp_path / "new.csv", header, cols)
+        _write_csv_reference(tmp_path / "ref.csv", header, cols)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+
+
+def test_write_csv_keeps_signed_zeros_apart(tmp_path):
+    R.write_csv(tmp_path / "z.csv", ("x",), ([0.0, -0.0, -0.0, 0.0],))
+    assert (tmp_path / "z.csv").read_bytes() == b"x\r\n0.0\r\n-0.0\r\n-0.0\r\n0.0\r\n"
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    pth = tmp_path / "short.csv"
+    with pytest.raises(ValueError, match=r"short\.csv: columns of unequal length \[3, 2, 3\]"):
+        R.write_csv(pth, ("a", "b", "c"), ([1.0, 2.0, 3.0], [1.0, 2.0], [4.0, 5.0, 6.0]))
+    assert not pth.exists()
+
+
+def test_cli_p_sweep_csvs_match_the_row_writer(tmp_path, monkeypatch):
+    """Every CSV of an example_3_2 p sweep, alpha.csv spanning several
+    blocks, equals the reference writer's bytes on the same columns."""
+    from wpconv import cli
+    written = {}
+    write = R.write_csv
+
+    def recording_write(path, header, columns):
+        written[path] = (header, columns)
+        write(path, header, columns)
+
+    monkeypatch.setattr(R, "write_csv", recording_write)
+    out = tmp_path / "run"
+    assert cli.main(["run", json.dumps({
+        "preset": "example_3_2", "p": 0.6, "stages": ["rate", "sweep"],
+        "sweep": {"param": "p", "values": [0.5, 0.6]}}), "-o", str(out)]) == 0
+    assert sorted(map(str, written)) == [str(out / n) for n in
+                                         ("alpha.csv", "beta.csv", "sweep.csv")]
+    assert len(written[str(out / "alpha.csv")][1][0]) > 2 * R.CSV_BLOCK_ROWS
+    for path, (header, columns) in written.items():
+        _write_csv_reference(tmp_path / "ref.csv", header, columns)
+        assert Path(path).read_bytes() == (tmp_path / "ref.csv").read_bytes(), path
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=3, max_size=30),

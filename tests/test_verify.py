@@ -456,12 +456,12 @@ def test_decay_heavier_tails_decay_slower():
 
 
 def test_decay_trace_csv(tmp_path, m33):
-    from wpconv import cli
+    from wpconv import rates
     tr = V.semigroup_decay(m33, TANH, np.array([0.25, 0.5]), n_paths=8,
                            dt=0.01, seed=4, n_inner=8)
     pth = tmp_path / "decay.csv"
-    cli._write_csv(pth, ("t", "variance", "ci_halfwidth"),
-                   (tr.times, tr.variance_estimates, tr.confidence_halfwidths))
+    rates.write_csv(pth, ("t", "variance", "ci_halfwidth"),
+                    (tr.times, tr.variance_estimates, tr.confidence_halfwidths))
     rows = pth.read_text().strip().splitlines()
     assert rows[0] == "t,variance,ci_halfwidth"
     assert len(rows) == 3
