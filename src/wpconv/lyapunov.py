@@ -421,6 +421,9 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
         s_max = 1e4 * max(R0, 1.0)
     grid = _anchored_grid(R0, s_max, points_per_decade, include_radii)
     k = 0
+    if prefix is not None and prefix.psi is None:
+        raise ValueError(f"prefix {prefix.name!r} holds no psi: a scaled profile cannot "
+                         "be grown; pass the unscaled profile and psi_scale instead")
     if prefix is not None and include_radii is None:
         k = min(prefix.grid.size, grid.size)
         if not np.array_equal(prefix.grid[:k], grid[:k]):

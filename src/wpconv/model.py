@@ -68,11 +68,18 @@ def sphere_area(d):
 class QuadratureSpec:
     """Deterministic quadrature parameters.
 
-    nodes  -- Gauss-Legendre nodes per panel of the composite rule, whose
-              panels are graded toward the (possible) cusp of V at the origin.
+    nodes  -- Gauss-Legendre nodes per panel of the kernel's composite rule.
+              Its panels break where the integrand stops being smooth or
+              analytic near the line: at the cusp of V at u = 0 (the panels
+              touching it are graded), at u = +-1/2, so that the graded panel
+              does not bend a smooth source's complex poles onto the line, and
+              at a patched potential's seam u = +-eps.  With those breaks 24
+              nodes reach the accuracy of 48 at half the terms; more nodes
+              round worse (the 48-point rule's floor is about 10 times the
+              16- or 24-point one).
     """
 
-    nodes: int = 48
+    nodes: int = 24
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +105,7 @@ class Potential:
     v0pp: Callable
     name: str = "potential"
     smooth_radius: float = 0.0  # profile is C^2 only for s > smooth_radius
+    seam: Optional[float] = None  # radius where patched() joins its quartic
     lattice: Optional["_RadialLattice"] = None
 
     def value(self, x):
@@ -153,7 +161,7 @@ class Potential:
             return np.where(s < e, 2.0 * b2 + 12.0 * c4 * si * si, base_v0pp(np.maximum(s, e)))
 
         return _make_radial(v0, v0p, v0pp, self.d, self.name + "_patched",
-                            far=self.lattice and self.lattice.far, seam=math.log(e))
+                            far=self.lattice and self.lattice.far, seam=e)
 
 
 def _as_points(x, d):
@@ -205,10 +213,11 @@ def _log_panel_mass(v0, d, a, b):
 class _RadialLattice:
     """log M(y) = log int_y^inf e^g du, the mass of exp(-v0(|x|)) dx / omega_d
     beyond |x| = e^y, on panels anchored at the half units of y from -41.5
-    and at a patched profile's seam.  Log-type profiles end them at y = 40 and
-    pass far(y), the closed-form log M(y) beyond; the others end at the first
-    half unit past the peak of g below log(1e-320) (y = 690 at the latest),
-    with no mass beyond.  suffix[i] is log M(edges[i]).
+    and at y = log seam, a patched profile's seam.  Log-type profiles end
+    them at y = 40 and pass far(y), the closed-form log M(y) beyond; the
+    others end at the first half unit past the peak of g below log(1e-320)
+    (y = 690 at the latest), with no mass beyond.  suffix[i] is
+    log M(edges[i]).
     """
 
     def __init__(self, v0, d, far=None, seam=None):
@@ -218,8 +227,8 @@ class _RadialLattice:
         else:  # e^(1-y) < 1e-16 past y = 40, where far is exact
             end = _HALF_UNITS >= 40.0
         edges = _HALF_UNITS[:np.argmax(np.append(end, True)) + 1]
-        if seam is not None and edges[0] < seam < edges[-1]:
-            edges = np.union1d(edges, [seam])
+        if seam is not None and edges[0] < math.log(seam) < edges[-1]:
+            edges = np.union1d(edges, [math.log(seam)])
         panels = _log_panel_mass(v0, d, edges[:-1], edges[1:])
         # either side of the largest panel sums smallest first: above it from
         # the far end, below it as the total less the sum from the near end
@@ -236,7 +245,7 @@ def _make_radial(v0, v0p, v0pp, d, name, smooth_radius=0.0, far=None, seam=None)
     lattice = _RadialLattice(v0, d, far, seam)
     return Potential(d=d, c=math.log(sphere_area(d)) + float(lattice.suffix[0]), v0=v0,
                      v0p=v0p, v0pp=v0pp, name=name, smooth_radius=smooth_radius,
-                     lattice=lattice)
+                     seam=seam, lattice=lattice)
 
 
 def power_potential(p, d=1):
@@ -708,20 +717,21 @@ def _panel_rule(anchor, step, graded, n):
     return nodes.reshape(m, -1), weights.reshape(m, -1)
 
 
-def _line_panels(lo, hi, n):
+def _line_panels(lo, hi, n, seam=None):
     """Panels on [lo_i, hi_i], refined geometrically toward zero (where the
     potential profile may have a cusp).  Each side of zero is handled in
     magnitudes [p, q]: edges p, s, 2s, 4s, ... up to q, with s = 1 when the
     side starts at zero (its first panel is then graded) and max(2p, 1e-9)
-    otherwise."""
+    otherwise, and an edge at a patched profile's seam."""
     anchors, steps, graded = [], [], []
     for sign, p, q in ((1.0, np.maximum(lo, 0.0), np.maximum(hi, 0.0)),
                        (-1.0, np.maximum(-hi, 0.0), np.maximum(-lo, 0.0))):
         s = np.where(p == 0.0, 1.0, np.maximum(2.0 * p, 1e-9))
         doublings = int(np.ceil(np.log2(max(float(np.max(q / s)), 1.0)))) + 2
-        edges = np.concatenate(
-            [p[:, None], np.minimum(q[:, None], s[:, None] * 2.0 ** np.arange(doublings))],
-            axis=1)
+        marks = s[:, None] * 2.0 ** np.arange(doublings)
+        if seam is not None:
+            marks = np.sort(np.append(marks, np.full((p.size, 1), seam), axis=1), axis=1)
+        edges = np.concatenate([p[:, None], np.clip(marks, p[:, None], q[:, None])], axis=1)
         a, b = edges[:, :-1], edges[:, 1:]
         anchors.append(sign * a)
         steps.append(sign * (b - a))
@@ -730,18 +740,21 @@ def _line_panels(lo, hi, n):
                        np.concatenate(graded, axis=1), n)
 
 
-_LADDER = np.concatenate([[0.0], 2.0 ** np.arange(0, 24, dtype=float)])
+_LADDER = np.concatenate([[0.0, 0.5], 2.0 ** np.arange(0, 24, dtype=float)])
 
 
-def _ladder_panels(lo, hi, n):
-    """Panels over [lo_i, hi_i] cut by a fixed geometric ladder around zero
-    (..., -2, -1, 0, 1, 2, ...); the panel touching zero from either side is
-    graded toward zero."""
+def _ladder_panels(lo, hi, n, cuts=None):
+    """Panels over [lo_i, hi_i] cut by a fixed ladder around zero
+    (..., -1, -1/2, 0, 1/2, 1, 2, ...) and by the row's own edges cuts
+    (shape (m, j)); the panel touching zero from either side is graded
+    toward zero."""
     span = max(float(np.abs(lo).max()), float(np.abs(hi).max()), 1.0)
     k = int(np.searchsorted(_LADDER, span))
     ladder = _LADDER[:min(k + 1, _LADDER.size)]
-    edges = np.clip(np.concatenate([-ladder[::-1], ladder])[None, :],
-                    lo[:, None], hi[:, None])
+    edges = np.concatenate([-ladder[::-1], ladder])[None, :]
+    if cuts is not None:
+        edges = np.sort(np.append(np.repeat(edges, lo.size, axis=0), cuts, axis=1), axis=1)
+    edges = np.clip(edges, lo[:, None], hi[:, None])
     a, b = edges[:, :-1], edges[:, 1:]
     right = b == 0.0
     return _panel_rule(np.where(right, b, a), np.where(right, a - b, b - a),
@@ -755,17 +768,27 @@ def _split_panels(model, xs):
     The line is split exactly at u = x/2 into a u-side family (graded at the
     potential cusp u = 0) and a y = x - u family (graded at the density kink
     y = 0), so both moving peaks are resolved and nothing is counted twice.
+    Both families are also cut at a patched profile's seam u = +-eps.
     """
     L = min(model.reach(), 1e7)
     n = model.quadrature.nodes
+    eps = model.potential.seam
+    ucuts = ycuts = None
+    if eps is not None:
+        ucuts = np.repeat([[-eps, eps]], xs.size, axis=0)
+        ycuts = xs[:, None] + ucuts
     mid = xs / 2.0
     pos = xs >= 0.0
     # u-side: [-L, mid] for x >= 0, [mid, L] for x < 0
-    un, uw = _ladder_panels(np.where(pos, -L, mid), np.where(pos, mid, L), n)
+    un, uw = _ladder_panels(np.where(pos, -L, mid), np.where(pos, mid, L), n, ucuts)
     # y-side: y in [x-L, mid] for x >= 0, [mid, x+L] for x < 0
-    yn, yw = _ladder_panels(np.where(pos, xs - L, mid), np.where(pos, mid, xs + L), n)
+    yn, yw = _ladder_panels(np.where(pos, xs - L, mid), np.where(pos, mid, xs + L), n, ycuts)
     return (np.concatenate([un, xs[:, None] - yn], axis=1),
             np.concatenate([uw, yw], axis=1))
+
+
+# terms per block of a windowed lattice row: the row sums add whole blocks
+_ATOM_BLOCK = 64
 
 
 def _atom_terms(model, xs):
@@ -774,8 +797,8 @@ def _atom_terms(model, xs):
     if np.isfinite(src.support_radius) or model.d > 1:
         logw = np.broadcast_to(np.log(w), (xs.shape[0], w.size))
         if model.d == 1:
-            return xs[:, None] - z[None, :, 0], logw
-        return xs[:, None, :] - z[None], logw
+            return xs[:, None] - z[None, :, 0], logw, w.size
+        return xs[:, None, :] - z[None], logw, w.size
     # unbounded lattice: window the atoms by the reach of exp(-V)
     zc = z[:, 0]
     reach = model.reach()
@@ -785,10 +808,10 @@ def _atom_terms(model, xs):
     if np.any(empty):
         raise NumericUnderflow(
             f"x={xs[empty][0]:g} outside the stored atom range; enlarge n_max")
-    idx = i0[:, None] + np.arange(int(np.max(i1 - i0)))
+    idx = i0[:, None] + np.arange(-(-int(np.max(i1 - i0)) // _ATOM_BLOCK) * _ATOM_BLOCK)
     valid = idx < i1[:, None]
     idx = np.minimum(idx, zc.size - 1)
-    return xs[:, None] - zc[idx], np.where(valid, np.log(w[idx]), -np.inf)
+    return xs[:, None] - zc[idx], np.where(valid, np.log(w[idx]), -np.inf), _ATOM_BLOCK
 
 
 def _terms(model, xs):
@@ -796,10 +819,13 @@ def _terms(model, xs):
     over the source atoms or density nodes z, at every point of xs.
 
     xs has shape (m,) in d = 1 and (m, d) for atoms in d > 1.  Returns u of
-    shape (m, k) (resp. (m, k, d)) and logw of shape (m, k); padded terms
-    carry logw = -inf.  Atoms use their log-weights; density sources carry
-    log(density * quadrature weight) on graded composite Gauss-Legendre
-    panels.
+    shape (m, k) (resp. (m, k, d)), logw of shape (m, k) and the block, the
+    number of terms of one panel (density sources), of one lattice window
+    block or of the whole row (finite atoms); k is a multiple of it.  A term
+    sits at the same place of its row in every chunk, and padded terms, at
+    the end of a row, carry logw = -inf.  Atoms use their log-weights;
+    density sources carry log(density * quadrature weight) on graded
+    composite Gauss-Legendre panels.
     """
     src = model.source
     if src.kind != "density":
@@ -809,29 +835,40 @@ def _terms(model, xs):
     if np.isfinite(src.support_radius):
         # integrate in u = x - z; the cusp of v0 sits at u = 0
         R = src.support_radius
-        u, w = _line_panels(xs - R, xs + R, model.quadrature.nodes)
+        u, w = _line_panels(xs - R, xs + R, model.quadrature.nodes, model.potential.seam)
     else:
         u, w = _split_panels(model, xs)
     with np.errstate(divide="ignore"):
         logw = np.log(src.density(xs[:, None] - u)) + np.log(w)
-    return u, logw
+    return u, logw, model.quadrature.nodes
 
 
 def _chunk_rows(model):
     """Points per kernel call, from an upper estimate of the terms per point."""
     src = model.source
+    n = model.quadrature.nodes
     if src.kind == "density" and np.isfinite(src.support_radius):
-        # one or two panels per point, about 32 next to the support edge
-        k = 32 * model.quadrature.nodes
+        # the side of zero that starts just past it doubles from 1e-9 up to
+        # 2R; the other side, the seam and the first panels add at most 6
+        k = (math.ceil(math.log2(max(2.0 * src.support_radius, 1.0) / 1e-9)) + 6) * n
     elif src.kind == "density":
         # four ladder families, each at most log2(reach) + 2 panels long
+        # (0, 1/2, 1, 2, ...), plus one seam cut in each
         L = min(model.reach(), 1e7)
-        k = 4 * (math.ceil(math.log2(max(L, 2.0))) + 2) * model.quadrature.nodes
+        k = 4 * (math.ceil(math.log2(max(L, 2.0))) + 3) * n
     elif np.isfinite(src.support_radius) or model.d > 1:
         k = src.weights.size * model.d
     else:
-        k = min(src.weights.size, 2 * math.ceil(model.reach()) + 1)
+        k = min(src.weights.size, 2 * math.ceil(model.reach()) + 1) + _ATOM_BLOCK
     return max(_CHUNK_TERMS // k, 1)
+
+
+def _row_sums(a, block):
+    """Sums over axis 1 of a (rows, k, ...), k a multiple of block: sums of
+    fixed-length blocks, added one block after the other.  So a row's sum
+    does not depend on how many blocks of zeros pad it."""
+    sums = a.reshape((a.shape[0], -1, block) + a.shape[2:]).sum(axis=2)
+    return np.cumsum(sums, axis=1)[:, -1]
 
 
 def _reduce(model, x, f=None):
@@ -840,7 +877,9 @@ def _reduce(model, x, f=None):
 
     x has shape (...) in d = 1 and (..., d) otherwise.  f maps u of shape
     (rows, k[, d]) and the chunk's points to values of shape (rows, k, ...).
-    log p is -inf where every term underflows.
+    log p is -inf where every term underflows.  Each row sums its blocks in
+    order (_row_sums), so a point's values do not depend on the other points
+    of its call.
     """
     d = model.d
     pot = model.potential
@@ -854,20 +893,19 @@ def _reduce(model, x, f=None):
     rows = _chunk_rows(model)
     for i in range(0, pts.shape[0], rows):
         xs = pts[i:i + rows]
-        u, logw = _terms(model, xs)
+        u, logw, block = _terms(model, xs)
         r = np.abs(u) if d == 1 else np.sqrt(np.sum(u * u, axis=-1))
         logt = logw - pot.v0(r) - pot.c
         top = np.max(logt, axis=1)
         top = np.where(np.isfinite(top), top, 0.0)
         pw = np.exp(logt - top[:, None])
-        den = np.sum(pw, axis=1)
+        den = _row_sums(pw, block)
         with np.errstate(divide="ignore", invalid="ignore"):
             logp[i:i + rows] = top + np.log(den)
             if f is not None:
                 fu = np.asarray(f(u, xs), dtype=float)
-                pw = pw / den[:, None]
-                means.append(np.sum(pw.reshape(pw.shape + (1,) * (fu.ndim - 2)) * fu,
-                                    axis=1))
+                num = _row_sums(pw.reshape(pw.shape + (1,) * (fu.ndim - 2)) * fu, block)
+                means.append(num / den.reshape(den.shape + (1,) * (num.ndim - 1)))
     logp = logp.reshape(shape)
     if f is None:
         return logp, None
@@ -1024,10 +1062,10 @@ def density_normalization(model, return_parts=False):
     quadrature over [-T, T] plus the analytic complement for the mass beyond T.
 
     The panels are the quadrature kernel's (_panel_rule with the model's node
-    count).  Their edges are a binary ladder +-2^k out to T and the breaks
-    where p may lose smoothness: 0, +-R for a compact density and the atoms of
-    a finite atom source.  Every panel touches at most one break and is
-    graded toward it.  T is default_domain(model), except that an unbounded
+    count).  Their edges are the kernel's ladder +-1/2, +-2^k out to T and
+    the breaks where p may lose smoothness: 0, +-R for a compact density and
+    the atoms of a finite atom source.  Every panel touches at most one break
+    and is graded toward it.  T is default_domain(model), except that an unbounded
     density is integrated out to that domain's 1e7 cap, which its slowly
     decaying tail needs.
 

@@ -350,10 +350,9 @@ def test_phi_profile_last_node_matches_a_longer_build(models):
 @pytest.mark.parametrize("case", ["a", "b", "cor_a", "cor_b"])
 def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
     """A profile grown from a shorter one evaluates only the new radii and
-    equals a fresh build bit for bit.  The source is atomic: for a density
-    source the tilted kernel pads each chunk of radii to its widest row, so
-    case 'a' agrees only to about 2e-15 relative there."""
-    m = M.ConvolutionModel(M.log_potential(2.0), M.symmetric_pair(1.0))
+    equals a fresh build bit for bit, for a density source too: the tilted
+    kernel sums each radius's terms independently of its batch."""
+    m = M.ConvolutionModel(M.log_potential(2.0), M.uniform_density(1.0))
     cfg = L.resolve_r0(m, L.DriftConfig(case=case))
     short = L.phi_profile(m, cfg, s_max=10.0 * cfg.R0)
     fresh = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0)
@@ -376,14 +375,24 @@ def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
             np.testing.assert_array_equal(a, b)
 
 
+def test_phi_profile_refuses_a_scaled_prefix(models):
+    """A scaled profile keeps no psi to lend, so growing it is refused with
+    the reason rather than failing inside the prefix path."""
+    m = models["3_3"]
+    cfg = L.resolve_r0(m, L.DriftConfig(case="a"))
+    phi = L.phi_profile(m, cfg, s_max=10.0 * cfg.R0)
+    with pytest.raises(ValueError, match="scaled profile"):
+        L.phi_profile(m, cfg, s_max=100.0 * cfg.R0, prefix=phi.scaled(2.0))
+
+
 @pytest.mark.parametrize("psi_scale", [1.0, 0.7])
 @pytest.mark.parametrize("name", ["example_3_2", "example_3_3", "example_3_4",
                                   "lemma_3_2"])
 def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_scale):
     """Each growth round runs the p_sigma lattice from the seam, the last
     node of the profile it grows, and equals a fresh build bit for bit.
-    psi is read from one table: lemma_3_2's tilted kernel rounds a radius
-    differently in different batches, which is not what this test is about."""
+    psi is read from one table, scanned once, so the rounds and the fresh
+    builds spend their time on the p_sigma lattice this test is about."""
     m = P.make_model(name)
     cfg = L.resolve_r0(m, P.default_drift_config(name))
     top = 1600.0 * max(cfg.R0, 1.0)
