@@ -174,7 +174,32 @@ def load_config(source):
     if preset is not None:
         presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d, R=cfg.R,
                                     well_exponent=cfg.well_exponent, nu=cfg.nu)
+    _check_grids(cfg)
+    values = cfg.sweep.get("values", [1.0])
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
     return cfg
+
+
+def _check_grids(cfg):
+    """Every grid key is a positive finite number, the counts are at least 1,
+    and each given range is increasing (r_min/r_max read the rate grid's
+    defaults where one is not given)."""
+    g = dict(cfg.grids)
+    for key, raw in g.items():
+        try:
+            g[key] = float(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"grids.{key}: must be a number, got {raw!r}") from None
+        if not 0.0 < g[key] < math.inf:
+            raise ConfigError(f"grids.{key}: must be positive and finite, got {raw!r}")
+        if key in ("points_per_decade", "n_wpi_r", "certificate_points") and g[key] < 1.0:
+            raise ConfigError(f"grids.{key}: must be at least 1, got {raw!r}")
+    g = {**_r_hints(cfg), **g}
+    for lo, hi in (("r_min", "r_max"), ("s_min", "s_max"), ("wpi_r_min", "wpi_r_max")):
+        if lo in g and hi in g and not g[lo] < g[hi]:
+            raise ConfigError(f"grids.{lo}: must lie below grids.{hi} = {g[hi]:g}, "
+                              f"got {g[lo]:g}")
 
 
 def apply_overrides(doc, pairs):
@@ -243,9 +268,13 @@ def _drift_config(cfg):
                             delta=cfg.delta)
 
 
-def _r_grid(cfg):
-    hints = presets_mod.rate_grid_hints(cfg.preset, cfg.p) if cfg.preset \
+def _r_hints(cfg):
+    return presets_mod.rate_grid_hints(cfg.preset, cfg.p) if cfg.preset \
         else {"r_min": 1e-2, "r_max": 1e8, "fit_window": None}
+
+
+def _r_grid(cfg):
+    hints = _r_hints(cfg)
     g = cfg.grids
     r_min = float(g.get("r_min", hints["r_min"]))
     r_max = float(g.get("r_max", hints["r_max"]))

@@ -206,16 +206,11 @@ def _sphere_points(model, s, n):
 
 
 def _tilted_radial_drift(model, x):
-    """E_{nu_x}[<e, grad V(x - z)>] at x = |x| e, at every point of x."""
-    x = np.asarray(x, dtype=float)
-    if model.d == 1:
-        def drift(pts):
-            sgn = np.where(pts >= 0.0, 1.0, -1.0)
-            return sgn * model_mod.tilted_u_moment(model, pts, model.potential.grad_1d)
-        return model_mod._fold_even(model, x, drift)
-    e = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    _, grad = model_mod.v_nu_and_grad(model, x)
-    return np.sum(e * grad, axis=-1)
+    """<e, grad V_nu(x)> = E_{nu_x}[<e, grad V(x - z)>] at every x = |x| e != 0."""
+    def drift(x):
+        e = model_mod._as_points(x, model.d) / model_mod._radii(x, model.d)[..., None]
+        return np.sum(e * np.reshape(model_mod.v_nu_and_grad(model, x)[1], e.shape), axis=-1)
+    return model_mod._fold_even(model, x, drift)
 
 
 def psi_case_a(model, s, cfg, strict=True):
@@ -362,17 +357,11 @@ def p_sigma(psi, r, cfg, d):
 def case_b_integrand(model, x, cfg):
     """E_{nu_x}[delta |grad V(x-z)|^2 - Delta V(x-z)] at every point of x."""
     pot = model.potential
-    delta = cfg.delta
-    if model.d == 1:
-        def h(u):
-            return delta * pot.grad_1d(u) ** 2 - pot.laplacian(np.abs(u))
-        return model_mod._fold_even(model, x,
-                                    lambda pts: model_mod.tilted_u_moment(model, pts, h))
 
     def h(u):
-        g = np.asarray(pot.gradient(u))
-        return delta * np.sum(g * g, axis=-1) - pot.laplacian(u)
-    return model_mod.tilted_u_moment(model, x, h)
+        g = model_mod._as_points(pot.gradient(u), model.d)
+        return cfg.delta * np.sum(g * g, axis=-1) - pot.laplacian(u)
+    return model_mod._fold_even(model, x, lambda pts: model_mod.tilted_u_moment(model, pts, h))
 
 
 def _ball_infimum_integrand(model, s, cfg):
@@ -576,32 +565,11 @@ def check_conditions(model, cfg, s_grid=None, sigma0=None):
 # drift certificate
 # ---------------------------------------------------------------------------
 
-def laplacian_v_nu_fd(model, x, h=1e-4):
-    """Delta V_nu by Richardson-extrapolated centered differences of the
-    analytic gradient, at every point of x (one batched gradient call)."""
-    x = np.asarray(x, dtype=float)
-    steps = np.array([h / 2.0, -h / 2.0, h, -h])
-    if model.d == 1:
-        g = model_mod.v_nu_and_grad(model, x[..., None] + steps)[1]
-    else:
-        # shifted copies along each axis; keep d/dx_ax of the ax-th component
-        eye = np.eye(model.d)
-        pts = x[..., None, None, :] + steps[:, None, None] * eye
-        g = np.diagonal(model_mod.v_nu_and_grad(model, pts)[1], axis1=-2, axis2=-1)
-        g = np.moveaxis(g, -2, -1)
-    D_half = (g[..., 0] - g[..., 1]) / (2.0 * (h / 2.0))
-    D_full = (g[..., 2] - g[..., 3]) / (2.0 * h)
-    lap = (4.0 * D_half - D_full) / 3.0
-    return lap if model.d == 1 else np.sum(lap, axis=-1)
-
-
 def _exp_case_lw(model, x, delta):
-    """L W / W for W = exp((1-delta) V_nu): -(1-delta)(delta |grad V_nu|^2
-    - Delta V_nu), the Laplacian by Richardson differences.  Vectorized."""
-    g = model_mod.v_nu_and_grad(model, x)[1]
+    """V_nu and L W / W = -(1-delta)(delta |grad V_nu|^2 - Delta V_nu), W = exp((1-delta) V_nu)."""
+    v, g, lap = model_mod.v_nu_grad_laplacian(model, x)
     gsq = g * g if model.d == 1 else np.sum(g * g, axis=-1)
-    lap = laplacian_v_nu_fd(model, x)
-    return -(1.0 - delta) * (delta * gsq - lap)
+    return v, -(1.0 - delta) * (delta * gsq - lap)
 
 
 def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
@@ -624,7 +592,7 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
     phi_s = phi.values[idx][:, None]
     points = _sphere_points(model, radii, 16)
     if exp_case:
-        lw = _exp_case_lw(model, points, cfg.delta)
+        lw = _exp_case_lw(model, points, cfg.delta)[1]
     else:
         w = cfg.sigma / (1.0 + cfg.sigma)
         inv_p = np.exp(-phi.log_p_sigma[idx])[:, None]
@@ -638,24 +606,21 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
     # interior ball: b and the local spectral bound
     if model.d == 1:
         pts = np.linspace(-cfg.R0, cfg.R0, 101)
-        r = np.abs(pts)
     else:
         rad = np.linspace(0.0, cfg.R0, 13)[1:]
         pts = np.concatenate([_sphere_points(model, rad, 8).reshape(-1, model.d),
                               np.zeros((1, model.d))])
-        r = np.linalg.norm(pts, axis=-1)
     phi_r0 = float(phi(cfg.R0))
     if exp_case:
         # keep away from a potential cusp that survives in the convolution
         guard = model.potential.smooth_radius + 1e-6 \
             if model.source.kind == "point_mass" else 0.0
-        lw_ball = _exp_case_lw(model, pts[r > guard], cfg.delta)
-        b = float(np.max(lw_ball + phi_r0, initial=0.0))
+        vnu_vals, lw_ball = _exp_case_lw(model, pts, cfg.delta)
+        b = float(np.max(lw_ball[model_mod._radii(pts, model.d) > guard] + phi_r0, initial=0.0))
     else:
         # constant-1 interior extension: zero interior drift term
         b = phi_r0
-
-    vnu_vals = model_mod.v_nu(model, pts)
+        vnu_vals = model_mod.v_nu(model, pts)
     osc = float(np.max(vnu_vals) - np.min(vnu_vals))
     lam_inv = (4.0 * cfg.R0 ** 2 / np.pi ** 2) * math.exp(osc)
     c0 = b * lam_inv + 1.0

@@ -8,8 +8,8 @@ density
     p(x) = integral of exp(-V(x - z)) nu(dz),
 
 log-density potential  V_nu = -log p,  and the reweighted measure nu_x with
-dnu_x/dnu proportional to exp(-V(x - z)).  This module evaluates p, V_nu,
-grad V_nu, tilted expectations under nu_x, and the tails of mu and nu.
+dnu_x/dnu proportional to exp(-V(x - z)).  This module evaluates p, V_nu
+and its derivatives, tilted expectations under nu_x, and the tails of mu and nu.
 
 All dataclasses are frozen; every evaluator is a pure function of its
 arguments and may be called concurrently.
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericUnderflow, UnsupportedDimension
+from .errors import ConfigError, DriftConditionFailed, NumericUnderflow, UnsupportedDimension
 
 __all__ = [
     "QuadratureSpec",
@@ -44,6 +44,7 @@ __all__ = [
     "p_nu",
     "v_nu",
     "v_nu_and_grad",
+    "v_nu_grad_laplacian",
     "tilted_expectation",
     "tilted_u_moment",
     "measure_tail",
@@ -113,19 +114,22 @@ class Potential:
         return self.c + self.v0(s)
 
     def gradient(self, x):
+        if self.d == 1:
+            return self.grad_1d(x)
         pts = _as_points(x, self.d)
         s = np.sqrt(np.sum(pts * pts, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(s > 0.0, self.v0p(np.where(s > 0.0, s, 1.0)) / np.where(s > 0.0, s, 1.0), 0.0)
-        out = pts * scale[..., None]
-        return out[..., 0] if self.d == 1 else out
+        return pts * scale[..., None]
 
     def laplacian(self, x):
         s = _radii(x, self.d)
         safe = np.where(s > 0.0, s, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             lap = self.v0pp(safe) + (self.d - 1) * self.v0p(safe) / safe
-        return np.where(s > 0.0, lap, self.v0pp(safe))
+            # the origin reads d v0''(0), the limit of a smooth profile, or 0 at a cusp
+            at0 = self.d * self.v0pp(0.0)
+        return np.where(s > 0.0, lap, at0 if np.isfinite(at0) else 0.0)
 
     def grad_1d(self, u):
         """Signed derivative of V along the line (d must be 1)."""
@@ -369,7 +373,8 @@ class SourceMeasure:
     kind             -- 'point_mass' | 'discrete_atoms' | 'density'
     locations/weights-- atoms (locations shape (n, d)); weights sum to
                         1 - truncation_error.
-    density          -- vectorized z -> density, for kind='density' (d = 1)
+    density          -- vectorized z -> density, for kind='density' (d = 1);
+                        the uniform one on [-R, R] when R is finite
     density_reach    -- half-width outside which the density tail is handled
                         analytically (sampling / tabulation cutoff)
     support_radius   -- sup |z| over the support (inf when unbounded)
@@ -974,11 +979,47 @@ def p_nu(model, x):
 
 
 def v_nu_and_grad(model, x):
-    """(V_nu(x), grad V_nu(x)); the gradient is the tilted mean of grad V."""
-    pot = model.potential
-    grad = pot.grad_1d if model.d == 1 else pot.gradient
-    logp, g = _evaluate(model, x, lambda u, xs: grad(u))
+    """(V_nu(x), grad V_nu(x)): the tilted mean of grad V (v_nu_grad_laplacian for nu uniform)."""
+    if model.source.kind == "density" and np.isfinite(model.source.support_radius):
+        return v_nu_grad_laplacian(model, x)[:2]
+    logp, g = _evaluate(model, x, lambda u, xs: model.potential.gradient(u))
     return -logp, g
+
+
+def v_nu_grad_laplacian(model, x):
+    """(V_nu, grad V_nu, Delta V_nu) at every point of x, from one kernel pass.
+
+    Uniform source on [-R, R]: only log p needs quadrature, as 2R p' =
+    e^{-V(x+R)} - e^{-V(x-R)} and 2R p'' = V'(x-R) e^{-V(x-R)} - V'(x+R) e^{-V(x+R)},
+    and Delta V_nu = (p'/p)^2 - p''/p is exact at a cusp of V (V'(0) reads 0).
+    Otherwise Delta V_nu = E_{nu_x}[Delta V] - tr Cov(grad V); a density source
+    adds the kink of V at u = 0, 2 v0'(0) rho(x) e^{-V(0)} / p(x), and where
+    that is infinite (|x|^p, p < 1) DriftConditionFailed names the point.
+    """
+    pot, src, d = model.potential, model.source, model.d
+    if src.kind == "density" and np.isfinite(src.support_radius):
+        logp = _evaluate(model, x)[0]
+        R = src.support_radius
+        u = np.stack([np.add(x, R), np.subtract(x, R)])
+        w = np.exp(-pot.value(u) - logp) / (2.0 * R)  # e^{-V(u)} / (2R p) at both ends
+        dp = w[0] - w[1]
+        return -logp, -dp, dp * dp - (pot.grad_1d(u[1]) * w[1] - pot.grad_1d(u[0]) * w[0])
+
+    def moments(u, xs):  # grad V, |grad V|^2 and Delta V on the last axis
+        g = _as_points(pot.gradient(u), d)
+        return np.concatenate([g, np.sum(g * g, axis=-1, keepdims=True),
+                               pot.laplacian(u)[..., None]], axis=-1)
+    logp, m = _evaluate(model, x, moments)
+    g = m[..., :d]
+    lap = m[..., -1] - (m[..., -2] - np.sum(g * g, axis=-1))
+    if src.kind == "density":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lap = lap + 2.0 * pot.v0p(0.0) * np.exp(np.log(src.density(x)) - pot.value(0.0) - logp)
+        bad = ~np.isfinite(lap)
+        if np.any(bad):
+            raise DriftConditionFailed(f"Delta V_nu is infinite at x={_first_point(x, bad)}: "
+                                       "the density source charges the cusp u = 0 of V")
+    return -logp, g[..., 0] if d == 1 else g, lap
 
 
 def tilted_expectation(model, x, g):

@@ -47,6 +47,26 @@ def test_load_rejects_unknown_keys():
         cli.load_config("{preset: example_3_3, grids: {bogus: 2}}")
 
 
+@pytest.mark.parametrize("override, key", [
+    ("grids.points_per_decade=0", "grids.points_per_decade"),
+    ("grids.points_per_decade=0.5", "grids.points_per_decade"),
+    ("grids.r_min=-1", "grids.r_min"),
+    ("grids.r_min=abc", "grids.r_min"),
+    ("grids.r_min=1e11", "grids.r_min"),  # above example_3_3's default r_max
+    ("grids.s_max=1.0e-9", "grids.s_min"),
+    ("sweep.values=[]", "sweep.values"),
+])
+def test_load_rejects_out_of_range_grids_and_sweeps(override, key, capsys, tmp_path):
+    doc = cli.apply_overrides({"preset": "example_3_3", "grids": {"s_min": 1e-8}},
+                              [override])
+    with pytest.raises(ConfigError, match=key):
+        cli.load_config(doc)
+    # the run reports the key instead of failing inside a stage
+    code = cli.main(["run", "{preset: example_3_3, stages: [rate, sweep], "
+                     "grids: {s_min: 1.0e-8}}", "--set", override, "-o", str(tmp_path)])
+    assert code == 1 and f"config error: {key}" in capsys.readouterr().err
+
+
 def test_load_requires_exactly_one_of_preset_custom():
     with pytest.raises(ConfigError, match="exactly one"):
         cli.load_config("{stages: [rate]}")

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from scipy import integrate, special
 from wpconv import model as M
 from wpconv import presets as P
 from wpconv import verify as V
-from wpconv.errors import ConfigError, NumericUnderflow
+from wpconv.errors import ConfigError, DriftConditionFailed, NumericUnderflow
 
 from conftest import PRESET_RATE_RUNS
 
@@ -694,6 +695,97 @@ def test_kernel_values_do_not_depend_on_the_other_points_of_a_call(name):
     parts = [M.v_nu_and_grad(m, x[i:i + 7]) for i in range(0, x.size, 7)]
     np.testing.assert_array_equal(np.concatenate([a for a, _ in parts]), v)
     np.testing.assert_array_equal(np.concatenate([b for _, b in parts]), g)
+    v3, _, lap = M.v_nu_grad_laplacian(m, x)
+    np.testing.assert_array_equal(v3, v)
+    np.testing.assert_array_equal(M.v_nu_grad_laplacian(m, x[::-1])[2][::-1], lap)
+    parts = [M.v_nu_grad_laplacian(m, x[i:i + 7])[2] for i in range(0, x.size, 7)]
+    np.testing.assert_array_equal(np.concatenate(parts), lap)
+
+
+def test_laplacian_point_mass_is_the_potentials():
+    m = M.ConvolutionModel(M.log_potential(2.0), M.point_mass())
+    x = np.array([-17.0, -2.0, 0.4, 3.5])
+    _, g, lap = M.v_nu_grad_laplacian(m, x)
+    np.testing.assert_array_equal(g, m.potential.grad_1d(x))
+    np.testing.assert_array_equal(lap, m.potential.v0pp(np.abs(x)))
+
+
+def _uniform_oracle(x, R, F, f, fp):
+    """(V_nu', V_nu'') for the uniform source on [-R, R] in 50-digit mpmath,
+    from an antiderivative F of e^{-V} (up to its constant), f = e^{-V} and
+    fp = (e^{-V})'."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        p = F(x + R) - F(x - R)
+        dp = (f(x + R) - f(x - R)) / p
+        ddp = (fp(x + R) - fp(x - R)) / p
+        return float(-dp), float(dp * dp - ddp)
+
+
+@pytest.mark.parametrize("x", [1.7, 5.0, 30.0, 250.0, -3.2, 0.3])
+def test_laplacian_example_3_3_matches_closed_form(x):
+    """e^{-V} = (1+|u|)^-3 has the antiderivative sgn(u) (1 - (1+|u|)^-2) / 2."""
+    m = P.make_model("example_3_3", p=2.0)
+    g_ref, lap_ref = _uniform_oracle(
+        x, 1, lambda u: mpmath.sign(u) * (1 - (1 + abs(u)) ** -2) / 2,
+        lambda u: (1 + abs(u)) ** -3, lambda u: -3 * mpmath.sign(u) * (1 + abs(u)) ** -4)
+    _, g, lap = M.v_nu_grad_laplacian(m, x)
+    assert g == pytest.approx(g_ref, rel=1e-13, abs=0.0)
+    assert lap == pytest.approx(lap_ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 2.5, -6.0, 10.0])
+def test_laplacian_uniform_quadratic_matches_erf(x):
+    """Past the support both terms of (p'/p)^2 - p''/p grow like 4 x^2 while
+    Delta V_nu tends to 2, so the bound on the Laplacian grows like x^2."""
+    m = M.ConvolutionModel(M.quadratic_potential(), M.uniform_density(1.0))
+    g_ref, lap_ref = _uniform_oracle(
+        x, 1, mpmath.erf, lambda u: mpmath.exp(-u * u) * 2 / mpmath.sqrt(mpmath.pi),
+        lambda u: -4 * u * mpmath.exp(-u * u) / mpmath.sqrt(mpmath.pi))
+    _, g, lap = M.v_nu_grad_laplacian(m, x)
+    assert g == pytest.approx(g_ref, rel=1e-13, abs=1e-15)
+    assert lap == pytest.approx(lap_ref, rel=2e-14 * (1.0 + x * x), abs=0.0)
+
+
+@pytest.mark.parametrize("pot", [M.log_potential(2.0), M.smooth_well_potential(0.5)],
+                         ids=["log", "smooth_well"])
+def test_laplacian_carries_the_kink_of_the_potential_under_a_density_source(pot):
+    """log_potential(2) has v0'(0) = 3, so under the power-tail density
+    Delta V_nu carries 2 v0'(0) rho(x) e^{-V(0)} / p(x); the smooth well
+    (lemma_3_2's) has none.  Oracle: (p'/p)^2 - p''/p with the derivatives on
+    the smooth rho ~ 1/(1+z^2), by quad split where rho'' changes sign."""
+    m = M.ConvolutionModel(pot, M.power_tail_density(1.0))
+    L = m.reach()
+    rho = (lambda z: 1.0 / (1.0 + z * z), lambda z: -2.0 * z / (1.0 + z * z) ** 2,
+           lambda z: (6.0 * z * z - 2.0) / (1.0 + z * z) ** 3)
+    for x in [0.37, -1.2, 4.0, 30.0]:
+        marks = {-L, L, 0.0, x} | {s * 10.0 ** k for s in (-1, 1) for k in range(7)} \
+            | {x + s for s in (-1.0, 1.0, -3.0 ** -0.5, 3.0 ** -0.5)}
+        edges = sorted(e for e in marks if -L <= e <= L)
+        p, dp, ddp = (_quad(lambda u: math.exp(-m.potential.value(abs(u))) * r(x - u), edges)
+                      for r in rho)
+        lap_ref = (dp / p) ** 2 - ddp / p
+        assert M.v_nu_grad_laplacian(m, x)[2] == pytest.approx(lap_ref, rel=1e-11), x
+
+
+def test_laplacian_symmetric_pair_d2_matches_richardson():
+    """[1, 0] is an atom: the term at u = 0 reads Delta V(0) = d v0''(0)."""
+    m = M.ConvolutionModel(M.smooth_well_potential(0.5, d=2), M.symmetric_pair(1.0, d=2))
+    pts = np.array([[1.3, 0.7], [-2.5, 1.1], [0.2, -3.0], [4.0, 0.0], [1.0, 0.0]])
+    _, g, lap = M.v_nu_grad_laplacian(m, pts)
+    np.testing.assert_allclose(g, M.v_nu_and_grad(m, pts)[1], rtol=1e-14)
+
+    def div(h):  # central differences of each gradient component along its axis
+        return sum((M.v_nu_and_grad(m, pts + h * e)[1][:, i]
+                    - M.v_nu_and_grad(m, pts - h * e)[1][:, i]) / (2.0 * h)
+                   for i, e in enumerate(np.eye(2)))
+    np.testing.assert_allclose(lap, (4.0 * div(5e-5) - div(1e-4)) / 3.0, rtol=1e-8)
+
+
+def test_laplacian_names_the_point_of_an_infinite_kink():
+    m = M.ConvolutionModel(M.power_potential(0.6), M.power_tail_density(1.0))
+    with pytest.raises(DriftConditionFailed, match="x=0.5"):
+        M.v_nu_grad_laplacian(m, np.array([0.5, 2.0]))
 
 
 def test_power_tail_density_v_matches_doubled_nodes():
@@ -719,19 +811,16 @@ def test_patched_gradient_matches_quad_across_the_seam(name, nu):
         assert M.v_nu_and_grad(m, x)[1] == pytest.approx(g_ref, rel=1e-12, abs=1e-12), x
 
 
-@pytest.mark.parametrize("nodes, bound", [(24, 6e-8), (48, 2.2e-9)])
-def test_cusp_gradient_inside_the_support_at_its_known_error(nodes, bound):
-    """Known defect, pinned at its measured size: for |x|^0.6 inside the
-    support, V' = 0.6 |u|^-0.4 leaves the graded panel at the cusp a
-    non-smooth integrand, so the gradient is 5.6e-8 off at 24 nodes and
-    2.0e-9 at 48.  No stage reads it (decay uses the patched model, criterion
-    09 reads |x| >= 1.5).  ROADMAP item 1's boundary terms p' and p'' for
-    the uniform source remove it."""
+@pytest.mark.parametrize("nodes", [24, 48])
+def test_cusp_gradient_inside_the_support_matches_quad(nodes):
+    """For |x|^0.6 inside the support the gradient is the boundary term
+    -p'/p: the cusp of V' = 0.6 |u|^-0.4 enters only through p, which the
+    graded panel at u = 0 integrates to rounding."""
     m = P.make_model("example_3_2", p=0.6)
     m = M.ConvolutionModel(m.potential, m.source, quadrature=M.QuadratureSpec(nodes=nodes))
     for x in [0.3, 0.5, 1.0]:
         _, g_ref = _density_oracle(m, x, m.potential.grad_1d)
-        assert M.v_nu_and_grad(m, x)[1] == pytest.approx(g_ref, rel=bound, abs=0.0), x
+        assert M.v_nu_and_grad(m, x)[1] == pytest.approx(g_ref, rel=1e-13, abs=0.0), x
 
 
 @pytest.mark.parametrize("name", P.PRESETS)
