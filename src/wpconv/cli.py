@@ -175,6 +175,7 @@ def load_config(source):
         presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d, R=cfg.R,
                                     well_exponent=cfg.well_exponent, nu=cfg.nu)
     _check_grids(cfg)
+    _check_samples(cfg)
     values = cfg.sweep.get("values", [1.0])
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
@@ -200,6 +201,22 @@ def _check_grids(cfg):
         if lo in g and hi in g and not g[lo] < g[hi]:
             raise ConfigError(f"grids.{lo}: must lie below grids.{hi} = {g[hi]:g}, "
                               f"got {g[lo]:g}")
+
+
+def _check_samples(cfg):
+    """dt and t_max are positive and finite; n_wpi, n_paths and n_inner are
+    integers of at least 2, and n_times is an integer of at least 1."""
+    for key, raw in cfg.samples.items():
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"samples.{key}: must be a number, got {raw!r}")
+        if key in ("dt", "t_max"):
+            if not 0.0 < raw < math.inf:
+                raise ConfigError(f"samples.{key}: must be positive and finite, got {raw!r}")
+            continue
+        least = 1 if key == "n_times" else 2
+        if not float(raw).is_integer() or raw < least:
+            raise ConfigError(f"samples.{key}: must be an integer of at least {least}, "
+                              f"got {raw!r}")
 
 
 def apply_overrides(doc, pairs):

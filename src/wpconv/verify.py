@@ -9,11 +9,15 @@ empirical_wpi calibrates the single constant c of
     Var(f) <= c * alpha(r) * E(|grad f|^2) + r * Osc^2(f)
 
 on a calibration split of a bounded-function corpus and reports the slack on
-the holdout split.  semigroup_decay runs nested Euler-Maruyama paths of the
-diffusion with drift -grad V_nu and reports the variance of the conditional
-mean of a test function over time.  Its normals are drawn a block of
-DECAY_ROWS steps ahead on a second CPU when the process may use one (inline
-otherwise); the trace is bitwise that of the step-by-step stream.
+the holdout split.  Its statistics run in blocks of WPI_BLOCK samples over
+three buffers reused for every function, and reduce over the full buffers, so
+they are bitwise the one-shot formulas.  The samplers invert their tables on
+sorted queries (_interp_sorted, bitwise np.interp).  semigroup_decay runs
+nested Euler-Maruyama paths of the diffusion with drift -grad V_nu and reports
+the variance of the conditional mean of a test function over time.  Its
+normals are drawn a block of DECAY_ROWS steps ahead on a second CPU when the
+process may use one (inline otherwise); the trace is bitwise that of the
+step-by-step stream.
 """
 
 import math
@@ -47,6 +51,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 CDF_BLOCK = 4096      # rows per block of the compact-source CDF
+WPI_BLOCK = 16384     # samples per block of the WPI corpus statistics
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
 DECAY_ROWS = 8        # Euler steps of normals per block drawn ahead
 PROPOSAL_EXPONENT = 1.0  # q of the d = 2 rejection proposal, radius density ~ s (1+s)^-(3+q)
@@ -58,7 +63,8 @@ PROPOSAL_EXPONENT = 1.0  # q of the d = 2 rejection proposal, radius density ~ s
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Bounded C^1 function with an a-priori oscillation bound."""
+    """Bounded C^1 function with an a-priori oscillation bound.  value and
+    gradient act elementwise on arrays: empirical_wpi calls them blockwise."""
 
     id: str
     value: Callable
@@ -130,10 +136,20 @@ def _mu_log_tail(model):
     return np.log(nodes), np.log(np.maximum(tails, 1e-320))
 
 
+def _interp_sorted(q, xp, fp):
+    """Bitwise np.interp(q, xp, fp) for a float array q, evaluated on the
+    sorted queries so that each bin search starts from the previous one, and
+    scattered back."""
+    order = np.argsort(q)
+    out = q[order]
+    out[order] = np.interp(out, xp, fp)
+    return out
+
+
 def _invert_tail(log_q, log_t, log_tails):
     """Radii t with tail(t) = exp(log_q): the decreasing table (log_t,
     log_tails) interpolated log-log and clamped at its ends."""
-    return np.exp(np.interp(-log_q, -log_tails, log_t))
+    return np.exp(_interp_sorted(-log_q, -log_tails, log_t))
 
 
 def _sample_mu_1d(model, rng, n, table=None):
@@ -142,9 +158,9 @@ def _sample_mu_1d(model, rng, n, table=None):
     `table` is _mu_log_tail(model) when the caller already has it."""
     log_t, log_tails = table or _mu_log_tail(model)
     strict = np.concatenate([[True], np.diff(log_tails) < 0.0])
-    u = rng.uniform(0.0, 1.0, size=n)
+    log_q = np.log1p(-rng.uniform(0.0, 1.0, size=n))
     signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    return signs * _invert_tail(np.log1p(-u), log_t[strict], log_tails[strict])
+    return signs * _invert_tail(log_q, log_t[strict], log_tails[strict])
 
 
 def _sample_source(src, rng, n):
@@ -162,7 +178,7 @@ def _sample_source(src, rng, n):
         cdf = np.concatenate([[0.0], np.cumsum(
             0.5 * (dens[1:] + dens[:-1]) * np.diff(zz))])
         cdf = cdf / cdf[-1]
-        return np.interp(rng.uniform(size=n), cdf, zz)[:, None]
+        return _interp_sorted(rng.uniform(size=n), cdf, zz)[:, None]
     # unbounded density: magnitudes through the analytic tail map
     tt = np.geomspace(1e-6, 1e12, 4000)
     tails = np.asarray(src.tail(tt), dtype=float)
@@ -212,10 +228,10 @@ def _sample_mu_rejection_2d(model, rng, n):
     while filled < n:
         m = max(2 * (n - filled), 1024)
         attempts += m
-        r = np.interp(rng.uniform(size=m), cdf, ss)
+        r = _interp_sorted(rng.uniform(size=m), cdf, ss)
         th = rng.uniform(0.0, 2.0 * np.pi, size=m)
         cand = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        g_r = np.interp(r, ss, gs) / norm / r ** (d - 1)
+        g_r = _interp_sorted(r, ss, gs) / norm / r ** (d - 1)
         log_acc = (-pot.c - pot.v0(r)) - np.log(g_r) - logM
         keep = np.log(rng.uniform(size=m)) < log_acc
         k = int(keep.sum())
@@ -346,24 +362,30 @@ class WpiReport:
 def empirical_wpi(model, alpha, corpus, r_grid, seed, n, z_ci=2.0):
     """Calibrate c on the calibration split, then test every holdout function
     at every grid r: Var(f) - c alpha(r) E(f) - r Osc^2(f) <= z_ci * CI."""
+    if n < 2:
+        raise ValueError(f"empirical_wpi needs n >= 2 samples, got n={n!r}")
     r_grid = np.asarray(r_grid, dtype=float)
     batch = sample_convolution(model, seed, n)
     x = batch.points[:, 0]
     a_of_r = np.asarray(alpha.value_at(r_grid), dtype=float)
 
+    c2, c4, g2 = np.empty((3, n))
+    blocks = [slice(k, k + WPI_BLOCK) for k in range(0, n, WPI_BLOCK)]
     stats = {}
     for f in corpus:
-        vals = np.asarray(f.value(x), dtype=float)
-        grads = np.asarray(f.gradient(x), dtype=float)
-        centered = vals - vals.mean()
-        c2 = centered * centered
-        var = float(np.sum(c2) / (len(x) - 1))
-        m2 = float(np.mean(c2))
-        m4 = float(np.mean(c2 * c2))
-        se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / len(x))
-        g2 = grads ** 2
-        energy = float(g2.mean())
-        se_energy = float(g2.std(ddof=1)) / math.sqrt(len(x))
+        for b in blocks:
+            c2[b] = f.value(x[b])
+            g2[b] = f.gradient(x[b]) ** 2
+        mean, energy = c2.mean(), float(g2.mean())
+        for b in blocks:    # c2 <- (f - mean)^2, c4 <- c2^2, g2 <- (g2 - energy)^2
+            np.square(np.subtract(c2[b], mean, out=c2[b]), out=c2[b])
+            np.square(c2[b], out=c4[b])
+            np.square(np.subtract(g2[b], energy, out=g2[b]), out=g2[b])
+        # full-array reductions keep numpy's pairwise order: one-shot moments bitwise
+        var = float(np.sum(c2) / (n - 1))
+        m2, m4 = float(np.mean(c2)), float(np.mean(c4))
+        se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
+        se_energy = math.sqrt(float(np.sum(g2)) / (n - 1)) / math.sqrt(n)
         stats[f.id] = {"role": f.role, "var": var, "se_var": se_var,
                        "energy": energy, "se_energy": se_energy,
                        "osc": f.osc_bound}
@@ -491,6 +513,11 @@ def semigroup_decay(model, f, t_grid, n_paths, dt, seed, n_inner=256):
     points with n_inner inner paths each."""
     if model.d != 1:
         raise UnsupportedDimension("path simulation implemented for d = 1")
+    for name, count in (("n_paths", n_paths), ("n_inner", n_inner)):
+        if count < 2:
+            raise ValueError(f"semigroup_decay needs {name} >= 2, got {name}={count!r}")
+    if not dt > 0.0:
+        raise ValueError(f"semigroup_decay needs dt > 0, got dt={dt!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     guard = 10.0 * model.truncation_radius
     table = _drift_table(model, guard * 1.05)

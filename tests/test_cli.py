@@ -67,6 +67,34 @@ def test_load_rejects_out_of_range_grids_and_sweeps(override, key, capsys, tmp_p
     assert code == 1 and f"config error: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("samples.n_wpi=1", "samples.n_wpi"),
+    ("samples.n_wpi=abc", "samples.n_wpi"),
+    ("samples.n_paths=0", "samples.n_paths"),
+    ("samples.n_inner=1", "samples.n_inner"),
+    ("samples.n_inner=2.5", "samples.n_inner"),
+    ("samples.dt=0", "samples.dt"),
+    ("samples.dt=.inf", "samples.dt"),
+    ("samples.t_max=-1.0", "samples.t_max"),
+    ("samples.n_times=0", "samples.n_times"),
+])
+def test_load_rejects_out_of_range_samples(override, key, capsys, tmp_path):
+    doc = cli.apply_overrides({"preset": "example_3_3", "p": 2}, [override])
+    with pytest.raises(ConfigError, match=key):
+        cli.load_config(doc)
+    # the run reports the key instead of writing NaN statistics
+    code = cli.main(["run", "{preset: example_3_3, p: 2, stages: [verify, decay]}",
+                     "--set", override, "-o", str(tmp_path)])
+    assert code == 1 and f"config error: {key}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_load_accepts_the_smallest_samples():
+    cfg = cli.load_config("{preset: example_3_3, p: 2, samples: {n_wpi: 2, "
+                          "n_paths: 2, n_inner: 2, dt: 1.0e-3, t_max: 0.5, n_times: 1}}")
+    assert cfg.samples["n_wpi"] == 2 and cfg.samples["n_times"] == 1
+
+
 def test_load_requires_exactly_one_of_preset_custom():
     with pytest.raises(ConfigError, match="exactly one"):
         cli.load_config("{stages: [rate]}")

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from wpconv import model as M
@@ -119,6 +120,33 @@ def test_sampler_and_ks_cdf_read_one_mu_table():
     np.testing.assert_allclose(x[beyond], 1e300, rtol=1e-12)
     np.testing.assert_allclose(1.0 - F_mu(x[~beyond]), half_tail[~beyond],
                                rtol=1e-9, atol=0.0)
+
+
+@given(st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.0, 7.5])
+                | st.floats(-10.0, 10.0), min_size=1, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_interp_sorted_is_np_interp(qs):
+    """Unsorted queries, ties, and queries beyond both ends of xp."""
+    xp = np.array([-2.0, -0.5, 0.0, 0.5, 1.0, 4.0])
+    fp = np.array([3.0, -1.0, 0.125, 0.125, 9.0, -4.0])
+    q = np.asarray(qs)
+    assert np.array_equal(V._interp_sorted(q, xp, fp), np.interp(q, xp, fp))
+
+
+@pytest.mark.parametrize("draw", ["compact", "unbounded", "mu_1d"])
+def test_samplers_are_the_np_interp_draws(draw, m33, monkeypatch):
+    """The sorted-query inversions draw bitwise what np.interp on the random
+    order draws from the same seeded generator."""
+    def sample():
+        rng = np.random.default_rng(np.random.PCG64(21))
+        if draw == "compact":
+            return V._sample_source(m33.source, rng, 50_000)
+        if draw == "unbounded":
+            return V._sample_source(M.power_tail_density(1.0), rng, 50_000)
+        return V._sample_mu_1d(m33, rng, 50_000)
+    fast = sample()
+    monkeypatch.setattr(V, "_interp_sorted", np.interp)
+    assert np.array_equal(fast, sample())
 
 
 def test_sampler_two_atom_symmetry():
@@ -254,6 +282,35 @@ def test_wpi_moments_match_power_reference(m33, alpha_33):
             math.sqrt(max(m4 - m2 * m2, 0.0) / n), rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [3 * V.WPI_BLOCK + 17, V.WPI_BLOCK // 3])
+def test_wpi_blocked_statistics_are_the_unblocked_formulas(n, m33, alpha_33):
+    """The blockwise statistics over reused buffers are bitwise the
+    full-array expressions, with a ragged last block and with one block."""
+    const = V.TestFunction(id="const", value=lambda x: np.full_like(x, 0.3),
+                           gradient=lambda x: np.zeros_like(x), osc_bound=1.0)
+    corpus = V.build_corpus(seed=7) + [const]
+    rep = V.empirical_wpi(m33, alpha_33.alpha, corpus, np.array([1e-3]),
+                          seed=17, n=n)
+    x = V.sample_convolution(m33, 17, n).points[:, 0]
+    for f in corpus:
+        vals = np.asarray(f.value(x), dtype=float)
+        centered = vals - vals.mean()
+        c2 = centered * centered
+        m2, m4 = float(np.mean(c2)), float(np.mean(c2 * c2))
+        g2 = np.asarray(f.gradient(x), dtype=float) ** 2
+        got = rep.per_function[f.id]
+        assert got["var"] == float(np.sum(c2) / (n - 1))
+        assert got["se_var"] == math.sqrt(max(m4 - m2 * m2, 0.0) / n)
+        assert got["energy"] == float(g2.mean())
+        assert got["se_energy"] == float(g2.std(ddof=1)) / math.sqrt(n)
+
+
+def test_wpi_rejects_fewer_than_two_samples(m33, alpha_33):
+    with pytest.raises(ValueError, match="n=1"):
+        V.empirical_wpi(m33, alpha_33.alpha, V.build_corpus(seed=7),
+                        np.array([1e-3]), seed=1, n=1)
+
+
 def test_wpi_large_r_dominates(m33, alpha_33):
     """Once r >= 1/4, the oscillation term alone bounds any variance."""
     corpus = V.build_corpus(seed=7)
@@ -324,6 +381,16 @@ def test_decay_reproducible(m33):
     a = V.semigroup_decay(m33, TANH, t, n_paths=16, dt=0.01, seed=21, n_inner=8)
     b = V.semigroup_decay(m33, TANH, t, n_paths=16, dt=0.01, seed=21, n_inner=8)
     np.testing.assert_array_equal(a.variance_estimates, b.variance_estimates)
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(n_paths=1), "n_paths=1"), (dict(n_inner=1), "n_inner=1"),
+    (dict(dt=0.0), "dt=0.0"), (dict(dt=-0.01), "dt=-0.01"),
+])
+def test_decay_rejects_degenerate_settings(kw, name, m33):
+    args = {"n_paths": 8, "dt": 0.01, "seed": 3, "n_inner": 8, **kw}
+    with pytest.raises(ValueError, match=name):
+        V.semigroup_decay(m33, TANH, [0.1], **args)
 
 
 def test_decay_explosion_guard(monkeypatch):
