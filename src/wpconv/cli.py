@@ -15,7 +15,7 @@ Output layout (one directory per run): manifest.json, conditions.json,
 certificate.json, alpha.csv (s, alpha), beta.csv (r, varphi_phi, beta),
 fit.json, wpi_report.json, decay.csv (t, variance, ci_halfwidth), sweep.csv,
 sweep.json, stability.json.  JSON documents carry schema_version; the manifest
-holds the only timestamp.
+holds the only timestamp, and the number of CPUs the run could use.
 """
 
 import argparse
@@ -93,6 +93,7 @@ _DEFAULT_SEEDS = {"sampler": 20_260_809, "corpus": 7, "decay": 5}
 _DEFAULT_SAMPLES = {"n_wpi": 1_000_000, "n_paths": 128, "n_inner": 128,
                     "dt": 2e-3, "t_max": 40.0, "n_times": 8}
 _DEFAULT_TOLS = {"drift_tol_abs": 1e-8, "drift_tol_rel": 1e-6}
+_DECAY_T_FIRST = 0.25   # earliest first time of a decay grid of n_times > 1
 
 
 def _check_keys(doc, allowed, path):
@@ -205,7 +206,8 @@ def _check_grids(cfg):
 
 def _check_samples(cfg):
     """dt and t_max are positive and finite; n_wpi, n_paths and n_inner are
-    integers of at least 2, and n_times is an integer of at least 1."""
+    integers of at least 2, and n_times is an integer of at least 1.  A decay
+    grid of more than one time needs t_max above its first time."""
     for key, raw in cfg.samples.items():
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"samples.{key}: must be a number, got {raw!r}")
@@ -217,6 +219,9 @@ def _check_samples(cfg):
         if not float(raw).is_integer() or raw < least:
             raise ConfigError(f"samples.{key}: must be an integer of at least {least}, "
                               f"got {raw!r}")
+    if cfg.samples["n_times"] > 1 and cfg.samples["t_max"] <= _DECAY_T_FIRST:
+        raise ConfigError(f"samples.t_max: must exceed {_DECAY_T_FIRST:g} when n_times > 1, "
+                          f"got {cfg.samples['t_max']!r}")
 
 
 def apply_overrides(doc, pairs):
@@ -472,7 +477,8 @@ def run(config):
                     gradient=lambda x: verify_mod._sech2(x), osc_bound=2.0)
                 t_max = float(cfg.samples["t_max"])
                 n_t = int(cfg.samples["n_times"])
-                t_grid = np.geomspace(max(t_max / 64.0, 0.25), t_max, n_t)
+                t_first = max(t_max / 64.0, _DECAY_T_FIRST) if n_t > 1 else t_max
+                t_grid = np.geomspace(t_first, t_max, n_t)
                 trace = verify_mod.semigroup_decay(
                     model, f, t_grid, n_paths=int(cfg.samples["n_paths"]),
                     dt=float(cfg.samples["dt"]), seed=cfg.seeds["decay"],
@@ -528,7 +534,8 @@ def _write_manifest(outdir, cfg, stage_status, c0_used, comparison, error=None):
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
            "config": cfg.to_dict(),
            "stages": stage_status,
-           "c0_used": c0_used}
+           "c0_used": c0_used,
+           "cpus": verify_mod._cpu_count()}
     if comparison is not None:
         doc["comparison_model"] = comparison.name
     if error:

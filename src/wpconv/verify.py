@@ -12,14 +12,17 @@ on a calibration split of a bounded-function corpus and reports the slack on
 the holdout split.  Its statistics run in blocks of WPI_BLOCK samples over
 three buffers reused for every function, and reduce over the full buffers, so
 they are bitwise the one-shot formulas.  The samplers invert their tables on
-sorted queries (_interp_sorted, bitwise np.interp).  semigroup_decay runs
-nested Euler-Maruyama paths of the diffusion with drift -grad V_nu and reports
-the variance of the conditional mean of a test function over time.  Its
-normals are drawn a block of DECAY_ROWS steps ahead on a second CPU when the
-process may use one (inline otherwise); the trace is bitwise that of the
-step-by-step stream.
+sorted queries (_interp_sorted, bitwise np.interp).  The KS reference CDF of
+a compact source runs in blocks of CDF_BLOCK rows on two CPUs when the process
+may use them (_map_blocks); each row is summed alone, so no value depends on
+the blocks.  semigroup_decay runs nested Euler-Maruyama paths of the diffusion
+with drift -grad V_nu and reports the variance of the conditional mean of a
+test function over time.  Its normals are drawn a block of DECAY_ROWS steps
+ahead on a second CPU when the process may use one (inline otherwise); the
+trace is bitwise that of the step-by-step stream.
 """
 
+import contextvars
 import math
 import os
 import threading
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-CDF_BLOCK = 4096      # rows per block of the compact-source CDF
+CDF_BLOCK = 1024      # rows per block of the compact-source CDF
 WPI_BLOCK = 16384     # samples per block of the WPI corpus statistics
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
 DECAY_ROWS = 8        # Euler steps of normals per block drawn ahead
@@ -148,8 +151,10 @@ def _interp_sorted(q, xp, fp):
 
 def _invert_tail(log_q, log_t, log_tails):
     """Radii t with tail(t) = exp(log_q): the decreasing table (log_t,
-    log_tails) interpolated log-log and clamped at its ends."""
-    return np.exp(_interp_sorted(-log_q, -log_tails, log_t))
+    log_tails) interpolated log-log and clamped at its ends.  log_q is
+    negated in place."""
+    t = _interp_sorted(np.negative(log_q, out=log_q), -log_tails, log_t)
+    return np.exp(t, out=t)
 
 
 def _sample_mu_1d(model, rng, n, table=None):
@@ -160,7 +165,8 @@ def _sample_mu_1d(model, rng, n, table=None):
     strict = np.concatenate([[True], np.diff(log_tails) < 0.0])
     log_q = np.log1p(-rng.uniform(0.0, 1.0, size=n))
     signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    return signs * _invert_tail(log_q, log_t[strict], log_tails[strict])
+    signs *= _invert_tail(log_q, log_t[strict], log_tails[strict])
+    return signs
 
 
 def _sample_source(src, rng, n):
@@ -297,14 +303,17 @@ def _mixed_cdf(src, F_mu):
             x = np.atleast_1d(np.asarray(x, dtype=float))
             out = np.empty(x.shape)
             rows = min(x.size, CDF_BLOCK)
-            diff, work = np.empty((2, zn.size, rows))
-            mask = np.empty((zn.size, rows), dtype=bool)
-            f = work.reshape(rows, zn.size)    # F_mu is done with work on return
-            for k in range(0, x.size, CDF_BLOCK):
-                n = min(CDF_BLOCK, x.size - k)
-                d = np.subtract(x[k:k + n], zn[:, None], out=diff[:, :n])
-                np.copyto(f[:n], F_mu(d, work[:, :n], mask[:, :n]).T)
-                np.sum(np.multiply(f[:n], wn, out=f[:n]), axis=1, out=out[k:k + n])
+            bufs = threading.local()           # each thread's diff, work and mask
+
+            def block(k, n):
+                if not hasattr(bufs, "mask"):
+                    bufs.diff, bufs.work = np.empty((2, zn.size, rows))
+                    bufs.mask = np.empty((zn.size, rows), dtype=bool)
+                f = bufs.work.reshape(rows, zn.size)[:n]  # F_mu is done with work on return
+                d = np.subtract(x[k:k + n], zn[:, None], out=bufs.diff[:, :n])
+                np.copyto(f, F_mu(d, bufs.work[:, :n], bufs.mask[:, :n]).T)
+                np.sum(np.multiply(f, wn, out=f), axis=1, out=out[k:k + n])
+            _map_blocks(block, x.size, CDF_BLOCK)
             return out
         return F
     raise UnsupportedDimension("convolution CDF needs compact or atomic source")
@@ -467,6 +476,36 @@ def _cpu_count():
     """CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _map_blocks(fn, n, block):
+    """Call fn(k, m) once for each block [k, k + m) of range(n).  With a second
+    CPU and more than one block, the caller and a worker thread claim blocks in
+    turn, so a stalled CPU holds up one block; the worker runs in a copy of the
+    caller's context (numpy's errstate).  A block's exception is re-raised."""
+    starts, lock, errors = iter(range(0, n, block)), threading.Lock(), []
+
+    def drain():
+        try:
+            while not errors:
+                with lock:
+                    k = next(starts, None)
+                if k is None:
+                    return
+                fn(k, min(block, n - k))
+        except BaseException as exc:    # re-raised by the caller after the join
+            errors.append(exc)
+
+    worker = None
+    if _cpu_count() > 1 and n > block:
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(drain,), name="wpconv-blocks", daemon=True)
+        worker.start()
+    drain()
+    if worker is not None:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _normal_rows(rng, rows, n):

@@ -11,6 +11,7 @@ import yaml
 from wpconv import cli
 from wpconv import lyapunov as L
 from wpconv import rates as R
+from wpconv import verify
 from wpconv.errors import ConfigError
 
 
@@ -77,6 +78,9 @@ def test_load_rejects_out_of_range_grids_and_sweeps(override, key, capsys, tmp_p
     ("samples.dt=.inf", "samples.dt"),
     ("samples.t_max=-1.0", "samples.t_max"),
     ("samples.n_times=0", "samples.n_times"),
+    # the default n_times (8) needs a grid that increases from 0.25
+    ("samples.t_max=0.25", "samples.t_max"),
+    ("samples.t_max=0.1", "samples.t_max"),
 ])
 def test_load_rejects_out_of_range_samples(override, key, capsys, tmp_path):
     doc = cli.apply_overrides({"preset": "example_3_3", "p": 2}, [override])
@@ -93,6 +97,18 @@ def test_load_accepts_the_smallest_samples():
     cfg = cli.load_config("{preset: example_3_3, p: 2, samples: {n_wpi: 2, "
                           "n_paths: 2, n_inner: 2, dt: 1.0e-3, t_max: 0.5, n_times: 1}}")
     assert cfg.samples["n_wpi"] == 2 and cfg.samples["n_times"] == 1
+
+
+def test_run_decay_of_one_time_reads_t_max(tmp_path):
+    """n_times: 1 puts the one time at t_max, which may then lie below 0.25;
+    the manifest records the CPUs the run could use."""
+    text = ("preset: example_3_3\nstages: [decay]\n"
+            "samples: {n_paths: 4, n_inner: 4, dt: 0.01, t_max: 0.1, n_times: 1}\n")
+    assert run_cfg(text, tmp_path)[0] == 0
+    rows = (tmp_path / "decay.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[0] == "0.1"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["cpus"] == verify._cpu_count() >= 1
 
 
 def test_load_requires_exactly_one_of_preset_custom():

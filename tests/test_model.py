@@ -842,6 +842,33 @@ def test_widest_kernel_chunk_stays_within_the_term_budget(name):
             assert logw.size <= M._CHUNK_TERMS, (model.name, x)
 
 
+CHUNK_CASES = {**{name: make for name, (make, _) in KERNEL_CASES.items()},
+               "atoms_d2": lambda: M.ConvolutionModel(M.smooth_well_potential(0.5, d=2),
+                                                      M.symmetric_pair(1.0, d=2))}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_kernel_values_do_not_depend_on_the_chunk_budget(case, monkeypatch):
+    """Rows sum fixed blocks in order, so _CHUNK_TERMS and a budget of 2^19
+    terms give log p, a tilted mean, the exact Laplacian and the
+    normalization parts (d = 1) bit for bit, on points that span several
+    chunks."""
+    m = CHUNK_CASES[case]()
+    rows = M._chunk_rows(m)
+    n = max(400, 3 * rows // 2)
+    rng = np.random.default_rng(3)
+    x = 5.0 * rng.standard_normal((n, 2)) if m.d == 2 else np.sinh(np.linspace(-6.0, 6.0, n))
+    runs = []
+    for terms in (1 << 19, M._CHUNK_TERMS):
+        monkeypatch.setattr(M, "_CHUNK_TERMS", terms)
+        norm = M.density_normalization(m, return_parts=True) if m.d == 1 else ()
+        runs.append((*M._reduce(m, x, lambda u, xs: np.tanh(u)),
+                     *M.v_nu_grad_laplacian(m, x), *norm))
+    assert M._chunk_rows(m) == rows < n
+    for old, new in zip(*runs):
+        np.testing.assert_array_equal(new, old)
+
+
 def test_gauss_legendre_rule_is_cached_read_only():
     t, w = M._gauss_legendre(48)
     assert M._gauss_legendre(48)[0] is t

@@ -212,6 +212,20 @@ def test_convolution_cdf_unsorted_input_matches_one_shot(m33):
     assert np.array_equal(V.convolution_cdf(m33)(x), one_shot)
 
 
+def test_convolution_cdf_and_ks_do_not_depend_on_cpus_or_block(m33, monkeypatch):
+    """Each CDF row is summed alone: one CPU or two, 1024 or 4096 rows per
+    block, the CDF and the KS statistic are the same bit for bit."""
+    x = np.linspace(-60.0, 60.0, 10_001)
+    runs = []
+    for cpus in (1, 2):
+        for block in (1024, 4096):
+            monkeypatch.setattr(V, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(V, "CDF_BLOCK", block)
+            runs.append((V.convolution_cdf(m33)(x), V.ks_statistic(m33, 5, 20_000)))
+    for F, ks in runs[1:]:
+        assert np.array_equal(F, runs[0][0]) and ks == runs[0][1]
+
+
 @pytest.mark.parametrize("name", ["example_3_3", "two_atoms"])
 def test_ks_statistic_is_sampler_against_cdf(name, m33):
     """ks_statistic, which builds the mu table once, equals the KS distance
@@ -446,6 +460,126 @@ def test_decay_matches_step_by_step_stream(m33, monkeypatch, cpus):
     var, hw = _decay_reference(m33, TANH, t, **kw)
     assert np.array_equal(tr.variance_estimates, var)
     assert np.array_equal(tr.confidence_halfwidths, hw)
+
+
+def _block_threads():
+    return [t for t in threading.enumerate() if t.name == "wpconv-blocks"]
+
+
+def _square_blocks(x, out, seen):
+    """fn for _map_blocks: out[k:k+m] = x[k:k+m]^2 + k, and (k, m) in seen."""
+    def fn(k, m):
+        seen.append((k, m))
+        np.add(np.square(x[k:k + m]), k, out=out[k:k + m])
+    return fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 8 * 5 + 3])
+def test_map_blocks_runs_every_block_once(n, cpus, monkeypatch):
+    """Blocks of 8, ragged last blocks included: each block runs exactly
+    once, and the output is the inline loop's."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: cpus)
+    x = np.linspace(-3.0, 3.0, n)
+    out, seen = np.empty(n), []
+    V._map_blocks(_square_blocks(x, out, seen), n, 8)
+    inline = [(k, min(8, n - k)) for k in range(0, n, 8)]
+    assert sorted(seen) == inline
+    assert np.array_equal(out, [v * v + 8 * (i // 8) for i, v in enumerate(x)])
+    assert not _block_threads()
+
+
+@pytest.mark.parametrize("cpus, n", [(1, 100), (2, 8), (2, 3)])
+def test_map_blocks_inline_starts_no_thread(cpus, n, monkeypatch):
+    """One CPU, or no more than one block: every block runs on the caller."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: cpus)
+    threads = []
+    V._map_blocks(lambda k, m: threads.append(threading.get_ident()), n, 8)
+    assert set(threads) == {threading.get_ident()}
+
+
+def _both_threads_take_a_block(fn):
+    """fn, except that each thread's first block waits (10 s at most) until
+    the other thread has started one, so both threads run blocks."""
+    barrier = threading.Barrier(2, timeout=10.0)
+    started = set()
+
+    def wrapped(k, m):
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            barrier.wait()
+        return fn(k, m)
+    return wrapped
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_worker", [False, True])
+def test_map_blocks_reraises_a_block_error(on_worker, monkeypatch):
+    """An exception in a block on either thread reaches the caller with its
+    type after the worker is joined."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: 2)
+    caller = threading.get_ident()
+
+    def fn(k, m):
+        if (threading.get_ident() != caller) == on_worker:
+            raise _BlockFailed(k)
+    with pytest.raises(_BlockFailed):
+        V._map_blocks(_both_threads_take_a_block(fn), 1000, 8)
+    assert not _block_threads()
+
+
+def test_map_blocks_worker_sees_the_callers_errstate(monkeypatch):
+    """numpy keeps errstate in a context variable: the worker runs in a copy
+    of the caller's context, so an overflow raises on either thread."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: 2)
+    seen = {}
+
+    def fn(k, m):
+        seen.setdefault(threading.get_ident(), []).append(np.geterr())
+    with np.errstate(over="raise", under="ignore"):
+        expected = np.geterr()
+        V._map_blocks(_both_threads_take_a_block(fn), 64, 8)
+    assert len(seen) == 2
+    assert all(e == expected for runs in seen.values() for e in runs)
+    assert expected["over"] == "raise" != np.geterr()["over"]
+
+
+def test_map_blocks_under_thread_stress(monkeypatch):
+    """Four callers at once, each with its worker, so more threads than CPUs,
+    with a 1 us switch interval: each still runs every block once and gets
+    the inline output."""
+    monkeypatch.setattr(V, "_cpu_count", lambda: 2)
+    n, block = 8 * 50 + 5, 8
+    x = np.linspace(-3.0, 3.0, n)
+    got = {}
+
+    def run(i):
+        out, seen = np.empty(n), []
+        V._map_blocks(_square_blocks(x + i, out, seen), n, block)
+        got[i] = (out, sorted(seen))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    inline = [(k, min(block, n - k)) for k in range(0, n, block)]
+    for i in range(4):
+        out, seen = got[i]
+        assert seen == inline
+        assert np.array_equal(out, [(v + i) ** 2 + block * (j // block)
+                                    for j, v in enumerate(x)])
+    assert not _block_threads()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
