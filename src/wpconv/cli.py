@@ -143,12 +143,14 @@ def load_config(source):
         pot = custom.get("potential") or {}
         _check_keys(pot, {"family", "p", "d", "exponent", "expression"},
                     "custom.potential.")
+        _check_d(pot.get("d", 1), "custom.potential.d")
         if pot.get("family") not in ("power", "log", "loglog", "smooth_well",
                                      "quadratic", "expression"):
             raise ConfigError("custom.potential.family: unknown family")
         src = custom.get("source") or {}
         _check_keys(src, {"kind", "halfwidth", "location", "locations",
                           "weights", "p", "n_max"}, "custom.source.")
+    _check_d(doc.get("d", 1), "d")
     cfg = RunConfig(
         preset=preset, custom=custom,
         p=doc.get("p"), d=int(doc.get("d", 1)), R=float(doc.get("R", 1.0)),
@@ -181,6 +183,12 @@ def load_config(source):
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
     return cfg
+
+
+def _check_d(raw, path):
+    """The dimension is 1, 2 or 3."""
+    if isinstance(raw, bool) or raw not in (1, 2, 3):
+        raise ConfigError(f"{path}: must be 1, 2 or 3, got {raw!r}")
 
 
 def _check_grids(cfg):
@@ -546,14 +554,12 @@ def _write_manifest(outdir, cfg, stage_status, c0_used, comparison, error=None):
 def _run_sweep(model, comparison, dcfg, cfg, param, values):
     r_grid, hint_window, _ = _r_grid(cfg)
     if param == "sigma":
-        doc, runs = rates_mod._sigma_runs(
+        doc, runs, grid = rates_mod._sigma_runs(
             model if comparison is None else comparison, dcfg, values,
             r_grid=r_grid)
-        # wide CSV of the compared alpha tables on a shared grid
-        tables = [t for _, t in runs]
-        grid = rates_mod._shared_s_grid(tables)
+        # wide CSV of the compared alpha tables on their shared grid
         header = ["s"] + [f"alpha_sigma_{sig:g}" for sig in values]
-        cols = [grid] + [t.value_at(grid) for t in tables]
+        cols = [grid] + [t.value_at(grid) for _, t in runs]
         return doc, (header, cols)
     if param in ("p", "delta"):
         dcfg = _drift_config(cfg)  # the user's R0: R0 depends on the model and delta

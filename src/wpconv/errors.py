@@ -32,10 +32,6 @@ class HypothesisFailed(RuntimeError):
     """A comparison hypothesis (limit-ratio admissibility) does not hold."""
 
 
-class SamplerMisconfigured(RuntimeError):
-    """Rejection sampler acceptance rate collapsed."""
-
-
 class StepSizeTooLarge(RuntimeError):
     """A simulated path left the guarded domain."""
 

@@ -630,8 +630,7 @@ class ConvolutionModel:
 
     truncation_radius is the |x| scale past which exp(-v0) has dropped below
     1e-16 of its peak (capped at 1e7 for heavy-tailed profiles).  It sets
-    default_domain, the guard of the diffusion paths and the range of the
-    2-d rejection proposal.
+    default_domain and the guard of the diffusion paths.
     """
 
     potential: Potential

@@ -91,22 +91,16 @@ class RateTable:
 
     def value_at(self, r):
         r = np.asarray(r, dtype=float)
-        out_of_range = (r < self.grid[0]) | (r > self.grid[-1])
-        if self.extrapolation == "power_law" and np.any(out_of_range):
+        out = self._interp(np.clip(r, self.grid[0], self.grid[-1]))
+        if self.extrapolation == "power_law" and np.any(
+                (r < self.grid[0]) | (r > self.grid[-1])):
             warnings.warn("rate table extrapolated by terminal power law",
                           stacklevel=2)
-            lo_slope = self._edge_slope(0)
-            hi_slope = self._edge_slope(-1)
-            rc = np.clip(r, self.grid[0], self.grid[-1])
-            base = self._interp(rc)
             out = np.where(r < self.grid[0],
-                           self.values[0] * (r / self.grid[0]) ** lo_slope,
+                           self.values[0] * (r / self.grid[0]) ** self._edge_slope(0),
                            np.where(r > self.grid[-1],
-                                    self.values[-1] * (r / self.grid[-1]) ** hi_slope,
-                                    base))
-            return out if r.shape else float(out)
-        rc = np.clip(r, self.grid[0], self.grid[-1])
-        out = self._interp(rc)
+                                    self.values[-1] * (r / self.grid[-1])
+                                    ** self._edge_slope(-1), out))
         return out if r.shape else float(out)
 
     def _interp(self, r):
@@ -497,7 +491,8 @@ def compare_sigma(model, cfg, sigma_list, r_grid=None, psi_scales=None,
 def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
                 bound_factor=2.0, s_window=None):
     """compare_sigma's report together with the labelled alpha tables it
-    compared, one per (scale, sigma) in that loop order."""
+    compared, one per (scale, sigma) in that loop order, and their shared
+    grid."""
     sigma_list = list(sigma_list)
     psi_scales = [1.0] if not psi_scales else list(psi_scales)
     runs = []
@@ -528,7 +523,7 @@ def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
            "pairs": pairs, "worst_range_factor": worst,
            "bounded": bool(worst < bound_factor),
            "bound_factor": bound_factor}
-    return doc, runs
+    return doc, runs, grid
 
 
 def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,

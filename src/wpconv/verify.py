@@ -1,10 +1,14 @@
 """Monte Carlo validation of computed rate functions.
 
 sample_convolution draws X + Z with X from the base measure and Z from the
-perturbing measure.  In d = 1, |X| inverts a log-log table of the exact
+perturbing measure.  In every d, |X| inverts a log-log table of the exact
 model.measure_tail out to 1e300, so heavy tails are sampled without truncating
-representable mass; convolution_cdf, the KS reference, reads the same table.
-empirical_wpi calibrates the single constant c of
+representable mass, and its direction is a fair sign (d = 1) or uniform on the
+sphere (d > 1); an unbounded source density is drawn from its tail the same
+way.  convolution_cdf, the d = 1 KS reference, reads the same mu table, and
+ks_statistic tests the draws that empirical_wpi and semigroup_decay use.
+empirical_wpi, which acts on the first coordinate, calibrates the single
+constant c of
 
     Var(f) <= c * alpha(r) * E(|grad f|^2) + r * Osc^2(f)
 
@@ -33,8 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as model_mod
-from .errors import (CalibrationFailed, SamplerMisconfigured, StepSizeTooLarge,
-                     UnsupportedDimension)
+from .errors import CalibrationFailed, StepSizeTooLarge, UnsupportedDimension
 
 __all__ = [
     "TestFunction",
@@ -57,7 +60,6 @@ CDF_BLOCK = 1024      # rows per block of the compact-source CDF
 WPI_BLOCK = 16384     # samples per block of the WPI corpus statistics
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
 DECAY_ROWS = 8        # Euler steps of normals per block drawn ahead
-PROPOSAL_EXPONENT = 1.0  # q of the d = 2 rejection proposal, radius density ~ s (1+s)^-(3+q)
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +128,21 @@ class SampleBatch:
     seed: int
     size: int
     points: np.ndarray
-    method: str
+
+
+def _log_tail_table(tail):
+    """Log radii and log tail(t), made nonincreasing, at 400 nodes per decade
+    from 1e-8 to 1e12, then 32 per decade on to 1e300 (past e^690, so
+    logarithmic tails keep their representable mass)."""
+    nodes = np.unique(np.concatenate([np.geomspace(1e-8, 1e12, 8002),
+                                      np.geomspace(1e12, 1e300, 9217)]))
+    tails = np.minimum.accumulate(np.maximum(tail(nodes), 1e-320))
+    return np.log(nodes), np.log(tails)
 
 
 def _mu_log_tail(model):
-    """The one tabulated mu law in d = 1: log radii and log measure_tail (mu)
-    at 400 nodes per decade from 1e-8 to 1e12, then 32 per decade on to 1e300
-    (past e^690, so logarithmic tails keep their representable mass)."""
-    nodes = np.unique(np.concatenate([np.geomspace(1e-8, 1e12, 8002),
-                                      np.geomspace(1e12, 1e300, 9217)]))
-    tails = model_mod.measure_tail(model, "mu", nodes)
-    return np.log(nodes), np.log(np.maximum(tails, 1e-320))
+    """The mu law's table: measure_tail of mu on _log_tail_table's nodes."""
+    return _log_tail_table(lambda t: model_mod.measure_tail(model, "mu", t))
 
 
 def _interp_sorted(q, xp, fp):
@@ -157,16 +163,21 @@ def _invert_tail(log_q, log_t, log_tails):
     return np.exp(t, out=t)
 
 
-def _sample_mu_1d(model, rng, n, table=None):
-    """|X| = T^-1(1 - u) for the mu tail T, on the strictly decreasing part of
-    the measure_tail table (below the 1e-320 floor it is flat); a fair sign.
-    `table` is _mu_log_tail(model) when the caller already has it."""
-    log_t, log_tails = table or _mu_log_tail(model)
+def _radial_draws(rng, n, d, table):
+    """n draws, shape (n, d), of the radial law with the log-tail table
+    (_log_tail_table): |X| = T^-1(1 - u) on the strictly decreasing part of
+    the table (below the 1e-320 floor it is flat).  The direction is a fair
+    sign in d = 1 and normalized standard normals in d > 1."""
+    log_t, log_tails = table
     strict = np.concatenate([[True], np.diff(log_tails) < 0.0])
     log_q = np.log1p(-rng.uniform(0.0, 1.0, size=n))
-    signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    signs *= _invert_tail(log_q, log_t[strict], log_tails[strict])
-    return signs
+    if d == 1:
+        x = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)[:, None]
+    else:
+        x = rng.standard_normal((n, d))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+    x *= _invert_tail(log_q, log_t[strict], log_tails[strict])[:, None]
+    return x
 
 
 def _sample_source(src, rng, n):
@@ -185,69 +196,24 @@ def _sample_source(src, rng, n):
             0.5 * (dens[1:] + dens[:-1]) * np.diff(zz))])
         cdf = cdf / cdf[-1]
         return _interp_sorted(rng.uniform(size=n), cdf, zz)[:, None]
-    # unbounded density: magnitudes through the analytic tail map
-    tt = np.geomspace(1e-6, 1e12, 4000)
-    tails = np.asarray(src.tail(tt), dtype=float)
-    tails = np.minimum.accumulate(np.clip(tails, 1e-300, 1.0))
-    u = rng.uniform(size=n)
-    signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    mag = _invert_tail(np.log(np.clip(u, tails[-1], tails[0])),
-                       np.log(tt), np.log(tails))
-    mag[u >= tails[0]] = 0.0
-    return (signs * mag)[:, None]
+    return _radial_draws(rng, n, 1, _log_tail_table(src.tail))
+
+
+def _draws(model, seed, n, table):
+    """n draws of X + Z, shape (n, d): X from the mu table, then Z."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    return _radial_draws(rng, n, model.d, table) + _sample_source(model.source, rng, n)
 
 
 def sample_convolution(model, seed, n):
     """n independent draws of X + Z; reproducible per (seed, model spec).
 
-    d = 1 draws |X| by inverting the exact measure_tail table that the KS
-    reference CDF (convolution_cdf) reads; d = 2 uses rejection from a
-    heavy-tailed radial proposal.  Z comes from the source.
+    In every d, |X| inverts the exact measure_tail table that the d = 1 KS
+    reference CDF (convolution_cdf) reads; its direction is a fair sign in
+    d = 1 and uniform on the sphere in d > 1.  Z comes from the source, an
+    unbounded density through the same inversion of its tail.
     """
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    if model.d == 1:
-        x = _sample_mu_1d(model, rng, n)[:, None]
-        pts = x + _sample_source(model.source, rng, n)
-        return SampleBatch(seed=seed, size=n, points=pts, method="inverse_cdf")
-    if model.d == 2:
-        pts = _sample_mu_rejection_2d(model, rng, n)
-        pts = pts + _sample_source(model.source, rng, n)
-        return SampleBatch(seed=seed, size=n, points=pts, method="rejection")
-    raise UnsupportedDimension("samplers are implemented for d <= 2")
-
-
-def _sample_mu_rejection_2d(model, rng, n):
-    pot = model.potential
-    d, q = 2, PROPOSAL_EXPONENT
-    # proposal radius density ~ s (1+s)^-(d+q+1), normalized numerically
-    ss = np.geomspace(1e-4, max(model.truncation_radius, 1e3), 4000)
-    gs = ss ** (d - 1) * (1.0 + ss) ** -(d + q + 1.0)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (gs[1:] + gs[:-1]) * np.diff(ss))])
-    norm = cdf[-1]
-    cdf = cdf / norm
-    with np.errstate(divide="ignore"):
-        log_ratio = (-pot.c - pot.v0(ss)) - np.log(gs / norm / ss ** (d - 1))
-    logM = float(np.max(log_ratio)) + 0.05
-    out = np.empty((n, d))
-    filled = 0
-    attempts = 0
-    while filled < n:
-        m = max(2 * (n - filled), 1024)
-        attempts += m
-        r = _interp_sorted(rng.uniform(size=m), cdf, ss)
-        th = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        cand = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        g_r = _interp_sorted(r, ss, gs) / norm / r ** (d - 1)
-        log_acc = (-pot.c - pot.v0(r)) - np.log(g_r) - logM
-        keep = np.log(rng.uniform(size=m)) < log_acc
-        k = int(keep.sum())
-        take = min(k, n - filled)
-        out[filled:filled + take] = cand[keep][:take]
-        filled += take
-        if attempts > 200 and filled / attempts < 0.01:
-            raise SamplerMisconfigured(
-                f"rejection acceptance rate {filled / attempts:.4f} below 1%")
-    return out
+    return SampleBatch(seed=seed, size=n, points=_draws(model, seed, n, _mu_log_tail(model)))
 
 
 def _mu_cdf(model, table=None):
@@ -325,9 +291,7 @@ def ks_statistic(model, seed, n):
     if model.d != 1:
         raise UnsupportedDimension("convolution CDF implemented for d = 1")
     table = _mu_log_tail(model)
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    x = np.sort(_sample_mu_1d(model, rng, n, table)
-                + _sample_source(model.source, rng, n)[:, 0])
+    x = np.sort(_draws(model, seed, n, table)[:, 0])
     F = _mixed_cdf(model.source, _mu_cdf(model, table))(x)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))

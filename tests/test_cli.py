@@ -56,6 +56,10 @@ def test_load_rejects_unknown_keys():
     ("grids.r_min=1e11", "grids.r_min"),  # above example_3_3's default r_max
     ("grids.s_max=1.0e-9", "grids.s_min"),
     ("sweep.values=[]", "sweep.values"),
+    ("d=0", "d"),
+    ("d=4", "d"),
+    ("d=1.5", "d"),
+    ("d=abc", "d"),
 ])
 def test_load_rejects_out_of_range_grids_and_sweeps(override, key, capsys, tmp_path):
     doc = cli.apply_overrides({"preset": "example_3_3", "grids": {"s_min": 1e-8}},
@@ -117,6 +121,11 @@ def test_load_requires_exactly_one_of_preset_custom():
     with pytest.raises(ConfigError, match="exactly one"):
         cli.load_config(
             "{preset: example_3_3, custom: {potential: {family: quadratic}}}")
+
+
+def test_load_rejects_custom_potential_dimension():
+    with pytest.raises(ConfigError, match="custom.potential.d: must be 1, 2 or 3"):
+        cli.load_config("{custom: {potential: {family: quadratic, d: 0}}}")
 
 
 def test_load_rejects_unknown_stage():
@@ -241,6 +250,19 @@ def test_run_verify_stage_small(tmp_path):
     # closure pulled in rate and drift
     assert (tmp_path / "alpha.csv").exists()
     assert (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_run_verify_stage_in_d_above_1(d, tmp_path):
+    """A heavy log tail (p = 1) in d = 2 and 3: the radial sampler draws it
+    and the WPI corpus, on the first coordinate, passes."""
+    text = (f"custom: {{potential: {{family: log, p: 1}}}}\nd: {d}\nstages: [verify]\n"
+            "samples: {n_wpi: 20000}\n"
+            "grids: {r_min: 1.0e-1, r_max: 1.0e+7, points_per_decade: 80, "
+            "n_wpi_r: 8, certificate_points: 40}\n")
+    status, _ = run_cfg(text, tmp_path)
+    assert status == 0
+    assert json.loads((tmp_path / "wpi_report.json").read_text())["passed"]
 
 
 def test_run_decay_stage_small(tmp_path):

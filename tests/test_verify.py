@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -80,6 +81,26 @@ def test_sampler_gaussian_second_moment():
     assert oracle == pytest.approx(0.5, rel=1e-10)
 
 
+def test_sampler_d1_stream_is_pinned(m33):
+    """The d = 1 draws (|X| first, then its sign, then Z) are pinned: the
+    decay and WPI checks are calibrated on this stream."""
+    pts = V.sample_convolution(m33, 5, 20_000).points
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "83bd3d778ef69872d754ddca2e3ae88a6dec84d6170f631a8879d3e900033b61")
+
+
+@pytest.mark.parametrize("name, seed, ks", [
+    ("example_3_2", 11, "0x1.f29e55e93f700p-9"),
+    ("example_3_3", 11, "0x1.15b915adc4f00p-8"),
+    ("example_3_4", 11, "0x1.fab3ace473200p-9"),
+    ("two_atoms", 7, "0x1.540c0f8fe7300p-9"),
+])
+def test_ks_statistics_of_the_acceptance_models_are_pinned(name, seed, ks):
+    m = (M.ConvolutionModel(M.quadratic_potential(), M.symmetric_pair(1.0))
+         if name == "two_atoms" else P.make_model(name))
+    assert V.ks_statistic(m, seed, 10 ** 5) == float.fromhex(ks)
+
+
 class _FixedUniform:
     """Generator stand-in: the first uniform draw returns u, later ones
     (the signs) return ones, so every sign is +."""
@@ -101,7 +122,7 @@ def test_sampler_inverts_the_closed_form_mu_tail(p):
     """Closed form: for log_potential(p) in d = 1, mu(|x| >= t) = (1+t)^-p,
     so the draw at u is |X| = (1-u)^(-1/p) - 1, here from 2e-6 out to 1e28."""
     m = M.ConvolutionModel(M.log_potential(p), M.point_mass())
-    x = V._sample_mu_1d(m, _FixedUniform(FIXED_U), FIXED_U.size)
+    x = V._radial_draws(_FixedUniform(FIXED_U), FIXED_U.size, 1, V._mu_log_tail(m))[:, 0]
     np.testing.assert_allclose(x, (1.0 - FIXED_U) ** (-1.0 / p) - 1.0,
                                rtol=1e-5, atol=0.0)
 
@@ -113,7 +134,7 @@ def test_sampler_and_ks_cdf_read_one_mu_table():
     at the end rather than further in."""
     m = P.make_model("example_3_4", p=2.0)
     F_mu = V._mu_cdf(m)
-    x = V._sample_mu_1d(m, _FixedUniform(FIXED_U), FIXED_U.size)
+    x = V._radial_draws(_FixedUniform(FIXED_U), FIXED_U.size, 1, V._mu_log_tail(m))[:, 0]
     half_tail = 0.5 * (1.0 - FIXED_U)
     beyond = half_tail < 1.0 - F_mu(np.array([1e300]))[0]
     assert beyond.any() and not beyond.all()
@@ -143,7 +164,7 @@ def test_samplers_are_the_np_interp_draws(draw, m33, monkeypatch):
             return V._sample_source(m33.source, rng, 50_000)
         if draw == "unbounded":
             return V._sample_source(M.power_tail_density(1.0), rng, 50_000)
-        return V._sample_mu_1d(m33, rng, 50_000)
+        return V._radial_draws(rng, 50_000, 1, V._mu_log_tail(m33))
     fast = sample()
     monkeypatch.setattr(V, "_interp_sorted", np.interp)
     assert np.array_equal(fast, sample())
@@ -157,7 +178,39 @@ def test_sampler_two_atom_symmetry():
     assert abs(pts.mean()) <= 4.0 * se
 
 
-def test_sampler_rejection_d2():
+def _ks_uniform(u):
+    """KS distance of the sorted values u (the CDF at the draws) from U(0, 1)."""
+    i = np.arange(1, u.size + 1)
+    return max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_sampler_radius_and_direction_in_d_above_1(p, d):
+    """|X| follows 1 - measure_tail, and X/|X| is uniform on the sphere: its
+    angle in d = 2, and its last coordinate in d = 3 (uniform on [-1, 1] by
+    Archimedes), each within the 1% KS critical value."""
+    m = M.ConvolutionModel(M.log_potential(p, d=d), M.point_mass(d=d))
+    n = 200_000
+    x = V.sample_convolution(m, 11, n).points
+    r = np.linalg.norm(x, axis=1)
+    u = np.arctan2(x[:, 1], x[:, 0]) / np.pi if d == 2 else x[:, 2] / r
+    crit = V.ks_critical_value(n)
+    assert _ks_uniform(1.0 - M.measure_tail(m, "mu", np.sort(r))) < crit
+    assert _ks_uniform(np.sort(0.5 * (u + 1.0))) < crit
+
+
+def test_sampler_unbounded_source_reaches_past_1e12():
+    """power_tail_density(0.2) keeps 0.0038 of its mass beyond 1e12; the
+    draws put that share there, within 4 standard errors."""
+    src = M.power_tail_density(0.2)
+    n = 200_000
+    z = V._sample_source(src, np.random.default_rng(np.random.PCG64(3)), n)[:, 0]
+    tail = src.tail(1e12)
+    assert abs(np.mean(np.abs(z) > 1e12) - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / n)
+
+
+def test_sampler_second_moment_d2():
     m = M.ConvolutionModel(M.log_potential(3.0, d=2), M.point_mass(d=2))
     pts = V.sample_convolution(m, 3, 50_000).points
     r2 = (pts ** 2).sum(axis=1)
