@@ -18,12 +18,12 @@ cfg = L.resolve_r0(m, L.DriftConfig(case="cor_a", sigma=1.0))
 print(f"\nauto-selected R0 = {cfg.R0:.4f} (windowed construction, R = 1)")
 
 ss = np.geomspace(cfg.R0, 1e3, 7)
-psi = L.eta_window_psi(m, ss, cfg)
+psi = L.eta_window_psi(m, ss)
 print("\nwindowed drift rate psi(r) ~ (d+p)/r at large r:")
 for s, v in zip(ss, psi):
     print(f"  r = {s:9.2f}:  psi = {v:.6f}   r*psi = {s * v:.4f}")
 
-ps = L.p_sigma(lambda s: L.eta_window_psi(m, s, cfg), ss, cfg, m.d)
+ps = L.p_sigma(lambda s: L.eta_window_psi(m, s), ss, cfg, m.d)
 print("\nintegral correction p_sigma (grows ~ linearly here):")
 for s, v in zip(ss, ps):
     print(f"  r = {s:9.2f}:  p_sigma = {v:10.4f}   p_sigma/r = {v / s:.4f}")

@@ -37,8 +37,7 @@ from . import rates as rates_mod
 from . import verify as verify_mod
 from . import presets as presets_mod
 from .errors import (CalibrationFailed, ConfigError, DriftConditionFailed,
-                     HypothesisFailed, InconclusiveFit, InvalidCertificate,
-                     SaturatedAtGridEnd)
+                     HypothesisFailed, InconclusiveFit, SaturatedAtGridEnd)
 
 SCHEMA_VERSION = 1
 
@@ -523,7 +522,7 @@ def run(config):
                 except HypothesisFailed as exc:
                     fail(stage, "stability.json", "bounded", exc)
 
-    except (DriftConditionFailed, InvalidCertificate, SaturatedAtGridEnd) as exc:
+    except (DriftConditionFailed, SaturatedAtGridEnd) as exc:
         mark(stage, False, f"{type(exc).__name__}: {exc}")
     except ConfigError:
         raise

@@ -16,10 +16,6 @@ class DriftConditionFailed(RuntimeError):
     """A positivity hypothesis of the drift construction failed on the grid."""
 
 
-class InvalidCertificate(RuntimeError):
-    """Measured drift violations exceed the certificate tolerance."""
-
-
 class SaturatedAtGridEnd(RuntimeError):
     """A generalized inverse was queried outside the tabulated range."""
 

@@ -13,7 +13,9 @@ For compactly supported nu the tilted averages can be replaced by worst-case
 windows of the plain potential ('cor_a', 'cor_b'): eta(s) = inf over the
 sphere of <grad V(x), x> - R |grad V(x)|, psi(r) = inf of eta over
 [r-R, r+R] divided by r, and the case-b integrand is minimized over the
-ball of radius R around x.
+ball of radius R around x.  The rate evaluators of every case only compute:
+phi_profile is the one place that checks the drift hypotheses, on its own
+grid, and its DriftConditionFailed names the radius.
 
 p_sigma(r) = ( int_R0^r s^(1-d) exp[w int_R0^s psi] ds + 1 )
              / ( r^(1-d) exp[w int_R0^r psi] ),   w = sigma/(sigma+1),
@@ -34,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import model as model_mod
-from .errors import DriftConditionFailed, InvalidCertificate, UnsupportedDimension
+from .errors import DriftConditionFailed, UnsupportedDimension
 
 __all__ = [
     "DriftConfig",
@@ -119,12 +121,6 @@ class RadialProfile:
     @property
     def s_max(self):
         return float(self.grid[-1])
-
-    def scaled(self, k):
-        if k <= 0:
-            raise ValueError("scale must be positive")
-        return replace(self, values=self.values * k, psi=None, log_p_sigma=None,
-                       _seam=None, name=f"{k}*{self.name}")
 
 
 @dataclass(frozen=True)
@@ -213,28 +209,22 @@ def _tilted_radial_drift(model, x):
     return model_mod._fold_even(model, x, drift)
 
 
-def psi_case_a(model, s, cfg, strict=True):
+def psi_case_a(model, s):
     """inf over the sphere |x| = s of E_{nu_x}[<x, grad V(x-z)>] / |x|.
 
     Exact two-point infimum in d = 1, one evaluation per radius when nu is
     mirror-symmetric (both points carry the same value); SPHERE_SAMPLES
-    directions otherwise.  Vectorized over s.  With strict=True, a
-    nonpositive value at s >= R0 raises DriftConditionFailed.
+    directions otherwise.  Vectorized over s; phi_profile checks the values.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0.0):
         raise ValueError(f"radii must be positive, got s={s_arr[s_arr <= 0.0][0]:g}")
     pts = _sphere_points(model, s_arr, SPHERE_SAMPLES)
     out = np.min(_tilted_radial_drift(model, pts), axis=1)
-    if strict and cfg.R0 is not None:
-        bad = (s_arr >= cfg.R0) & (out <= 0.0)
-        if np.any(bad):
-            raise DriftConditionFailed(
-                f"inward drift rate nonpositive at s={s_arr[bad][0]:g} >= R0={cfg.R0:g}")
     return out if np.asarray(s).shape else float(out[0])
 
 
-def eta_window(model, s, cfg):
+def eta_window(model, s):
     """eta(s) = inf_{|x|=s} ( <grad V(x), x> - R |grad V(x)| ), which for the
     radial potential is v0'(s) s - R |v0'(s)| on every direction."""
     pot, R = model.potential, model.source.support_radius
@@ -246,34 +236,25 @@ def eta_window(model, s, cfg):
     return out if np.asarray(s).shape else float(out[0])
 
 
-def eta_window_psi(model, r, cfg, strict=True):
-    """psi(r) = (1/r) inf of eta over the window [r-R, r+R]; the window
-    infimum is taken over WINDOW_SAMPLES points including both endpoints."""
+def eta_window_psi(model, r):
+    """psi(r) = (1/r) inf of eta over the window [r-R, r+R], taken over
+    WINDOW_SAMPLES points including both endpoints; a window that leaves the
+    positive axis (r <= R) starts at min(1e-9, r 1e-9) instead."""
     R = model.source.support_radius
     if not np.isfinite(R):
         raise DriftConditionFailed("window construction requires compact nu")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    lo = r_arr - R
-    crossing = lo <= 0.0
-    if strict and np.any(crossing):
-        raise DriftConditionFailed(
-            f"window [r-R, r+R] leaves the positive axis at r={r_arr[crossing][0]:g}")
-    lo = np.where(crossing, np.minimum(1e-9, r_arr * 1e-9), lo)
+    lo = np.where(r_arr <= R, np.minimum(1e-9, r_arr * 1e-9), r_arr - R)
     win = np.linspace(lo, r_arr + R, WINDOW_SAMPLES, axis=-1)
-    out = np.min(eta_window(model, win, cfg), axis=-1) / r_arr
-    if strict and cfg.R0 is not None:
-        bad = (r_arr >= cfg.R0) & (out <= 0.0)
-        if np.any(bad):
-            raise DriftConditionFailed(
-                f"window drift rate nonpositive at r={r_arr[bad][0]:g}")
+    out = np.min(eta_window(model, win), axis=-1) / r_arr
     return out if np.asarray(r).shape else float(out[0])
 
 
-def drift_rate(model, s, cfg, strict=True):
+def drift_rate(model, s, cfg):
     """The case-appropriate radial drift rate psi."""
     if cfg.case in ("a", "b"):
-        return psi_case_a(model, s, cfg, strict=strict)
-    return eta_window_psi(model, s, cfg, strict=strict)
+        return psi_case_a(model, s)
+    return eta_window_psi(model, s)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +357,12 @@ def _ball_infimum_integrand(model, s, cfg):
     return np.min(cfg.delta * vp ** 2 - lap, axis=-1)
 
 
-def _case_scan_values(model, grid, cfg, strict):
+def _case_scan_values(model, grid, cfg):
     """The case quantity at every radius of grid: the drift rate psi for
-    cases 'a'/'cor_a' (strict as in drift_rate), the sphere infimum of the
-    tilted integrand for 'b', the ball infimum for 'cor_b'."""
+    cases 'a'/'cor_a', the sphere infimum of the tilted integrand for 'b',
+    the ball infimum for 'cor_b'."""
     if cfg.case in ("a", "cor_a"):
-        return drift_rate(model, grid, cfg, strict=strict)
+        return drift_rate(model, grid, cfg)
     if cfg.case == "b":
         pts = _sphere_points(model, grid, SPHERE_SAMPLES)
         return np.min(case_b_integrand(model, pts, cfg), axis=1)
@@ -399,7 +380,10 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     psi_scale multiplies the drift rate of cases 'a'/'cor_a' before the
     correction integrals (used by the perturbation comparisons); prefix, a
     profile built with the same model, cfg and psi_scale, lends its psi on
-    the nodes the two grids share."""
+    the nodes the two grids share.
+
+    DriftConditionFailed names the radius where a 'cor_a' window leaves the
+    positive axis (checked before any evaluation) or the case quantity is <= 0."""
     exp_case = cfg.case in ("b", "cor_b")
     if exp_case and psi_scale != 1.0:
         raise ValueError(f"psi_scale={psi_scale:g} scales the drift rate of cases "
@@ -409,16 +393,15 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     if s_max is None:
         s_max = 1e4 * max(R0, 1.0)
     grid = _anchored_grid(R0, s_max, points_per_decade, include_radii)
+    if cfg.case == "cor_a" and grid[0] <= model.source.support_radius < np.inf:
+        raise DriftConditionFailed(
+            f"window [r-R, r+R] leaves the positive axis at r={grid[0]:g}")
     k = 0
-    if prefix is not None and prefix.psi is None:
-        raise ValueError(f"prefix {prefix.name!r} holds no psi: a scaled profile cannot "
-                         "be grown; pass the unscaled profile and psi_scale instead")
-    if prefix is not None and include_radii is None:
+    if prefix is not None and prefix.psi is not None and include_radii is None:
         k = min(prefix.grid.size, grid.size)
         if not np.array_equal(prefix.grid[:k], grid[:k]):
             k = 0
-    psi = psi_scale * np.asarray(_case_scan_values(model, grid[k:], cfg, strict=True),
-                                 dtype=float)
+    psi = psi_scale * np.asarray(_case_scan_values(model, grid[k:], cfg), dtype=float)
     if k:
         psi = np.concatenate([prefix.psi[:k], psi])
     bad = psi <= 0.0
@@ -465,7 +448,7 @@ def resolve_r0(model, cfg, safety=1.25):
     while True:
         grid = np.geomspace(r_lo, horizon,
                             max(int(40 * math.log10(horizon / r_lo)), 24))
-        vals = _case_scan_values(model, grid, cfg, strict=False)
+        vals = _case_scan_values(model, grid, cfg)
         pos = vals > 0.0
         if not pos[-1]:
             star = None
@@ -539,9 +522,9 @@ def check_conditions(model, cfg, s_grid=None, sigma0=None):
         s_grid = np.geomspace(cfg.R0, 100.0 * cfg.R0, 257)
     s_grid = np.asarray(s_grid, dtype=float)
     sigma0 = cfg.sigma if sigma0 is None else sigma0
-    psi_vals = drift_rate(model, s_grid, cfg, strict=False)
+    psi_vals = drift_rate(model, s_grid, cfg)
     bcase = replace(cfg, case="b" if cfg.case in ("a", "b") else "cor_b")
-    b_vals = _case_scan_values(model, s_grid, bcase, strict=False)
+    b_vals = _case_scan_values(model, s_grid, bcase)
     bracket = robustness_bracket(s_grid, psi_vals, sigma0, model.d)
     # the robustness hypothesis concerns large radii: take the upper half
     upper = s_grid >= math.sqrt(s_grid[0] * s_grid[-1])
@@ -572,8 +555,7 @@ def _exp_case_lw(model, x, delta):
     return v, -(1.0 - delta) * (delta * gsq - lap)
 
 
-def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
-                strict=False):
+def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
     """Evaluate L W / W against -phi at sampled points with |x| >= R0 and
     assemble the certificate (b, local spectral bound, c0, violations).
 
@@ -625,13 +607,8 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6,
     lam_inv = (4.0 * cfg.R0 ** 2 / np.pi ** 2) * math.exp(osc)
     c0 = b * lam_inv + 1.0
 
-    cert = DriftCertificate(config=cfg, phi=phi, b=float(b),
+    return DriftCertificate(config=cfg, phi=phi, b=float(b),
                             lambda_inv_bound=float(lam_inv), c0=float(c0),
                             violation_fraction=float(violation_fraction),
                             max_violation=float(max_violation),
                             n_points=int(n_checked))
-    if strict and not cert.valid:
-        raise InvalidCertificate(
-            f"violation fraction {violation_fraction:.3f} exceeds 0.01 "
-            f"(R0, sigma or delta mis-specified?)")
-    return cert

@@ -498,29 +498,35 @@ def _hurwitz_zeta(x, q):
     return out
 
 
+def _alternating_sum(x, q, terms, term):
+    """sum_{k=1}^{terms} (-1)^(k+1) term(k, y) at each y = max(x, 2), for a
+    series whose term k is of order y^(-(k-1) q) relative to the sum.  A row
+    keeps its first ceil(37/(q log10 y)) terms and the rest, below 1e-37, are
+    zeros; rows are padded to a multiple of 8 columns, so each row sums in the
+    order of np.sum over all `terms`."""
+    y = np.maximum(x, 2.0).ravel()
+    n = np.clip(np.ceil(37.0 / (q * np.log10(y))), 1, terms).astype(int)
+    width = min(terms, 8 * -(-int(n.max(initial=1)) // 8))
+    rows, cols = np.nonzero(np.arange(width) < n[:, None])
+    z = term(cols + 1.0, y[rows])
+    series = np.zeros((y.size, width))
+    series[rows, cols] = np.where(cols % 2 == 0, z, -z)
+    return np.sum(series, axis=1).reshape(np.shape(x))
+
+
 def _ptail_sum(m, q, terms=120):
     """sum_{i>=m} 1/(1+i^q) for integers m >= 1 (scalar or array), via the
     alternating Hurwitz-zeta series.
 
     1/(1+i^q) = sum_k (-1)^(k+1) i^(-kq) converges for i >= 2; the i=1 term
     (value 1/2) is added explicitly where m == 1.  Term k is of order
-    m^(-kq) relative to the sum, so a row keeps its first ceil(37/(q log10 m))
-    terms (all `terms` at m = 2) and the rest, below 1e-37, are zeros.  Rows
-    are padded to a multiple of 8 columns, so each row sums in the order of
-    np.sum over the full `terms`.
+    m^(-(k-1)q) relative to the sum (_alternating_sum).
     """
     m = np.asarray(m, dtype=float)
     if np.any(m < 1):
         raise ValueError("m >= 1 required")
     extra = np.where(m == 1.0, 0.5, 0.0)
-    mm = np.maximum(m, 2.0).ravel()
-    n = np.clip(np.ceil(37.0 / (q * np.log10(mm))), 1, terms).astype(int)
-    width = min(terms, 8 * -(-int(n.max(initial=1)) // 8))
-    rows, cols = np.nonzero(np.arange(width) < n[:, None])
-    z = _hurwitz_zeta((cols + 1.0) * q, mm[rows])
-    series = np.zeros((mm.size, width))
-    series[rows, cols] = np.where(cols % 2 == 0, z, -z)
-    out = extra + np.sum(series, axis=1).reshape(m.shape)
+    out = extra + _alternating_sum(m, q, terms, lambda k, x: _hurwitz_zeta(k * q, x))
     return out if out.ndim else float(out)
 
 
@@ -576,8 +582,6 @@ def power_tail_density(p, reach=None):
         raise ValueError("power-tail density requires p > 0")
     q = 1.0 + p
 
-    k = np.arange(1, 120, dtype=float)
-    signs = np.where(k % 2 == 1, 1.0, -1.0)
     nodes, weights = _gauss_legendre(16)
     # quarter-unit panels on [1/2, 2], then dyadic ones graded toward the
     # cusp of z^q at 0
@@ -596,8 +600,7 @@ def power_tail_density(p, reach=None):
         # int_t^inf dz/(1+z^q), t >= 0: the alternating series in t^-q from 2
         # on, plus the panels of [t, 2] below it
         t = np.asarray(t, dtype=float)
-        far = np.sum(signs * np.maximum(t, 2.0)[..., None] ** (1.0 - k * q) / (k * q - 1.0),
-                     axis=-1)
+        far = _alternating_sum(t, q, 119, lambda k, x: x ** (1.0 - k * q) / (k * q - 1.0))
         j = np.maximum(np.searchsorted(-edges, -t, side="right") - 1, 0)
         near = panel_mass(np.minimum(t, 2.0), edges[j]) + above[j]
         return np.where(t < 2.0, near + far, far)

@@ -540,7 +540,7 @@ def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,
     pot = mu_model.potential
     r = np.asarray(eval_radii, dtype=float)
     # window infimum of eta over [r-R, r+R] against eta_mu(r) = v0'(r) r
-    ratios = lyap.eta_window_psi(conv_model, r, cfg, strict=False) / pot.v0p(r)
+    ratios = lyap.eta_window_psi(conv_model, r) / pot.v0p(r)
     eta0 = float(np.min(ratios))
     w0 = sigma0 / (1.0 + sigma0)
     if eta0 <= w0:

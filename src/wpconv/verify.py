@@ -16,10 +16,10 @@ on a calibration split of a bounded-function corpus and reports the slack on
 the holdout split.  Its statistics run in blocks of WPI_BLOCK samples over
 three buffers reused for every function, and reduce over the full buffers, so
 they are bitwise the one-shot formulas.  The samplers invert their tables on
-sorted queries (_interp_sorted, bitwise np.interp).  The KS reference CDF of
-a compact source runs in blocks of CDF_BLOCK rows on two CPUs when the process
-may use them (_map_blocks); each row is summed alone, so no value depends on
-the blocks.  semigroup_decay runs nested Euler-Maruyama paths of the diffusion
+sorted queries (_interp_sorted, bitwise np.interp).  The KS reference CDF,
+a sum over atoms or quadrature nodes of the source, runs in row blocks on two
+CPUs when the process may use them (_map_blocks); each row is summed alone,
+so no value depends on the blocks.  semigroup_decay runs nested Euler-Maruyama paths of the diffusion
 with drift -grad V_nu and reports the variance of the conditional mean of a
 test function over time.  Its normals are drawn a block of DECAY_ROWS steps
 ahead on a second CPU when the process may use one (inline otherwise); the
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-CDF_BLOCK = 1024      # rows per block of the compact-source CDF
+CDF_BLOCK = 1024      # rows per block of the KS reference CDF, up to 96 nodes
 WPI_BLOCK = 16384     # samples per block of the WPI corpus statistics
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
 DECAY_ROWS = 8        # Euler steps of normals per block drawn ahead
@@ -245,44 +245,38 @@ def convolution_cdf(model):
 
 
 def _mixed_cdf(src, F_mu):
-    """The CDF x -> E F_mu(x - Z) over source draws Z: a sum over atoms, or
-    96 Gauss-Legendre nodes on the support of a compact density."""
+    """The CDF x -> E F_mu(x - Z) over source draws Z: a weighted sum over
+    the atoms, or over 96 Gauss-Legendre nodes of a compact density."""
+    R = src.support_radius
     if src.kind in ("point_mass", "discrete_atoms"):
-        z = src.locations[:, 0]
-        w = src.weights / src.weights.sum()
-
-        def F(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.zeros(x.shape)
-            for zi, wi in zip(z, w):
-                out += wi * F_mu(x - zi)
-            return out
-        return F
-    if np.isfinite(src.support_radius):
+        zn, wn = src.locations[:, 0], src.weights / src.weights.sum()
+    elif np.isfinite(R):
         nodes, wts = model_mod._gauss_legendre(96)
-        R = src.support_radius
         zn = nodes * R
         wn = wts * R * src.density(zn)
+    else:
+        raise UnsupportedDimension("convolution CDF needs compact or atomic source")
+    # a thread's buffers hold at most 96 * CDF_BLOCK floats each
+    block = max(CDF_BLOCK * 96 // max(zn.size, 96), 1)
 
-        def F(x):
-            # node-major: row i of d, x - zn[i], is sorted when x is
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.empty(x.shape)
-            rows = min(x.size, CDF_BLOCK)
-            bufs = threading.local()           # each thread's diff, work and mask
+    def F(x):
+        # node-major: row i of d, x - zn[i], is sorted when x is
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty(x.shape)
+        rows = min(x.size, block)
+        bufs = threading.local()           # each thread's diff, work and mask
 
-            def block(k, n):
-                if not hasattr(bufs, "mask"):
-                    bufs.diff, bufs.work = np.empty((2, zn.size, rows))
-                    bufs.mask = np.empty((zn.size, rows), dtype=bool)
-                f = bufs.work.reshape(rows, zn.size)[:n]  # F_mu is done with work on return
-                d = np.subtract(x[k:k + n], zn[:, None], out=bufs.diff[:, :n])
-                np.copyto(f, F_mu(d, bufs.work[:, :n], bufs.mask[:, :n]).T)
-                np.sum(np.multiply(f, wn, out=f), axis=1, out=out[k:k + n])
-            _map_blocks(block, x.size, CDF_BLOCK)
-            return out
-        return F
-    raise UnsupportedDimension("convolution CDF needs compact or atomic source")
+        def fill(k, n):
+            if not hasattr(bufs, "mask"):
+                bufs.diff, bufs.work = np.empty((2, zn.size, rows))
+                bufs.mask = np.empty((zn.size, rows), dtype=bool)
+            f = bufs.work.reshape(rows, zn.size)[:n]  # F_mu is done with work on return
+            d = np.subtract(x[k:k + n], zn[:, None], out=bufs.diff[:, :n])
+            np.copyto(f, F_mu(d, bufs.work[:, :n], bufs.mask[:, :n]).T)
+            np.sum(np.multiply(f, wn, out=f), axis=1, out=out[k:k + n])
+        _map_blocks(fill, x.size, block)
+        return out
+    return F
 
 
 def ks_statistic(model, seed, n):

@@ -41,7 +41,7 @@ def test_drift_config_rejects_bad_parameters(kw):
 def test_psi_point_mass_power_closed_form():
     m = M.ConvolutionModel(M.power_potential(1.5), M.point_mass())
     for s in [0.5, 2.0, 11.0]:
-        assert L.psi_case_a(m, s, CFG_A) == pytest.approx(1.5 * s ** 0.5, rel=1e-12)
+        assert L.psi_case_a(m, s) == pytest.approx(1.5 * s ** 0.5, rel=1e-12)
 
 
 def test_psi_two_atom_brute_oracle():
@@ -50,7 +50,7 @@ def test_psi_two_atom_brute_oracle():
     # V'(u) = 2u at u = 2 and 4, tilted by exp(-V): weights e^-4, e^-16
     oracle = (4.0 * math.exp(-4.0) + 8.0 * math.exp(-16.0)) \
         / (math.exp(-4.0) + math.exp(-16.0))
-    assert L.psi_case_a(m, 3.0, CFG_A) == pytest.approx(oracle, rel=1e-13)
+    assert L.psi_case_a(m, 3.0) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_psi_inverse_radius_regime_continuous():
@@ -61,7 +61,7 @@ def test_psi_inverse_radius_regime_continuous():
     at s = 500."""
     lem = P.make_model("lemma_3_2", p=1.0)
     ss = np.geomspace(500.0, 5000.0, 12)
-    prod = ss * L.psi_case_a(lem, ss, L.DriftConfig(case="a", R0=5.0))
+    prod = ss * L.psi_case_a(lem, ss)
     assert prod.max() / prod.min() < 1.10
 
 
@@ -71,18 +71,22 @@ def test_psi_lattice_tracks_continuum_then_oscillates():
     sphere infimum eventually dips negative (the rate for this preset is
     built on the comparison model instead)."""
     m31 = P.make_model("example_3_1", p=1.0)
-    cfg = L.DriftConfig(case="a", R0=5.0)
     # the discrete oscillation amplitude is ~5.9e-4 in psi (constant in s), so
     # s * psi stays near the continuum value 2 only while 2/s dominates it
     ss = np.geomspace(200.0, 1000.0, 9)
-    prod = ss * L.psi_case_a(m31, ss, cfg)
+    prod = ss * L.psi_case_a(m31, ss)
     assert np.all(prod > 1.2) and np.all(prod < 3.0)
     # the oscillation has period 1 (integer spacing): scan one full period
     period = np.linspace(3435.0, 3436.0, 101)
-    scan = L.psi_case_a(m31, period, cfg, strict=False)
+    scan = L.psi_case_a(m31, period)
     assert np.any(scan < 0.0)
-    with pytest.raises(DriftConditionFailed):
-        L.psi_case_a(m31, period, cfg, strict=True)
+    # phi_profile, the one place that checks the rate, names the first
+    # nonpositive radius of its grid
+    cfg = L.DriftConfig(case="a", R0=3435.0)
+    grid = L._anchored_grid(cfg.R0, 3436.0, 200, include_radii=period)
+    first = grid[np.isin(grid, period[scan <= 0.0])][0]
+    with pytest.raises(DriftConditionFailed, match=rf"drift rate nonpositive at s={first:g}$"):
+        L.phi_profile(m31, cfg, s_max=3436.0, include_radii=period)
 
 
 def _two_point_drift(model, s):
@@ -98,7 +102,7 @@ def test_psi_asymmetric_source_is_the_explicit_two_point_minimum():
     s = np.geomspace(0.1, 20.0, 60)
     raw = _two_point_drift(m, s)
     assert np.max(np.abs(raw[:, 0] - raw[:, 1]) / np.abs(raw).max(axis=1)) > 0.1
-    np.testing.assert_array_equal(L.psi_case_a(m, s, CFG_A, strict=False), raw.min(axis=1))
+    np.testing.assert_array_equal(L.psi_case_a(m, s), raw.min(axis=1))
 
 
 def test_psi_fold_matches_the_two_point_minimum_on_lemma_3_2():
@@ -117,7 +121,7 @@ def test_psi_fold_matches_the_two_point_minimum_on_lemma_3_2():
     s = np.geomspace(cfg.R0, 1e7, 400)
     raw = _two_point_drift(m, s)
     explicit = raw.min(axis=1)
-    rel = np.abs(L.psi_case_a(m, s, cfg) - explicit) / explicit
+    rel = np.abs(L.psi_case_a(m, s) - explicit) / explicit
     near = s <= 1e5
     assert np.max(rel[near]) <= 5e-12
     assert np.max(rel) <= 5e-10
@@ -132,7 +136,7 @@ def test_psi_fold_matches_the_two_point_minimum_on_lemma_3_2():
 def test_psi_case_a_names_the_first_nonpositive_radius():
     m = M.ConvolutionModel(M.quadratic_potential(), M.point_mass())
     with pytest.raises(ValueError, match=r"radii must be positive, got s=-0\.5"):
-        L.psi_case_a(m, np.array([1.0, -0.5, 0.0]), CFG_A)
+        L.psi_case_a(m, np.array([1.0, -0.5, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,41 +145,43 @@ def test_psi_case_a_names_the_first_nonpositive_radius():
 
 def test_eta_closed_form_power():
     m = P.make_model("example_3_2", p=0.5)
-    cfg = L.DriftConfig(case="cor_a", R0=3.0)
-    assert L.eta_window(m, 4.0, cfg) == pytest.approx(0.75, rel=1e-12)
+    assert L.eta_window(m, 4.0) == pytest.approx(0.75, rel=1e-12)
     for s in [2.0, 7.0, 30.0]:
         expect = 0.5 * s ** -0.5 * (s - 1.0)
-        assert L.eta_window(m, s, cfg) == pytest.approx(expect, rel=1e-12)
+        assert L.eta_window(m, s) == pytest.approx(expect, rel=1e-12)
 
 
 def test_eta_window_psi_degenerates_to_point_mass_rate():
     """R = 0: the window collapses and psi equals the point-mass drift rate."""
     pot = M.power_potential(1.5)
     m0 = M.ConvolutionModel(pot, M.point_mass())
-    cfg = L.DriftConfig(case="cor_a", R0=1.0)
     for r in [2.0, 9.0]:
-        w = L.eta_window_psi(m0, r, cfg)
-        a = L.psi_case_a(m0, r, CFG_A)
+        w = L.eta_window_psi(m0, r)
+        a = L.psi_case_a(m0, r)
         assert w == pytest.approx(a, rel=1e-12)
 
 
-def test_eta_window_psi_fails_when_window_crosses_origin():
+def test_phi_profile_fails_when_window_crosses_origin(monkeypatch):
+    """R0 <= R: phi_profile refuses before it evaluates anything, while
+    eta_window_psi itself only computes, a clamped window included."""
     m = P.make_model("example_3_2", p=0.6)
     cfg = L.DriftConfig(case="cor_a", R0=0.1)
-    with pytest.raises(DriftConditionFailed):
-        L.eta_window_psi(m, 0.5, cfg)
-    # report mode instead returns the (negative) windowed value
-    val = L.eta_window_psi(m, 1.5, cfg, strict=False)
-    assert val < 0.0
+    unbounded = M.ConvolutionModel(m.potential, M.power_tail_density(1.0))
+    with pytest.raises(DriftConditionFailed, match="requires compact nu"):
+        L.phi_profile(unbounded, cfg)
+    monkeypatch.setattr(L, "_case_scan_values", None)
+    with pytest.raises(DriftConditionFailed,
+                       match=r"window \[r-R, r\+R\] leaves the positive axis at r=0\.1$"):
+        L.phi_profile(m, cfg)
+    assert np.all(L.eta_window_psi(m, np.array([0.1, 0.5, 1.5])) < 0.0)
 
 
 def test_eta_window_psi_array_matches_per_radius_calls(models):
     for m in models.values():
         R = m.source.support_radius
-        cfg = L.DriftConfig(case="cor_a", R0=2.0 * R)
         radii = np.concatenate([[0.5 * R, R], np.geomspace(1.5 * R, 1e7, 300)])
-        arr = L.eta_window_psi(m, radii, cfg, strict=False)
-        one = np.array([L.eta_window_psi(m, r, cfg, strict=False) for r in radii])
+        arr = L.eta_window_psi(m, radii)
+        one = np.array([L.eta_window_psi(m, r) for r in radii])
         np.testing.assert_array_equal(arr, one)
 
 
@@ -185,9 +191,8 @@ def test_eta_window_non_radial_matches_radial_closed_form(pot):
     """An off-centre (non-radial) source enters eta only through R."""
     R = 0.7
     src = M.point_mass(location=[R] + [0.0] * (pot.d - 1), d=pot.d)
-    cfg = L.DriftConfig(case="cor_a", R0=2.0)
     s = np.geomspace(0.3, 1e4, 50)
-    closed = L.eta_window(M.ConvolutionModel(pot, src), s, cfg)
+    closed = L.eta_window(M.ConvolutionModel(pot, src), s)
     vp = pot.v0p(s)
     np.testing.assert_array_equal(closed, vp * s - R * np.abs(vp))
 
@@ -235,7 +240,7 @@ def test_p_sigma_inverse_radius_rate_grows_linearly():
 def test_p_sigma_monotone_in_sigma():
     m33 = P.make_model("example_3_3", p=2.0)
     cfg0 = L.resolve_r0(m33, L.DriftConfig(case="cor_a"))
-    psi = lambda s: L.eta_window_psi(m33, s, cfg0)
+    psi = lambda s: L.eta_window_psi(m33, s)
     rr = np.geomspace(cfg0.R0, 1e3, 40)
     prev = None
     for sig in [0.5, 1.0, 2.0, 5.0]:
@@ -359,9 +364,9 @@ def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
     scanned = []
     scan = L._case_scan_values
 
-    def counting_scan(model, grid, cfg, strict):
+    def counting_scan(model, grid, cfg):
         scanned.append(grid.size)
-        return scan(model, grid, cfg, strict)
+        return scan(model, grid, cfg)
 
     monkeypatch.setattr(L, "_case_scan_values", counting_scan)
     grown = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0,
@@ -375,14 +380,17 @@ def test_phi_profile_prefix_reuse_is_bitwise(monkeypatch, case):
             np.testing.assert_array_equal(a, b)
 
 
-def test_phi_profile_refuses_a_scaled_prefix(models):
-    """A scaled profile keeps no psi to lend, so growing it is refused with
-    the reason rather than failing inside the prefix path."""
+def test_phi_profile_builds_a_prefix_without_psi_in_full(models):
+    """A profile that holds no psi has nothing to lend: growing it is a full
+    build, equal to a fresh one."""
     m = models["3_3"]
     cfg = L.resolve_r0(m, L.DriftConfig(case="a"))
     phi = L.phi_profile(m, cfg, s_max=10.0 * cfg.R0)
-    with pytest.raises(ValueError, match="scaled profile"):
-        L.phi_profile(m, cfg, s_max=100.0 * cfg.R0, prefix=phi.scaled(2.0))
+    bare = L.RadialProfile(grid=phi.grid, values=phi.values, r0=phi.r0)
+    grown = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0, prefix=bare)
+    fresh = L.phi_profile(m, cfg, s_max=100.0 * cfg.R0)
+    for field in ("grid", "values", "psi", "log_p_sigma"):
+        np.testing.assert_array_equal(getattr(grown, field), getattr(fresh, field))
 
 
 @pytest.mark.parametrize("psi_scale", [1.0, 0.7])
@@ -397,9 +405,9 @@ def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_sc
     cfg = L.resolve_r0(m, P.default_drift_config(name))
     top = 1600.0 * max(cfg.R0, 1.0)
     nodes = L._anchored_grid(cfg.R0, top, 200)
-    table = dict(zip(nodes, L._case_scan_values(m, nodes, cfg, strict=True)))
+    table = dict(zip(nodes, L._case_scan_values(m, nodes, cfg)))
     monkeypatch.setattr(L, "_case_scan_values",
-                        lambda model, grid, cfg, strict: np.array([table[x] for x in grid]))
+                        lambda model, grid, cfg: np.array([table[x] for x in grid]))
     calls = []
     on_grid = L._log_p_sigma_on_grid
 
@@ -421,9 +429,6 @@ def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_sc
             np.testing.assert_array_equal(getattr(grown, field), getattr(fresh, field))
         assert grown._seam == fresh._seam
     assert prev.grid.size < grown.grid.size
-
-    scaled = grown.scaled(2.0)
-    assert scaled._seam is None and scaled.log_p_sigma is None
     # include_radii, or a grid the prefix is longer than: the full build
     for kw in ({"s_max": top, "include_radii": nodes[3:4]},
                {"s_max": top / 4.0}):
@@ -548,8 +553,8 @@ def test_rate_quantities_stable_under_quadrature_refinement(models):
                             quadrature=M.QuadratureSpec(nodes=2 * m.quadrature.nodes))
     cfg = L.DriftConfig(case="a", R0=2.0, sigma=1.0)
     ss = np.array([2.0, 5.0, 20.0, 80.0])
-    psi1 = L.psi_case_a(m, ss, cfg)
-    psi2 = L.psi_case_a(m2, ss, cfg)
+    psi1 = L.psi_case_a(m, ss)
+    psi2 = L.psi_case_a(m2, ss)
     np.testing.assert_allclose(psi1, psi2, rtol=1e-3)
     phi1 = L.phi_profile(m, cfg, s_max=100.0)
     phi2 = L.phi_profile(m2, cfg, s_max=100.0)

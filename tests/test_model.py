@@ -347,6 +347,22 @@ def test_power_tail_density_tail_matches_quad(p):
     np.testing.assert_allclose(nu.tail(t), _power_tail_quad(p, t), rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0])
+def test_power_tail_far_series_is_the_full_sum_bitwise(p):
+    """The far series of power_tail_density keeps only its terms above 1e-37
+    of the sum, and its rows still sum to the full 119-term np.sum, to the
+    bit, from t = 2 to 1e300."""
+    q = 1.0 + p
+    t = np.geomspace(2.0, 1e300, 2001)
+    k = np.arange(1, 120, dtype=float)
+    full = np.sum(np.where(k % 2 == 1, 1.0, -1.0) * t[:, None] ** (1.0 - k * q)
+                  / (k * q - 1.0), axis=-1)
+    far = M._alternating_sum(t, q, 119, lambda k, x: x ** (1.0 - k * q) / (k * q - 1.0))
+    assert [v.hex() for v in far] == [v.hex() for v in full]
+    nu = M.power_tail_density(p)
+    np.testing.assert_array_equal(nu.tail(t), [nu.tail(v) for v in t])
+
+
 def test_power_tail_density_at_p1_is_the_cauchy_density():
     """At p = 1 the normalizer is pi, as the quad-based rule also gave."""
     z = np.linspace(-50.0, 50.0, 201)

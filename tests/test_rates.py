@@ -247,7 +247,7 @@ def test_varphi_nondecreasing_and_scale_equivariance():
     assert np.all(np.diff(t) >= -1e-14)
     # k * phi shifts the argument: varphi_{k phi}(r) = varphi_phi(k r)
     k = 3.7
-    scaled = phi.scaled(k)
+    scaled = profile(g, k * vals)
     for r in [2.0, 50.0, 900.0]:
         assert R.varphi_phi(scaled, r) == pytest.approx(
             R.varphi_phi(phi, k * r), rel=1e-12)

@@ -211,12 +211,14 @@ def test_sampler_unbounded_source_reaches_past_1e12():
 
 
 def test_sampler_second_moment_d2():
-    m = M.ConvolutionModel(M.log_potential(3.0, d=2), M.point_mass(d=2))
+    """The radius density 2 pi s (1+s)^-8 has a finite fourth moment, so
+    |X|^2 has a finite variance and the 4-SE bound is a real bound."""
+    m = M.ConvolutionModel(M.log_potential(6.0, d=2), M.point_mass(d=2))
     pts = V.sample_convolution(m, 3, 50_000).points
     r2 = (pts ** 2).sum(axis=1)
     oracle = integrate.quad(
         lambda s: s ** 2 * 2 * np.pi * s * math.exp(-m.potential.c)
-        * (1 + s) ** -5.0, 0, np.inf)[0]
+        * (1 + s) ** -8.0, 0, np.inf)[0]
     se = r2.std() / math.sqrt(len(r2))
     assert abs(r2.mean() - oracle) <= 4.0 * se
 
@@ -251,6 +253,26 @@ def test_convolution_cdf_blocks_match_one_shot(m33):
     one_shot = np.sum(wn * F_mu(x[:, None] - zn), axis=1)
     assert x.size > 2 * V.CDF_BLOCK
     assert np.array_equal(V.convolution_cdf(m33)(x), one_shot)
+
+
+@pytest.mark.parametrize("n_atoms", [12, 200])
+def test_convolution_cdf_of_atoms_is_the_per_atom_sum(n_atoms):
+    """An atom source runs the compact source's blocked node sum: bitwise the
+    one-shot sum over all rows (past 96 atoms in blocks of fewer than
+    CDF_BLOCK rows), and within 1e-15 of the per-atom loop at 12 atoms (the
+    summation orders differ from 8 atoms on; n eps bounds them at 200)."""
+    src = M.discrete_atoms(np.linspace(-3.0, 4.0, n_atoms), np.arange(1.0, n_atoms + 1.0))
+    m = M.ConvolutionModel(M.log_potential(2.0), src)
+    x = np.linspace(-50.0, 50.0, 5001)
+    F_mu = V._mu_cdf(m)
+    zn, wn = src.locations[:, 0], src.weights / src.weights.sum()
+    got = V.convolution_cdf(m)(x)
+    assert np.array_equal(got, np.sum(wn * F_mu(x[:, None] - zn), axis=1))
+    loop = np.zeros(x.shape)
+    for z, w in zip(zn, wn):
+        loop += w * F_mu(x - z)
+    rtol = 1e-15 if n_atoms < 96 else n_atoms * np.finfo(float).eps
+    np.testing.assert_allclose(got, loop, rtol=rtol, atol=0.0)
 
 
 def test_convolution_cdf_unsorted_input_matches_one_shot(m33):
