@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -51,10 +51,6 @@ _SAMPLE_KEYS = {"n_wpi", "n_paths", "n_inner", "dt", "t_max", "n_times"}
 _TOL_KEYS = {"drift_tol_abs", "drift_tol_rel"}
 _FIT_KEYS = {"families", "window"}
 _SWEEP_KEYS = {"param", "values"}
-_TOP_KEYS = {"preset", "custom", "p", "d", "R", "R0", "well_exponent",
-             "sigma", "delta", "case", "nu", "stages", "grids", "seeds",
-             "samples", "tolerances", "fit", "sweep", "half_factor",
-             "output_dir"}
 
 
 @dataclass
@@ -79,7 +75,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     fit: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    half_factor: bool = True
     output_dir: str = "wpconv_out"
 
     def to_dict(self):
@@ -87,6 +82,19 @@ class RunConfig:
         doc["stages"] = list(self.stages)
         return doc
 
+
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
+# custom.potential families: the parameter each requires, and its constructor
+_FAMILIES = {
+    "power": ("p", lambda s, d: model_mod.power_potential(float(s["p"]), d=d)),
+    "log": ("p", lambda s, d: model_mod.log_potential(float(s["p"]), d=d)),
+    "loglog": ("p", lambda s, d: model_mod.loglog_potential(float(s["p"]), d=d)),
+    "smooth_well": (None, lambda s, d: model_mod.smooth_well_potential(
+        float(s.get("exponent", 0.5)), d=d)),
+    "quadratic": (None, lambda s, d: model_mod.quadratic_potential(d=d)),
+    "expression": ("expression",
+                   lambda s, d: model_mod.expression_potential(s["expression"], d=d)),
+}
 
 _DEFAULT_SEEDS = {"sampler": 20_260_809, "corpus": 7, "decay": 5}
 _DEFAULT_SAMPLES = {"n_wpi": 1_000_000, "n_paths": 128, "n_inner": 128,
@@ -143,13 +151,23 @@ def load_config(source):
         _check_keys(pot, {"family", "p", "d", "exponent", "expression"},
                     "custom.potential.")
         _check_d(pot.get("d", 1), "custom.potential.d")
-        if pot.get("family") not in ("power", "log", "loglog", "smooth_well",
-                                     "quadratic", "expression"):
+        fam = pot.get("family")
+        if not isinstance(fam, str) or fam not in _FAMILIES:
             raise ConfigError("custom.potential.family: unknown family")
+        required = _FAMILIES[fam][0]
+        if required is not None and pot.get(required) is None:
+            raise ConfigError(f"custom.potential.{required}: required for family {fam!r}")
         src = custom.get("source") or {}
         _check_keys(src, {"kind", "halfwidth", "location", "locations",
                           "weights", "p", "n_max"}, "custom.source.")
+        if "halfwidth" in src:
+            _positive(src["halfwidth"], "custom.source.halfwidth")
     _check_d(doc.get("d", 1), "d")
+    for key in ("R", "R0"):
+        if doc.get(key) is not None:
+            _positive(doc[key], key)
+    if isinstance(doc.get("nu"), dict) and "halfwidth" in doc["nu"]:
+        _positive(doc["nu"]["halfwidth"], "nu.halfwidth")
     cfg = RunConfig(
         preset=preset, custom=custom,
         p=doc.get("p"), d=int(doc.get("d", 1)), R=float(doc.get("R", 1.0)),
@@ -164,7 +182,6 @@ def load_config(source):
         tolerances={**_DEFAULT_TOLS, **(doc.get("tolerances") or {})},
         fit=dict(doc.get("fit") or {}),
         sweep=dict(doc.get("sweep") or {}),
-        half_factor=bool(doc.get("half_factor", True)),
         output_dir=str(doc.get("output_dir", "wpconv_out")),
     )
     if cfg.sigma <= 0.0:
@@ -181,6 +198,9 @@ def load_config(source):
     values = cfg.sweep.get("values", [1.0])
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"sweep.values: must hold numbers, got {v!r}")
     return cfg
 
 
@@ -190,18 +210,24 @@ def _check_d(raw, path):
         raise ConfigError(f"{path}: must be 1, 2 or 3, got {raw!r}")
 
 
+def _positive(raw, path):
+    """float(raw), which must be a positive finite number."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: must be a number, got {raw!r}") from None
+    if not 0.0 < val < math.inf:
+        raise ConfigError(f"{path}: must be positive and finite, got {raw!r}")
+    return val
+
+
 def _check_grids(cfg):
     """Every grid key is a positive finite number, the counts are at least 1,
     and each given range is increasing (r_min/r_max read the rate grid's
     defaults where one is not given)."""
     g = dict(cfg.grids)
     for key, raw in g.items():
-        try:
-            g[key] = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"grids.{key}: must be a number, got {raw!r}") from None
-        if not 0.0 < g[key] < math.inf:
-            raise ConfigError(f"grids.{key}: must be positive and finite, got {raw!r}")
+        g[key] = _positive(raw, f"grids.{key}")
         if key in ("points_per_decade", "n_wpi_r", "certificate_points") and g[key] < 1.0:
             raise ConfigError(f"grids.{key}: must be at least 1, got {raw!r}")
     g = {**_r_hints(cfg), **g}
@@ -256,19 +282,7 @@ def apply_overrides(doc, pairs):
 # ---------------------------------------------------------------------------
 
 def _build_custom_potential(spec, d):
-    fam = spec.get("family")
-    dd = int(spec.get("d", d))
-    if fam == "power":
-        return model_mod.power_potential(float(spec["p"]), d=dd)
-    if fam == "log":
-        return model_mod.log_potential(float(spec["p"]), d=dd)
-    if fam == "loglog":
-        return model_mod.loglog_potential(float(spec["p"]), d=dd)
-    if fam == "smooth_well":
-        return model_mod.smooth_well_potential(float(spec.get("exponent", 0.5)), d=dd)
-    if fam == "quadratic":
-        return model_mod.quadratic_potential(d=dd)
-    return model_mod.expression_potential(spec["expression"], d=dd)
+    return _FAMILIES[spec["family"]][1](spec, int(spec.get("d", d)))
 
 
 def build_model(cfg):
@@ -430,8 +444,7 @@ def run(config):
                                        float(cfg.grids["s_max"]), ppd)
                 rate_result = rates_mod.rate_tables(
                     model, dcfg, r_grid=r_grid_full, s_grid=s_grid, c0=c0_used,
-                    points_per_decade=ppd, half=cfg.half_factor,
-                    via_comparison=comparison)
+                    points_per_decade=ppd, via_comparison=comparison)
                 alpha = rate_result.alpha_final
                 rates_mod.write_csv(os.path.join(outdir, "alpha.csv"),
                                     ("s", "alpha"), (alpha.grid, alpha.values))

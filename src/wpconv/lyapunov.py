@@ -430,10 +430,10 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
 # R0 selection and condition reports
 # ---------------------------------------------------------------------------
 
-def resolve_r0(model, cfg, safety=1.25):
+def resolve_r0(model, cfg):
     """Fill in cfg.R0: the smallest scanned radius past which the case
-    quantity stays positive over a doubling horizon, times the safety factor.
-    Windowed cases additionally require R0 comfortably above R."""
+    quantity stays positive over a doubling horizon, times the safety factor
+    1.25.  Windowed cases additionally require R0 >= 1.25 * 1.2 R."""
     if cfg.R0 is not None:
         return cfg
     R = model.source.support_radius
@@ -457,9 +457,9 @@ def resolve_r0(model, cfg, safety=1.25):
             star = grid[bad[-1] + 1] if bad.size else grid[0]
         if star is not None and last_star is not None \
                 and abs(star - last_star) <= 0.05 * star:
-            r0 = safety * star
+            r0 = 1.25 * star
             if windowed and np.isfinite(R):
-                r0 = max(r0, safety * 1.2 * R)
+                r0 = max(r0, 1.25 * 1.2 * R)
             return replace(cfg, R0=float(r0))
         last_star = star
         horizon *= 2.0
@@ -510,22 +510,19 @@ def robustness_bracket(s_grid, psi_vals, sigma0, d):
     return np.where(v > 0.0, bracket, -np.inf)
 
 
-def check_conditions(model, cfg, s_grid=None, sigma0=None):
-    """Evaluate every hypothesis on a radius grid; report-only, never raises
-    on condition failure."""
+def check_conditions(model, cfg):
+    """Evaluate every hypothesis on 257 radii over [R0, 100 R0], with
+    sigma0 = cfg.sigma; report-only, never raises on condition failure."""
     try:
         cfg = resolve_r0(model, cfg)
     except DriftConditionFailed:
         cfg = replace(cfg, R0=max(1.0, 2.0 * model.source.support_radius)
                       if np.isfinite(model.source.support_radius) else 1.0)
-    if s_grid is None:
-        s_grid = np.geomspace(cfg.R0, 100.0 * cfg.R0, 257)
-    s_grid = np.asarray(s_grid, dtype=float)
-    sigma0 = cfg.sigma if sigma0 is None else sigma0
+    s_grid = np.geomspace(cfg.R0, 100.0 * cfg.R0, 257)
     psi_vals = drift_rate(model, s_grid, cfg)
     bcase = replace(cfg, case="b" if cfg.case in ("a", "b") else "cor_b")
     b_vals = _case_scan_values(model, s_grid, bcase)
-    bracket = robustness_bracket(s_grid, psi_vals, sigma0, model.d)
+    bracket = robustness_bracket(s_grid, psi_vals, cfg.sigma, model.d)
     # the robustness hypothesis concerns large radii: take the upper half
     upper = s_grid >= math.sqrt(s_grid[0] * s_grid[-1])
     rob_inf = float(np.min(bracket[upper]))
@@ -539,7 +536,7 @@ def check_conditions(model, cfg, s_grid=None, sigma0=None):
         case_b_positive=bool(np.all(b_vals > 0.0)),
         robustness_inf=rob_inf,
         robustness_ok=bool(rob_inf > 0.0),
-        sigma0=float(sigma0),
+        sigma0=float(cfg.sigma),
         case=cfg.case,
     )
 

@@ -562,6 +562,8 @@ def integer_lattice(p, n_max=200_000):
 def uniform_density(halfwidth=1.0):
     """nu uniform on [-R, R] (d = 1)."""
     R = float(halfwidth)
+    if not R > 0.0:
+        raise ValueError("uniform density requires halfwidth > 0")
 
     def density(z):
         z = np.asarray(z, dtype=float)
@@ -576,7 +578,7 @@ def uniform_density(halfwidth=1.0):
                          symmetric=True)
 
 
-def power_tail_density(p, reach=None):
+def power_tail_density(p):
     """nu with density proportional to 1/(1+|z|^(1+p)) on the line (d = 1)."""
     if p <= 0:
         raise ValueError("power-tail density requires p > 0")
@@ -615,9 +617,8 @@ def power_tail_density(p, reach=None):
         out = 2.0 * half_tail(np.maximum(t, 0.0)) / gamma
         return out if out.ndim else float(out)
 
-    if reach is None:
-        # density quantile cutoff for node placement; the analytic tail covers the rest
-        reach = (2.0 / (gamma * 1e-10 * p)) ** (1.0 / p)
+    # density quantile cutoff for node placement; the analytic tail covers the rest
+    reach = (2.0 / (gamma * 1e-10 * p)) ** (1.0 / p)
     return SourceMeasure(kind="density", d=1, support_radius=np.inf, tail=tail,
                          density=density, density_reach=float(reach),
                          name=f"power_tail(p={p})", symmetric=True)

@@ -1,7 +1,8 @@
 """Named model presets: the standard potential / source-measure combinations.
 
-Each preset builds a ConvolutionModel and a default DriftConfig plus grid
-hints for the rate pipeline.  Preset parameters:
+Each preset builds a ConvolutionModel (make_model, from the parameters p, d,
+R, well_exponent and nu and no others), a default DriftConfig (from the name
+alone) and grid hints for the rate pipeline.  Presets:
 
   example_3_1  d=1 smooth sub-linear well (1+x^2)^(q/2) with the integer
                lattice source of weight ~ 1/(1+|i|^(1+p)); expected rate
@@ -18,10 +19,8 @@ dicts override (kinds: point_mass, uniform, atoms, integer_lattice,
 power_density).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import model as model_mod
 from .errors import ConfigError
@@ -45,7 +44,9 @@ class PresetSpec:
     nu: Optional[dict] = None
 
 
-def validate_preset(name, p=None, d=1, **kw):
+def validate_preset(name, p=None, d=1, R=1.0, well_exponent=0.5, nu=None):
+    """PresetSpec of the named preset; p defaults per preset, and a p, d or
+    well_exponent outside the preset's range raises ConfigError naming it."""
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown preset '{name}' (choose from {PRESETS})")
     defaults = {"example_3_1": 1.0, "example_3_2": 0.6, "example_3_3": 2.0,
@@ -59,11 +60,10 @@ def validate_preset(name, p=None, d=1, **kw):
         raise ConfigError(f"p: {name} requires p > 0")
     if name in ("example_3_1", "lemma_3_2") and d != 1:
         raise ConfigError(f"d: {name} is defined for d = 1")
-    we = kw.get("well_exponent", 0.5)
-    if not 0.0 < we < 1.0:
+    if not 0.0 < well_exponent < 1.0:
         raise ConfigError("well_exponent: must lie in (0, 1)")
-    return PresetSpec(name=name, p=p, d=int(d), R=float(kw.get("R", 1.0)),
-                      well_exponent=float(we), nu=kw.get("nu"))
+    return PresetSpec(name=name, p=p, d=int(d), R=float(R),
+                      well_exponent=float(well_exponent), nu=nu)
 
 
 def make_source(spec, d=1):
@@ -90,11 +90,9 @@ def make_source(spec, d=1):
     raise ConfigError(f"nu.kind: unknown source kind {kind!r}")
 
 
-def make_model(name, p=None, d=1, R=1.0, well_exponent=0.5, nu=None,
-               quadrature=None, **_):
-    """Build the preset's ConvolutionModel."""
+def make_model(name, p=None, d=1, R=1.0, well_exponent=0.5, nu=None):
+    """Build the preset's ConvolutionModel (default quadrature)."""
     spec = validate_preset(name, p=p, d=d, R=R, well_exponent=well_exponent, nu=nu)
-    quad = quadrature or model_mod.QuadratureSpec()
     if spec.name == "example_3_1":
         pot = model_mod.smooth_well_potential(spec.well_exponent, d=1)
         src = make_source(spec.nu, d=1) if spec.nu else model_mod.integer_lattice(spec.p)
@@ -110,15 +108,13 @@ def make_model(name, p=None, d=1, R=1.0, well_exponent=0.5, nu=None,
             pot = model_mod.loglog_potential(spec.p, d=spec.d)
         src = make_source(spec.nu, d=spec.d) if spec.nu \
             else model_mod.uniform_density(spec.R)
-    return model_mod.ConvolutionModel(pot, src, quadrature=quad, name=spec.name)
+    return model_mod.ConvolutionModel(pot, src, name=spec.name)
 
 
-def default_drift_config(name, case=None, sigma=1.0, delta=0.75, R0=None):
-    """Preset drift configuration: windowed cases for compact sources, tilted
-    cases for the unbounded ones."""
-    if case is None:
-        case = "a" if name in ("example_3_1", "lemma_3_2") else "cor_a"
-    return DriftConfig(case=case, R0=R0, sigma=sigma, delta=delta)
+def default_drift_config(name):
+    """Preset drift configuration with DriftConfig's defaults otherwise: the
+    windowed case cor_a for compact sources, the tilted case a for the others."""
+    return DriftConfig(case="a" if name in ("example_3_1", "lemma_3_2") else "cor_a")
 
 
 def rate_grid_hints(name, p):

@@ -7,9 +7,8 @@ The chain:
     beta(r)   = mu(|x| >= varphi(r)/2) + nu(|z| >= varphi(r)/2)
     alpha(s)  = c0 * inf{ r : beta(r) <= s }
 
-(the 1/2 inside beta follows the drift argument; set half=False for the
-variant without it).  For compactly supported nu the beta tail restricts to
-{|x| >= R + R0} and the nu term vanishes for large r.
+(the 1/2 inside beta follows the drift argument).  For compactly supported nu
+the beta tail restricts to {|x| >= R + R0} and the nu term vanishes for large r.
 
 All generalized inverses use the left-continuous convention
 F^{-1}(s) = inf{r : F(r) <= s}, evaluated tablewise.
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+S_MAX_CAP = 3e8  # largest profile grid end rate_tables grows to
 CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by write_csv
 
 
@@ -129,30 +129,6 @@ class RateTable:
                 f"{self.values[-1]:g}; extend the r grid")
         out = self.grid[self.grid.size - k]
         return out if np.asarray(s).shape else float(out[0])
-
-    def to_json(self):
-        return {"schema_version": SCHEMA_VERSION,
-                "abscissa": self.grid.tolist(),
-                "value": self.values.tolist(),
-                "monotonicity": self.monotonicity,
-                "extrapolation": self.extrapolation}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(grid=np.asarray(doc["abscissa"], dtype=float),
-                   values=np.asarray(doc["value"], dtype=float),
-                   monotonicity=doc.get("monotonicity", "nonincreasing"),
-                   extrapolation=doc.get("extrapolation", "clamp"))
-
-    def to_csv(self, path, header=("abscissa", "value")):
-        write_csv(path, header, (self.grid, self.values))
-
-    @classmethod
-    def from_csv(cls, path, monotonicity="nonincreasing"):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-        return cls(grid=data[:, 0], values=data[:, 1], monotonicity=monotonicity)
 
 
 def _repr_runs(block):
@@ -244,19 +220,17 @@ def varphi_phi(phi, r):
     return out if np.asarray(r).shape else float(out[0])
 
 
-def beta_phi(model, phi, r, compact_branch=None, half=True):
+def beta_phi(model, phi, r):
     """Spatial-tail bound at the sublevel radius: mu-tail + nu-tail of
     varphi(r)/2 in general; for compactly supported nu the mu-tail restricted
     to {|x| >= R + R0} alone (the nu term is identically zero there)."""
-    t = varphi_phi(phi, np.atleast_1d(np.asarray(r, dtype=float)))
-    t = 0.5 * t if half else t
-    if compact_branch is None:
-        compact_branch = bool(np.isfinite(model.source.support_radius))
-    if compact_branch:
-        t = np.maximum(t, model.source.support_radius + phi.r0)
-    out = model_mod.measure_tail(model, "mu", t)
-    if not compact_branch:
-        out = out + np.asarray(model.source.tail(t), dtype=float)
+    t = 0.5 * varphi_phi(phi, np.atleast_1d(np.asarray(r, dtype=float)))
+    R = model.source.support_radius
+    if np.isfinite(R):
+        out = model_mod.measure_tail(model, "mu", np.maximum(t, R + phi.r0))
+    else:
+        nu_tail = np.asarray(model.source.tail(t), dtype=float)
+        out = model_mod.measure_tail(model, "mu", t) + nu_tail
     return out if np.asarray(r).shape else float(out[0])
 
 
@@ -359,7 +333,7 @@ class RateResult:
     ran on; when a comparison model was used (discrete source replaced by its
     equivalent density) alpha_final carries the transferred table and
     `comparison` the measured density-ratio constants.  r_truncated counts
-    the requested r cut at the s_max_cap grid end, r_dropped those whose
+    the requested r cut at the S_MAX_CAP grid end, r_dropped those whose
     beta underflowed.
     """
 
@@ -396,8 +370,7 @@ def _density_ratio_bounds(model, comparison, n=600):
 
 
 def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
-                points_per_decade=200, half=True,
-                via_comparison=None, psi_scale=1.0, s_max_cap=3e8):
+                points_per_decade=200, via_comparison=None, psi_scale=1.0):
     """Run the full chain phi -> varphi -> beta -> alpha.
 
     The profile grid end extends by doubling until varphi is defined at every
@@ -425,19 +398,19 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
         saturated = phi.values.min() >= 1.0 / r_grid
         if not np.any(saturated):
             break
-        if s_max >= s_max_cap:
+        if s_max >= S_MAX_CAP:
             # serve the r prefix below the first saturated 1/r; with too short
             # a prefix varphi_phi raises SaturatedAtGridEnd below
             served = int(np.argmax(saturated))
             if served >= 32:
                 r_grid = r_grid[:served]
             break
-        s_max = min(s_max * 4.0, s_max_cap)
+        s_max = min(s_max * 4.0, S_MAX_CAP)
     else:
         raise SaturatedAtGridEnd("profile grid never covered the r grid")
     t_vals = varphi_phi(phi, r_grid)
 
-    beta_vals = beta_phi(work, phi, r_grid, half=half)
+    beta_vals = beta_phi(work, phi, r_grid)
     keep = np.isfinite(beta_vals) & (beta_vals > 1e-300)
     r_kept = r_grid[keep]
     varphi_tab = RateTable(grid=r_kept, values=np.maximum.accumulate(t_vals[keep]),
@@ -477,19 +450,18 @@ def _shared_s_grid(tables, n=400):
 
 
 def compare_sigma(model, cfg, sigma_list, r_grid=None, psi_scales=None,
-                  bound_factor=2.0, s_window=None):
+                  s_window=None):
     """Rate functions across sigma (and optionally across scaled drift rates):
     pairwise ratio ranges over a shared s grid plus a boundedness verdict.
 
-    The verdict factor is a harness choice (default 2); the underlying
-    comparison statement asserts only two-sided bounds.
+    The verdict factor 2 is a harness choice; the underlying comparison
+    statement asserts only two-sided bounds.
     """
-    return _sigma_runs(model, cfg, sigma_list, r_grid, psi_scales,
-                       bound_factor, s_window)[0]
+    return _sigma_runs(model, cfg, sigma_list, r_grid, psi_scales, s_window)[0]
 
 
 def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
-                bound_factor=2.0, s_window=None):
+                s_window=None):
     """compare_sigma's report together with the labelled alpha tables it
     compared, one per (scale, sigma) in that loop order, and their shared
     grid."""
@@ -521,18 +493,18 @@ def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
     doc = {"schema_version": SCHEMA_VERSION,
            "s_min": float(grid[0]), "s_max": float(grid[-1]),
            "pairs": pairs, "worst_range_factor": worst,
-           "bounded": bool(worst < bound_factor),
-           "bound_factor": bound_factor}
+           "bounded": bool(worst < 2.0), "bound_factor": 2.0}
     return doc, runs, grid
 
 
 def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,
-                      eval_radii=(1e2, 1e3, 1e4), bound_factor=3.0):
+                      eval_radii=(1e2, 1e3, 1e4)):
     """Stability of the rate order under convolution with a compact measure.
 
     Estimates eta0 = liminf of (window infimum of eta) / eta_mu, checks the
     admissibility bound sigma > sigma0 / (eta0 (1+sigma0) - sigma0), and
-    compares the two rate functions over their shared range.
+    compares the two rate functions over their shared range (bounded when
+    their ratio ranges over less than a factor 3).
     """
     R = conv_model.source.support_radius
     if not np.isfinite(R):
@@ -564,6 +536,5 @@ def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,
             "sigma_admissible": bool(cfg.sigma > sigma_min),
             "robustness_inf": float(np.min(rob)),
             "ratio_min": float(ratio.min()), "ratio_max": float(ratio.max()),
-            "range_factor": rng, "bounded": bool(rng < bound_factor),
-            "bound_factor": bound_factor,
+            "range_factor": rng, "bounded": bool(rng < 3.0), "bound_factor": 3.0,
             "s_min": float(grid[0]), "s_max": float(grid[-1])}

@@ -101,19 +101,18 @@ def _smooth_step(a, w):
     return value, grad, 1.0
 
 
-def build_corpus(seed=7, n_calibration=10, n_holdout=20,
-                 center_range=(-20.0, 20.0), width_range=(0.5, 5.0)):
-    """30 bounded functions (ramps, bumps, smoothed steps) probing bulk and
-    tail; the first n_calibration carry the calibration role."""
+def build_corpus(seed=7):
+    """30 bounded functions (ramps, bumps, smoothed steps) with centers in
+    [-20, 20] and widths in [0.5, 5], probing bulk and tail; the first 10
+    carry the calibration role, the other 20 the holdout role."""
     rng = np.random.default_rng(seed)
     makers = [_tanh_ramp, _gauss_bump, _smooth_step]
     out = []
-    total = n_calibration + n_holdout
-    for i in range(total):
-        a = rng.uniform(*center_range)
-        w = rng.uniform(*width_range)
+    for i in range(30):
+        a = rng.uniform(-20.0, 20.0)
+        w = rng.uniform(0.5, 5.0)
         value, grad, osc = makers[i % len(makers)](a, w)
-        role = "calibration" if i < n_calibration else "holdout"
+        role = "calibration" if i < 10 else "holdout"
         out.append(TestFunction(id=f"f{i:02d}", value=value, gradient=grad,
                                 osc_bound=osc, role=role))
     return out
@@ -326,9 +325,9 @@ class WpiReport:
                 "per_function": self.per_function}
 
 
-def empirical_wpi(model, alpha, corpus, r_grid, seed, n, z_ci=2.0):
+def empirical_wpi(model, alpha, corpus, r_grid, seed, n):
     """Calibrate c on the calibration split, then test every holdout function
-    at every grid r: Var(f) - c alpha(r) E(f) - r Osc^2(f) <= z_ci * CI."""
+    at every grid r: Var(f) - c alpha(r) E(f) - r Osc^2(f) <= z_ci * CI, z_ci = 2."""
     if n < 2:
         raise ValueError(f"empirical_wpi needs n >= 2 samples, got n={n!r}")
     r_grid = np.asarray(r_grid, dtype=float)
@@ -382,12 +381,12 @@ def empirical_wpi(model, alpha, corpus, r_grid, seed, n, z_ci=2.0):
         st["max_slack_sigma"] = float(np.max(sigma))
         if f.role == "holdout":
             worst = max(worst, st["max_slack_sigma"])
-            if np.any(sigma > z_ci):
+            if np.any(sigma > 2.0):
                 violations += 1
     return WpiReport(c_calibrated=float(c), n_samples=n, seed=seed,
                      r_grid=r_grid, holdout_violations=violations,
                      worst_slack_sigma=float(worst), per_function=stats,
-                     z_ci=z_ci)
+                     z_ci=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +568,15 @@ def default_check_points(model, n=100, seed=1234, lo=1.5, hi=50.0):
     return signs * mags
 
 
-def _richardson(fun, x, h):
+def _richardson(fun, x):
     def D(step):
         return (fun(x + step) - fun(x - step)) / (2.0 * step)
-    return (4.0 * D(h / 2.0) - D(h)) / 3.0
+    return (4.0 * D(5e-5) - D(1e-4)) / 3.0
 
 
-def crosscheck_gradients(model, points, h=1e-4):
+def crosscheck_gradients(model, points):
     """Max relative discrepancy of each analytic derivative against
-    Richardson-extrapolated central differences (d = 1)."""
+    Richardson-extrapolated central differences of step 1e-4 (d = 1)."""
     pot = model.potential
     x = np.asarray(points, dtype=float)
 
@@ -587,11 +586,10 @@ def crosscheck_gradients(model, points, h=1e-4):
 
     worst = {
         "grad_V": worst_rel(pot.grad_1d(x),
-                            _richardson(lambda y: pot.value(np.abs(y)), x, h)),
-        "lap_V": worst_rel(pot.laplacian(np.abs(x)),
-                           _richardson(pot.grad_1d, x, h)),
+                            _richardson(lambda y: pot.value(np.abs(y)), x)),
+        "lap_V": worst_rel(pot.laplacian(np.abs(x)), _richardson(pot.grad_1d, x)),
         "grad_V_nu": worst_rel(model_mod.v_nu_and_grad(model, x)[1],
-                               _richardson(lambda y: model_mod.v_nu(model, y), x, h)),
+                               _richardson(lambda y: model_mod.v_nu(model, y), x)),
     }
     worst["n_points"] = int(x.size)
     worst["schema_version"] = SCHEMA_VERSION

@@ -192,7 +192,7 @@ def test_criterion_09_gradient_hygiene(models):
 
 def test_criterion_10_empirical_wpi(models, pipelines):
     res = pipelines["example_3_3"]
-    corpus = V.build_corpus(seed=7, n_calibration=10, n_holdout=20)
+    corpus = V.build_corpus(seed=7)
     r_grid = np.geomspace(max(res.alpha.grid[0] * 2.0, 1e-6),
                           min(res.alpha.grid[-1] * 0.5, 1e-2), 40)
     rep = V.empirical_wpi(models["example_3_3"], res.alpha, corpus, r_grid,

@@ -46,6 +46,8 @@ def test_load_rejects_unknown_keys():
         cli.load_config("{preset: example_3_3, bogus: 1}")
     with pytest.raises(ConfigError, match="grids.bogus"):
         cli.load_config("{preset: example_3_3, grids: {bogus: 2}}")
+    with pytest.raises(ConfigError, match="half_factor: unknown key"):
+        cli.load_config("{preset: example_3_3, half_factor: false}")
 
 
 @pytest.mark.parametrize("override, key", [
@@ -56,6 +58,10 @@ def test_load_rejects_unknown_keys():
     ("grids.r_min=1e11", "grids.r_min"),  # above example_3_3's default r_max
     ("grids.s_max=1.0e-9", "grids.s_min"),
     ("sweep.values=[]", "sweep.values"),
+    ("sweep.values=[a]", "sweep.values"),
+    ("R=-1", "R:"),
+    ("R0=-1", "R0:"),
+    ("nu={kind: uniform, halfwidth: 0}", "nu.halfwidth"),
     ("d=0", "d"),
     ("d=4", "d"),
     ("d=1.5", "d"),
@@ -126,6 +132,16 @@ def test_load_requires_exactly_one_of_preset_custom():
 def test_load_rejects_custom_potential_dimension():
     with pytest.raises(ConfigError, match="custom.potential.d: must be 1, 2 or 3"):
         cli.load_config("{custom: {potential: {family: quadratic, d: 0}}}")
+
+
+@pytest.mark.parametrize("family, key", [
+    ("power", "p"), ("log", "p"), ("loglog", "p"), ("expression", "expression")])
+def test_load_rejects_custom_potential_without_its_parameter(family, key, capsys):
+    text = f"{{custom: {{potential: {{family: {family}}}}}, stages: [rate]}}"
+    with pytest.raises(ConfigError, match=f"custom.potential.{key}: required"):
+        cli.load_config(text)
+    assert cli.main(["validate", text]) == 1
+    assert f"config error: custom.potential.{key}" in capsys.readouterr().err
 
 
 def test_load_rejects_unknown_stage():

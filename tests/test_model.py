@@ -219,6 +219,19 @@ def test_source_symmetric_flag(make, symmetric):
     assert make().symmetric is symmetric
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, float("nan")])
+def test_uniform_density_rejects_a_nonpositive_halfwidth(halfwidth):
+    with pytest.raises(ValueError, match="halfwidth > 0"):
+        M.uniform_density(halfwidth)
+
+
+def test_make_model_rejects_an_unknown_parameter():
+    """make_model takes the preset parameters only: a misspelt one raises
+    instead of building the default model."""
+    with pytest.raises(TypeError):
+        P.make_model("example_3_3", P=5.0)
+
+
 @pytest.mark.parametrize("src", [M.integer_lattice(1.0, n_max=1000),
                                  M.uniform_density(1.5), M.power_tail_density(0.7)],
                          ids=["lattice", "uniform", "power_tail"])
