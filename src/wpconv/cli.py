@@ -157,17 +157,13 @@ def load_config(source):
         required = _FAMILIES[fam][0]
         if required is not None and pot.get(required) is None:
             raise ConfigError(f"custom.potential.{required}: required for family {fam!r}")
-        src = custom.get("source") or {}
-        _check_keys(src, {"kind", "halfwidth", "location", "locations",
-                          "weights", "p", "n_max"}, "custom.source.")
-        if "halfwidth" in src:
-            _positive(src["halfwidth"], "custom.source.halfwidth")
+        _check_source(custom.get("source") or {}, "custom.source")
     _check_d(doc.get("d", 1), "d")
     for key in ("R", "R0"):
         if doc.get(key) is not None:
             _positive(doc[key], key)
-    if isinstance(doc.get("nu"), dict) and "halfwidth" in doc["nu"]:
-        _positive(doc["nu"]["halfwidth"], "nu.halfwidth")
+    if doc.get("nu") is not None:
+        _check_source(doc["nu"], "nu")
     cfg = RunConfig(
         preset=preset, custom=custom,
         p=doc.get("p"), d=int(doc.get("d", 1)), R=float(doc.get("R", 1.0)),
@@ -195,13 +191,34 @@ def load_config(source):
                                     well_exponent=cfg.well_exponent, nu=cfg.nu)
     _check_grids(cfg)
     _check_samples(cfg)
+    param = cfg.sweep.get("param", "sigma")
+    if param not in ("sigma", "delta", "p"):
+        raise ConfigError(f"sweep.param: must be sigma, delta or p, got {param!r}")
     values = cfg.sweep.get("values", [1.0])
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"sweep.values: must hold numbers, got {v!r}")
+        try:  # a value the swept parameter takes
+            if param != "p":
+                lyap.DriftConfig(**{param: v})
+            elif preset is not None:
+                presets_mod.validate_preset(preset, p=v, d=cfg.d, R=cfg.R,
+                                            well_exponent=cfg.well_exponent, nu=cfg.nu)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"sweep.values: {exc}") from None
     return cfg
+
+
+def _check_source(spec, path):
+    """A source spec is a mapping of known keys with a positive halfwidth."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: must be a mapping, got {spec!r}")
+    _check_keys(spec, {"kind", "halfwidth", "location", "locations", "weights", "p",
+                       "n_max"}, path + ".")
+    if "halfwidth" in spec:
+        _positive(spec["halfwidth"], path + ".halfwidth")
 
 
 def _check_d(raw, path):
@@ -442,9 +459,11 @@ def run(config):
                 if cfg.grids.get("s_min") and cfg.grids.get("s_max"):
                     s_grid = _log_grid(float(cfg.grids["s_min"]),
                                        float(cfg.grids["s_max"]), ppd)
+                # the drift stage's profile holds the drift rates of its radii
                 rate_result = rates_mod.rate_tables(
                     model, dcfg, r_grid=r_grid_full, s_grid=s_grid, c0=c0_used,
-                    points_per_decade=ppd, via_comparison=comparison)
+                    points_per_decade=ppd, via_comparison=comparison,
+                    profile=None if certificate is None else certificate.phi)
                 alpha = rate_result.alpha_final
                 rates_mod.write_csv(os.path.join(outdir, "alpha.csv"),
                                     ("s", "alpha"), (alpha.grid, alpha.values))

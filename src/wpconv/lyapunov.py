@@ -379,8 +379,9 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
 
     psi_scale multiplies the drift rate of cases 'a'/'cor_a' before the
     correction integrals (used by the perturbation comparisons); prefix, a
-    profile built with the same model, cfg and psi_scale, lends its psi on
-    the nodes the two grids share.
+    profile built with the same model, case, delta and psi_scale, lends its
+    psi on the nodes the two grids share, and its p_sigma values too when
+    its grid starts this one's and no include_radii are given.
 
     DriftConditionFailed names the radius where a 'cor_a' window leaves the
     positive axis (checked before any evaluation) or the case quantity is <= 0."""
@@ -396,14 +397,13 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     if cfg.case == "cor_a" and grid[0] <= model.source.support_radius < np.inf:
         raise DriftConditionFailed(
             f"window [r-R, r+R] leaves the positive axis at r={grid[0]:g}")
-    k = 0
-    if prefix is not None and prefix.psi is not None and include_radii is None:
-        k = min(prefix.grid.size, grid.size)
-        if not np.array_equal(prefix.grid[:k], grid[:k]):
-            k = 0
-    psi = psi_scale * np.asarray(_case_scan_values(model, grid[k:], cfg), dtype=float)
-    if k:
-        psi = np.concatenate([prefix.psi[:k], psi])
+    psi = np.empty(grid.size)
+    known = np.zeros(grid.size, dtype=bool)
+    if prefix is not None and prefix.psi is not None:
+        at = np.minimum(np.searchsorted(prefix.grid, grid), prefix.grid.size - 1)
+        known = prefix.grid[at] == grid
+        psi[known] = prefix.psi[at[known]]
+    psi[~known] = psi_scale * np.asarray(_case_scan_values(model, grid[~known], cfg), dtype=float)
     bad = psi <= 0.0
     if np.any(bad):
         what = "case-b integrand" if exp_case else "drift rate"
@@ -415,7 +415,9 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
     # the cumulative integrals read psi log-log interpolated between the nodes
     log_grid, log_psi = np.log(grid), np.log(psi)
     # a pure prefix lends its p_sigma values up to its last node, the seam
-    j = k - 1 if k and k == prefix.grid.size and prefix._seam else 0
+    k = 0 if prefix is None or prefix._seam is None or include_radii is not None \
+        else prefix.grid.size
+    j = k - 1 if 0 < k <= grid.size and np.array_equal(grid[:k], prefix.grid) else 0
     logp, seam = _log_p_sigma(lambda s: np.exp(np.interp(np.log(s), log_grid, log_psi)),
                               grid[j:], cfg.sigma, R0, model.d,
                               seam=prefix._seam if j else None)
@@ -575,7 +577,12 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
     else:
         w = cfg.sigma / (1.0 + cfg.sigma)
         inv_p = np.exp(-phi.log_p_sigma[idx])[:, None]
-        lw = inv_p * (w * phi.psi[idx][:, None] - _tilted_radial_drift(model, points))
+        psi = phi.psi[idx][:, None]
+        # case 'a' in d = 1 with a mirror-symmetric nu: both points of a sphere
+        # carry the drift the profile holds at its radius
+        reuse = cfg.case == "a" and model.d == 1 and model.source.symmetric
+        drift = np.broadcast_to(psi, points.shape) if reuse else _tilted_radial_drift(model, points)
+        lw = inv_p * (w * psi - drift)
     excess = lw + phi_s
     n_checked = excess.size
     max_violation = float(np.max(excess, initial=-np.inf))

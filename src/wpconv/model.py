@@ -77,7 +77,10 @@ class QuadratureSpec:
               at a patched potential's seam u = +-eps.  With those breaks 24
               nodes reach the accuracy of 48 at half the terms; more nodes
               round worse (the 48-point rule's floor is about 10 times the
-              16- or 24-point one).
+              16- or 24-point one).  An unbounded density's full panels, on
+              the ladder ..., 1/2, 1, 2, ..., 2^23, are built once per model
+              (ConvolutionModel._ladder); only a point's end pieces are built
+              per point.
     """
 
     nodes: int = 24
@@ -662,6 +665,29 @@ class ConvolutionModel:
     def _reach(self):
         return _profile_reach(self.potential, _REACH_LOG)
 
+    @cached_property
+    def _ladder(self):
+        """The unbounded density kernel's fixed panels, one table per family:
+        the edges, then the nodes and log weights of the panels between
+        them plus a padding panel of weight 0 (rows (panels + 1, n)).  The u
+        family's edges add a patched profile's seam +-eps, and its table
+        also holds v0(|u|) at the nodes."""
+        n, seam = self.quadrature.nodes, self.potential.seam
+        tables = []
+        for cuts in ([] if seam is None else [-seam, seam], []):
+            edges = np.unique(np.concatenate([-_LADDER, _LADDER, cuts]))
+            nodes, w = (np.append(a.reshape(-1, n), np.zeros((1, n)), axis=0)
+                        for a in _ladder_rule(edges[None], n))
+            with np.errstate(divide="ignore"):
+                tables.append((edges, nodes, np.log(w)))
+        return tables[0] + (self.potential.v0(np.abs(tables[0][1])),), tables[1]
+
+    @cached_property
+    def _log_weights(self):
+        """The log atom weights, and -inf for a padding atom at the end."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.append(self.source.weights, 0.0))
+
     def patched(self, eps=0.1):
         return replace(self, potential=self.potential.patched(eps),
                        name=self.name + "_patched")
@@ -749,51 +775,45 @@ def _line_panels(lo, hi, n, seam=None):
                        np.concatenate(graded, axis=1), n)
 
 
+# the kernel's ladder around zero: ..., -1, -1/2, 0, 1/2, 1, 2, ..., 2^23
 _LADDER = np.concatenate([[0.0, 0.5], 2.0 ** np.arange(0, 24, dtype=float)])
 
 
-def _ladder_panels(lo, hi, n, cuts=None):
-    """Panels over [lo_i, hi_i] cut by a fixed ladder around zero
-    (..., -1, -1/2, 0, 1/2, 1, 2, ...) and by the row's own edges cuts
-    (shape (m, j)); the panel touching zero from either side is graded
-    toward zero."""
-    span = max(float(np.abs(lo).max()), float(np.abs(hi).max()), 1.0)
-    k = int(np.searchsorted(_LADDER, span))
-    ladder = _LADDER[:min(k + 1, _LADDER.size)]
-    edges = np.concatenate([-ladder[::-1], ladder])[None, :]
-    if cuts is not None:
-        edges = np.sort(np.append(np.repeat(edges, lo.size, axis=0), cuts, axis=1), axis=1)
-    edges = np.clip(edges, lo[:, None], hi[:, None])
+def _ladder_rule(edges, n):
+    """_panel_rule over the panels between consecutive edges (rows of
+    nondecreasing edges, shape (m, j)); the panel touching zero from either
+    side is graded toward zero."""
     a, b = edges[:, :-1], edges[:, 1:]
     right = b == 0.0
     return _panel_rule(np.where(right, b, a), np.where(right, a - b, b - a),
                        (a == 0.0) | right, n)
 
 
-def _split_panels(model, xs):
-    """Nodes u and weights for p(x) = int exp(-V(u)) q(x-u) du with q an
-    unbounded density (d = 1).
-
-    The line is split exactly at u = x/2 into a u-side family (graded at the
-    potential cusp u = 0) and a y = x - u family (graded at the density kink
-    y = 0), so both moving peaks are resolved and nothing is counted twice.
-    Both families are also cut at a patched profile's seam u = +-eps.
-    """
-    L = min(model.reach(), 1e7)
-    n = model.quadrature.nodes
-    eps = model.potential.seam
-    ucuts = ycuts = None
-    if eps is not None:
-        ucuts = np.repeat([[-eps, eps]], xs.size, axis=0)
-        ycuts = xs[:, None] + ucuts
-    mid = xs / 2.0
-    pos = xs >= 0.0
-    # u-side: [-L, mid] for x >= 0, [mid, L] for x < 0
-    un, uw = _ladder_panels(np.where(pos, -L, mid), np.where(pos, mid, L), n, ucuts)
-    # y-side: y in [x-L, mid] for x >= 0, [mid, x+L] for x < 0
-    yn, yw = _ladder_panels(np.where(pos, xs - L, mid), np.where(pos, mid, xs + L), n, ycuts)
-    return (np.concatenate([un, xs[:, None] - yn], axis=1),
-            np.concatenate([uw, yw], axis=1))
+def _ladder_split(E, lo, hi, n, pos, cuts=None):
+    """A family's panels over [lo_i, hi_i], cut by the edges E and the row's
+    cuts: the table panels k0 <= k < k1, and the end pieces [lo, s0] and
+    [s1, hi] cut by the edges and cuts inside (nodes, weights of shape
+    (m, 2, j)).  The cuts stay in the end on the mid side (hi where pos).
+    Like the ladder's, the panels reach no further than the outermost edge
+    or cut."""
+    first, last = (E[0], E[-1]) if cuts is None else \
+        (np.minimum(E[0], cuts[:, 0]), np.maximum(E[-1], cuts[:, 1]))
+    lo = np.maximum(lo, first)
+    hi = np.maximum(np.minimum(hi, last), lo)
+    c = (hi, lo) if cuts is None else np.clip(cuts, lo[:, None], hi[:, None]).T
+    k0 = np.searchsorted(E, np.where(pos, lo, c[1]))
+    k1 = np.maximum(np.searchsorted(E, np.where(pos, c[0], hi), side="right") - 1, k0)
+    s0 = np.clip(E[np.minimum(k0, E.size - 1)], lo, hi)
+    s1 = np.clip(E[np.minimum(k1, E.size - 1)], s0, hi)
+    ends = np.stack([np.stack([lo, s0], axis=1), np.stack([s1, hi], axis=1)], axis=1)
+    if cuts is not None:  # the edges and cuts inside an end
+        i = np.searchsorted(E, ends[..., :1], side="right")
+        k = int(np.max(np.searchsorted(E, ends[..., 1:]) - i, initial=0))
+        inner = np.append(E[np.minimum(i + np.arange(k), E.size - 1)],
+                          np.broadcast_to(cuts[:, None], (lo.size, 2, 2)), axis=2)
+        ends = np.sort(np.append(ends, np.clip(inner, ends[..., :1], ends[..., 1:]), axis=2))
+    nodes, w = _ladder_rule(ends.reshape(2 * lo.size, -1), n)
+    return k0, k1, nodes.reshape(lo.size, 2, -1), w.reshape(lo.size, 2, -1)
 
 
 # terms per block of a windowed lattice row: the row sums add whole blocks
@@ -802,12 +822,12 @@ _ATOM_BLOCK = 64
 
 def _atom_terms(model, xs):
     src = model.source
-    z, w = src.locations, src.weights
+    z, logw = src.locations, model._log_weights
     if np.isfinite(src.support_radius) or model.d > 1:
-        logw = np.broadcast_to(np.log(w), (xs.shape[0], w.size))
+        logw = np.broadcast_to(logw[:-1], (xs.shape[0], z.shape[0]))
         if model.d == 1:
-            return xs[:, None] - z[None, :, 0], logw, w.size
-        return xs[:, None, :] - z[None], logw, w.size
+            return xs[:, None] - z[None, :, 0], logw, z.shape[0]
+        return xs[:, None, :] - z[None], logw, z.shape[0]
     # unbounded lattice: window the atoms by the reach of exp(-V)
     zc = z[:, 0]
     reach = model.reach()
@@ -818,38 +838,99 @@ def _atom_terms(model, xs):
         raise NumericUnderflow(
             f"x={xs[empty][0]:g} outside the stored atom range; enlarge n_max")
     idx = i0[:, None] + np.arange(-(-int(np.max(i1 - i0)) // _ATOM_BLOCK) * _ATOM_BLOCK)
-    valid = idx < i1[:, None]
-    idx = np.minimum(idx, zc.size - 1)
-    return xs[:, None] - zc[idx], np.where(valid, np.log(w[idx]), -np.inf), _ATOM_BLOCK
+    u = xs[:, None] - zc[np.minimum(idx, zc.size - 1)]
+    return u, logw[np.where(idx < i1[:, None], idx, zc.size)], _ATOM_BLOCK
 
 
-def _terms(model, xs):
-    """The quadrature kernel: p(x) = sum_k exp(logw - V(u)) with u = x - z
-    over the source atoms or density nodes z, at every point of xs.
+def _split_terms(model, pts, rows, f):
+    """The kernel of p(x) = int exp(-V(u)) q(x-u) du with q an unbounded
+    density (d = 1), chunk by chunk of rows points.
 
-    xs has shape (m,) in d = 1 and (m, d) for atoms in d > 1.  Returns u of
-    shape (m, k) (resp. (m, k, d)), logw of shape (m, k) and the block, the
-    number of terms of one panel (density sources), of one lattice window
-    block or of the whole row (finite atoms); k is a multiple of it.  A term
-    sits at the same place of its row in every chunk, and padded terms, at
-    the end of a row, carry logw = -inf.  Atoms use their log-weights;
-    density sources carry log(density * quadrature weight) on graded
-    composite Gauss-Legendre panels.
+    The line is split exactly at u = x/2 into a u family (graded at the
+    potential cusp u = 0) and a y = x - u family (graded at the density kink
+    y = 0), so both moving peaks are resolved and nothing is counted twice.
+    Both are cut by the ladder and at a patched profile's seam u = +-eps
+    (y = x -+ eps).  Each family's table (model._ladder) grows by every
+    point's end pieces, and a row reads the table at its end pieces at lo,
+    its full panels and its end pieces at hi.  The u family's v0 and f are
+    evaluated once per call on its table; the y family's per term, with the
+    density at x - u for u = x - y as it is.
     """
-    src = model.source
-    if src.kind != "density":
-        return _atom_terms(model, xs)
-    if model.d != 1:
+    pot, n = model.potential, model.quadrature.nodes
+    L = min(model.reach(), 1e7)
+    mid, pos = pts / 2.0, pts >= 0.0
+    cuts = None if pot.seam is None else pts[:, None] + np.array([-pot.seam, pot.seam])
+    fams = []
+    for (E, nodes, logw, *v0), lo, hi, c in (
+            (model._ladder[0], np.where(pos, -L, mid), np.where(pos, mid, L), None),
+            (model._ladder[1], np.where(pos, pts - L, mid), np.where(pos, mid, pts + L), cuts)):
+        k0, k1, ends, w = _ladder_split(E, lo, hi, n, pos, c)
+        # point i's end pieces are the table rows P + 2 j i + [0, 2j)
+        j, P = ends.shape[2] // n, nodes.shape[0]
+        nodes = np.concatenate([nodes, ends.reshape(-1, n)])
+        with np.errstate(divide="ignore"):
+            logw = np.concatenate([logw, np.log(w.reshape(-1, n))])
+        v0 = np.concatenate([v0[0], pot.v0(np.abs(nodes[P:]))]) if v0 else None
+        # a row's panels: its ends at lo, k0 <= k < k1, its ends at hi, padding
+        first, w = P + 2 * j * np.arange(pts.size)[:, None], (k1 - k0)[:, None]
+        c = np.arange(int(np.max(w, initial=0)) + j)
+        idx = np.where(c < w, k0[:, None] + c, np.where(c < w + j, first + j + c - w, P - 1))
+        fams.append((np.concatenate([first + c[:j], idx], axis=1), 2 * j + w[:, 0],
+                     nodes, logw, v0))
+    f_u = None if f is None else np.asarray(f(fams[0][2]), dtype=float)
+    for i in range(0, pts.size, rows):
+        sl, xs, segs = slice(i, i + rows), pts[i:i + rows, None, None], []
+        for idx, width, nodes, logw, v0 in fams:
+            idx = idx[sl, :int(np.max(width[sl], initial=0))]
+            u = nodes[idx]
+            if v0 is None:  # the y family: u = x - y
+                np.subtract(xs, u, out=u)
+            with np.errstate(divide="ignore"):
+                t = np.log(model.source.density(xs - u))
+            t += logw[idx]
+            t -= pot.v0(np.abs(u)) if v0 is None else v0[idx]
+            t -= pot.c
+            m = t.shape[0]
+            fu = None if f is None else f(u.reshape(m, -1)) if v0 is None else \
+                f_u[idx].reshape((m, -1) + f_u.shape[2:])
+            segs.append((t.reshape(m, -1), fu))
+        yield segs, n
+
+
+def _kernel(model, pts, rows, f=None):
+    """The quadrature kernel: p(x) = sum_k exp(logt) over the terms
+    w exp(-V(u)), u = x - z, at the source atoms or density nodes z with
+    weights w, at every point of pts, chunk by chunk of rows points.
+
+    pts has shape (N,) in d = 1 and (N, d) for atoms in d > 1.  Yields per
+    chunk the segments (logt, fu) of its rows, logt of shape (m, k_i) and
+    fu = f(u) of shape (m, k_i, ...) (None without f; f maps u alone), and
+    the block: the terms of one panel (density sources), of one lattice
+    window block or of the whole row (finite atoms), a divisor of each k_i.
+    Every nonzero block keeps its place in the order of its row in every
+    chunk; padded terms carry logt = -inf.  Atoms use their log-weights,
+    density sources log(density * quadrature weight) on graded composite
+    Gauss-Legendre panels.
+    """
+    src, pot, d = model.source, model.potential, model.d
+    if src.kind == "density" and d != 1:
         raise UnsupportedDimension("density sources are implemented for d = 1")
-    if np.isfinite(src.support_radius):
-        # integrate in u = x - z; the cusp of v0 sits at u = 0
-        R = src.support_radius
-        u, w = _line_panels(xs - R, xs + R, model.quadrature.nodes, model.potential.seam)
-    else:
-        u, w = _split_panels(model, xs)
-    with np.errstate(divide="ignore"):
-        logw = np.log(src.density(xs[:, None] - u)) + np.log(w)
-    return u, logw, model.quadrature.nodes
+    if src.kind == "density" and not np.isfinite(src.support_radius):
+        yield from _split_terms(model, pts, rows, f)
+        return
+    for i in range(0, pts.shape[0], rows):
+        xs = pts[i:i + rows]
+        if src.kind != "density":
+            u, logw, block = _atom_terms(model, xs)
+        else:
+            # integrate in u = x - z; the cusp of v0 sits at u = 0
+            R = src.support_radius
+            u, w = _line_panels(xs - R, xs + R, model.quadrature.nodes, pot.seam)
+            with np.errstate(divide="ignore"):
+                logw = np.log(src.density(xs[:, None] - u)) + np.log(w)
+            block = model.quadrature.nodes
+        r = np.abs(u) if d == 1 else np.sqrt(np.sum(u * u, axis=-1))
+        yield [(logw - pot.v0(r) - pot.c, None if f is None else f(u))], block
 
 
 def _chunk_rows(model):
@@ -872,26 +953,27 @@ def _chunk_rows(model):
     return max(_CHUNK_TERMS // k, 1)
 
 
-def _row_sums(a, block):
-    """Sums over axis 1 of a (rows, k, ...), k a multiple of block: sums of
-    fixed-length blocks, added one block after the other.  So a row's sum
-    does not depend on how many blocks of zeros pad it."""
-    sums = a.reshape((a.shape[0], -1, block) + a.shape[2:]).sum(axis=2)
-    return np.cumsum(sums, axis=1)[:, -1]
+def _row_sums(parts, block):
+    """Sums over axis 1 of the consecutive parts (rows, k_i, ...) of an
+    array, each k_i a multiple of block: sums of fixed-length blocks, added
+    one block after the other.  So a row's sum does not depend on how many
+    blocks of zeros pad it."""
+    sums = [a.reshape((a.shape[0], -1, block) + a.shape[2:]).sum(axis=2) for a in parts]
+    return np.cumsum(np.concatenate(sums, axis=1), axis=1)[:, -1]
 
 
 def _reduce(model, x, f=None):
-    """log p and, when f is given, the tilted mean E_{nu_x}[f(u, x)] at every
+    """log p and, when f is given, the tilted mean E_{nu_x}[f(u)] at every
     point of x, reduced chunk by chunk over the kernel.
 
     x has shape (...) in d = 1 and (..., d) otherwise.  f maps u of shape
-    (rows, k[, d]) and the chunk's points to values of shape (rows, k, ...).
-    log p is -inf where every term underflows.  Each row sums its blocks in
-    order (_row_sums), so a point's values do not depend on the other points
-    of its call.
+    (rows, k[, d]) to values of shape (rows, k, ...); on an unbounded density
+    it runs once per call on the u table and per chunk on the rest.  log p
+    is -inf where every term underflows.  Each row sums its blocks in order
+    over the kernel's segments (_row_sums), so a point's values do not
+    depend on the other points of its call.
     """
     d = model.d
-    pot = model.potential
     x = np.asarray(x, dtype=float)
     if d > 1 and x.shape[-1:] != (d,):
         raise ValueError(f"expected points with last axis {d}, got shape {x.shape}")
@@ -900,27 +982,23 @@ def _reduce(model, x, f=None):
     logp = np.empty(pts.shape[0])
     means = []
     rows = _chunk_rows(model)
-    for i in range(0, pts.shape[0], rows):
-        xs = pts[i:i + rows]
-        u, logw, block = _terms(model, xs)
-        r = np.abs(u) if d == 1 else np.sqrt(np.sum(u * u, axis=-1))
-        logt = logw - pot.v0(r) - pot.c
-        top = np.max(logt, axis=1)
-        top = np.where(np.isfinite(top), top, 0.0)
-        pw = np.exp(logt - top[:, None])
+    for i, (segs, block) in zip(range(0, pts.shape[0], rows), _kernel(model, pts, rows, f)):
+        top = np.max([np.max(logt, axis=1, initial=-np.inf) for logt, _ in segs], axis=0)
+        top = np.where(np.isfinite(top), top, 0.0)[:, None]
+        pw = [np.exp(np.subtract(logt, top, out=logt), out=logt) for logt, _ in segs]
         den = _row_sums(pw, block)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logp[i:i + rows] = top + np.log(den)
+            logp[i:i + rows] = top[:, 0] + np.log(den)
             if f is not None:
-                fu = np.asarray(f(u, xs), dtype=float)
-                num = _row_sums(pw.reshape(pw.shape + (1,) * (fu.ndim - 2)) * fu, block)
+                fw = [p.reshape(p.shape + (1,) * (fu.ndim - 2)) * fu
+                      for p, fu in zip(pw, (np.asarray(fu, dtype=float) for _, fu in segs))]
+                num = _row_sums(fw, block)
                 means.append(num / den.reshape(den.shape + (1,) * (num.ndim - 1)))
     logp = logp.reshape(shape)
     if f is None:
         return logp, None
     if not means:  # no points: the value shape comes from f on no terms
-        u0 = np.empty((0, 0) + pts.shape[1:])
-        means.append(np.empty((0,) + np.shape(f(u0, pts))[2:]))
+        means.append(np.empty((0,) + np.shape(f(np.empty((0, 0) + pts.shape[1:])))[2:]))
     mean = np.concatenate(means)
     return logp, mean.reshape(shape + mean.shape[1:])
 
@@ -986,7 +1064,7 @@ def v_nu_and_grad(model, x):
     """(V_nu(x), grad V_nu(x)): the tilted mean of grad V (v_nu_grad_laplacian for nu uniform)."""
     if model.source.kind == "density" and np.isfinite(model.source.support_radius):
         return v_nu_grad_laplacian(model, x)[:2]
-    logp, g = _evaluate(model, x, lambda u, xs: model.potential.gradient(u))
+    logp, g = _evaluate(model, x, model.potential.gradient)
     return -logp, g
 
 
@@ -1009,7 +1087,7 @@ def v_nu_grad_laplacian(model, x):
         dp = w[0] - w[1]
         return -logp, -dp, dp * dp - (pot.grad_1d(u[1]) * w[1] - pot.grad_1d(u[0]) * w[0])
 
-    def moments(u, xs):  # grad V, |grad V|^2 and Delta V on the last axis
+    def moments(u):  # grad V, |grad V|^2 and Delta V on the last axis
         g = _as_points(pot.gradient(u), d)
         return np.concatenate([g, np.sum(g * g, axis=-1, keepdims=True),
                                pot.laplacian(u)[..., None]], axis=-1)
@@ -1027,14 +1105,18 @@ def v_nu_grad_laplacian(model, x):
 
 
 def tilted_expectation(model, x, g):
-    """E[g(z)] under nu_x(dz) = exp(-V(x-z)) nu(dz) / p(x)."""
-    return _evaluate(model, x, lambda u, xs: g(xs[:, None, ...] - u))[1]
+    """E[g(z)] under nu_x(dz) = exp(-V(x-z)) nu(dz) / p(x), one kernel call
+    per point (the kernel's f maps u = x - z alone)."""
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape((-1,) + x.shape[x.ndim - (model.d > 1):])
+    mean = np.array([_evaluate(model, p, lambda u, p=p: g(p - u))[1] for p in pts])
+    return mean.reshape(x.shape[:x.ndim - (model.d > 1)] + mean.shape[1:])[()]
 
 
 def tilted_u_moment(model, x, h):
     """E[h(x - z)] under nu_x: tilted moments of functions of the shifted
     argument (the form every drift integrand takes).  Vectorized over x."""
-    return _evaluate(model, x, lambda u, xs: h(u))[1]
+    return _evaluate(model, x, h)[1]
 
 
 def measure_tail(model, which, t):

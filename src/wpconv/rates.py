@@ -370,14 +370,18 @@ def _density_ratio_bounds(model, comparison, n=600):
 
 
 def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
-                points_per_decade=200, via_comparison=None, psi_scale=1.0):
+                points_per_decade=200, via_comparison=None, psi_scale=1.0,
+                profile=None):
     """Run the full chain phi -> varphi -> beta -> alpha.
 
     The profile grid end extends by doubling until varphi is defined at every
     requested r; r values whose beta underflows are dropped.  via_comparison
     computes everything on the comparison model and transfers alpha through
     measured density-ratio bounds (alpha(s) = (c_hi/c_lo) alpha_tilde(s/c_hi),
-    reported as alpha_final).
+    reported as alpha_final).  profile, a phi_profile of the same model
+    (the comparison model, with via_comparison), case, delta and psi_scale
+    such as a drift certificate's, lends its drift rates on the radii it
+    holds (phi_profile's prefix).
     """
     work = via_comparison if via_comparison is not None else model
     cfg = lyap.resolve_r0(work, cfg)
@@ -389,7 +393,7 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
 
     s_max = 100.0 * max(cfg.R0, 1.0)
     n_requested = r_grid.size
-    phi = None
+    phi = profile
     for _ in range(40):
         phi = lyap.phi_profile(work, cfg, s_max=s_max,
                                points_per_decade=points_per_decade,

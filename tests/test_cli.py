@@ -62,6 +62,12 @@ def test_load_rejects_unknown_keys():
     ("R=-1", "R:"),
     ("R0=-1", "R0:"),
     ("nu={kind: uniform, halfwidth: 0}", "nu.halfwidth"),
+    ("nu={kind: uniform, halfwith: 2}", "nu.halfwith: unknown key"),
+    ("nu=5", "nu: must be a mapping"),
+    ("sweep.values=[-1, 2]", "sweep.values: sigma must be positive"),
+    ("sweep={param: delta, values: [0.5, 1.0]}", "sweep.values: delta must lie"),
+    ("sweep={param: p, values: [2, -1]}", "sweep.values: p: example_3_3 requires p > 0"),
+    ("sweep={param: R, values: [1, 2]}", "sweep.param"),
     ("d=0", "d"),
     ("d=4", "d"),
     ("d=1.5", "d"),

@@ -7,6 +7,7 @@ from scipy import integrate
 from wpconv import model as M
 from wpconv import lyapunov as L
 from wpconv import presets as P
+from wpconv import rates as R
 from wpconv.errors import DriftConditionFailed
 
 
@@ -559,3 +560,24 @@ def test_rate_quantities_stable_under_quadrature_refinement(models):
     phi1 = L.phi_profile(m, cfg, s_max=100.0)
     phi2 = L.phi_profile(m2, cfg, s_max=100.0)
     np.testing.assert_allclose(phi1(ss), phi2(ss), rtol=1e-3)
+
+
+def test_certificate_and_rate_tables_reuse_the_profile_bitwise():
+    """drift_check reads the drift at its points from its profile, which
+    holds their radii, and rate_tables lent that profile builds the tables
+    of a separate build, bit for bit."""
+    m = P.make_model("lemma_3_2")
+    cfg = L.resolve_r0(m, L.DriftConfig(case="a"))
+    radii = np.geomspace(cfg.R0, 10.0 * cfg.R0, 40)
+    cert = L.drift_check(m, cfg, radii)
+    drift = L._tilted_radial_drift(m, L._sphere_points(m, radii, 16))
+    psi = cert.phi.psi[np.searchsorted(cert.phi.grid, radii)]
+    assert drift.tobytes() == np.broadcast_to(psi[:, None], drift.shape).tobytes()
+    r = np.geomspace(1.0, 1e6, 121)
+    lent, fresh = (R.rate_tables(m, cfg, r_grid=r, profile=p) for p in (cert.phi, None))
+    for table in ("varphi", "beta", "alpha"):
+        for field in ("grid", "values"):
+            a, b = (getattr(getattr(res, table), field) for res in (lent, fresh))
+            assert a.tobytes() == b.tobytes(), (table, field)
+    for field in ("grid", "values", "psi", "log_p_sigma"):
+        assert getattr(lent.phi, field).tobytes() == getattr(fresh.phi, field).tobytes()

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -867,8 +868,79 @@ def test_widest_kernel_chunk_stays_within_the_term_budget(name):
         if np.isfinite(R):
             xs += [R * (1.0 + 1e-15), -R * (1.0 + 1e-15), R + 1e-9]
         for x in xs:
-            logw = M._terms(model, np.full(rows, x))[1]
-            assert logw.size <= M._CHUNK_TERMS, (model.name, x)
+            segments = next(M._kernel(model, np.full(rows, x), rows))[0]
+            terms = sum(logt.size for logt, _ in segments)
+            assert terms <= M._CHUNK_TERMS, (model.name, x)
+
+
+def _per_point_ladder(lo, hi, n, cuts=None):
+    """The kernel's earlier per-point panels over [lo_i, hi_i] (test-only
+    reference): the ladder out to the chunk's span and the row's cuts,
+    clipped to the row's interval."""
+    span = max(float(np.abs(lo).max()), float(np.abs(hi).max()), 1.0)
+    ladder = M._LADDER[:min(int(np.searchsorted(M._LADDER, span)) + 1, M._LADDER.size)]
+    edges = np.concatenate([-ladder[::-1], ladder])[None, :]
+    if cuts is not None:
+        edges = np.sort(np.append(np.repeat(edges, lo.size, axis=0), cuts, axis=1), axis=1)
+    edges = np.clip(edges, lo[:, None], hi[:, None])
+    a, b = edges[:, :-1], edges[:, 1:]
+    right = b == 0.0
+    return M._panel_rule(np.where(right, b, a), np.where(right, a - b, b - a),
+                         (a == 0.0) | right, n)
+
+
+def _per_point_reduce(m, x, h):
+    """log p and E_{nu_x}[h(u)] from the per-point u and y = x - u families
+    and one row sum per point (test-only reference for the table kernel)."""
+    L, n, eps = min(m.reach(), 1e7), m.quadrature.nodes, m.potential.seam
+    cuts = None if eps is None else np.repeat([[-eps, eps]], x.size, axis=0)
+    mid, pos = x / 2.0, x >= 0.0
+    un, uw = _per_point_ladder(np.where(pos, -L, mid), np.where(pos, mid, L), n, cuts)
+    yn, yw = _per_point_ladder(np.where(pos, x - L, mid), np.where(pos, mid, x + L), n,
+                               None if cuts is None else x[:, None] + cuts)
+    u = np.concatenate([un, x[:, None] - yn], axis=1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(m.source.density(x[:, None] - u)) + np.log(np.concatenate([uw, yw], axis=1))
+    logt = logw - m.potential.v0(np.abs(u)) - m.potential.c
+    top = np.max(logt, axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    pw = np.exp(logt - top[:, None])
+    den = M._row_sums([pw], n)
+    hu = h(u)
+    num = M._row_sums([pw.reshape(pw.shape + (1,) * (hu.ndim - 2)) * hu], n)
+    return top + np.log(den), num / den.reshape(den.shape + (1,) * (num.ndim - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _split_model(name, nodes):
+    m = (P.make_model("lemma_3_2") if name == "lemma_3_2" else
+         P.make_model("example_3_3", nu={"kind": "power_density", "p": 1.0}).patched(0.1))
+    return M.ConvolutionModel(m.potential, m.source, quadrature=M.QuadratureSpec(nodes=nodes))
+
+
+@pytest.mark.parametrize("nodes", [24, 48])
+@pytest.mark.parametrize("name", ["lemma_3_2", "example_3_3_patched"])
+@given(st.lists(st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                                   st.sampled_from([-1.0, 1.0]),
+                                                   st.floats(-6.0, 7.0))),
+                min_size=1, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_table_kernel_equals_the_per_point_ladder_bitwise(name, nodes, x):
+    """The table kernel (model._ladder, end pieces per point) gives the log
+    density and the tilted means of the per-point ladder construction bit for
+    bit, from |x| = 1e-6 to 1e7 on both sides and at 0, across the seam of a
+    patched profile."""
+    m = _split_model(name, nodes)
+    x = np.array(x)
+    pot = m.potential
+
+    def moments(u):
+        g = pot.gradient(u)
+        return np.stack([g, 0.75 * g * g - pot.laplacian(u), g * g], axis=-1)
+    for h in (pot.gradient, moments):
+        ref = _per_point_reduce(m, x, h)
+        for new, old in zip(M._reduce(m, x, h), ref):
+            assert new.tobytes() == old.tobytes(), (name, nodes, x)
 
 
 CHUNK_CASES = {**{name: make for name, (make, _) in KERNEL_CASES.items()},
@@ -891,7 +963,7 @@ def test_kernel_values_do_not_depend_on_the_chunk_budget(case, monkeypatch):
     for terms in (1 << 19, M._CHUNK_TERMS):
         monkeypatch.setattr(M, "_CHUNK_TERMS", terms)
         norm = M.density_normalization(m, return_parts=True) if m.d == 1 else ()
-        runs.append((*M._reduce(m, x, lambda u, xs: np.tanh(u)),
+        runs.append((*M._reduce(m, x, np.tanh),
                      *M.v_nu_grad_laplacian(m, x), *norm))
     assert M._chunk_rows(m) == rows < n
     for old, new in zip(*runs):
