@@ -11,11 +11,16 @@ Subcommands:
 Exit codes: 0 success, 1 error, 2 a hypothesis/condition/certificate check
 failed (artifacts are still written with failure markers).
 
+Stages are rows of one table (``_STAGES``): a function of the run's shared
+context that returns (ok, note, documents), the stages it needs, and the
+failure it records in its own document.  One loop runs them in order.
+
 Output layout (one directory per run): manifest.json, conditions.json,
 certificate.json, alpha.csv (s, alpha), beta.csv (r, varphi_phi, beta),
 fit.json, wpi_report.json, decay.csv (t, variance, ci_halfwidth), sweep.csv,
-sweep.json, stability.json.  JSON documents carry schema_version; the manifest
-holds the only timestamp, and the number of CPUs the run could use.
+sweep.json, stability.json.  JSON documents carry schema_version; the
+manifest holds the only timestamp, the wall time of each stage that ran
+(timings), and the number of CPUs the run could use.
 """
 
 import argparse
@@ -25,7 +30,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -40,9 +46,6 @@ from .errors import (CalibrationFailed, ConfigError, DriftConditionFailed,
                      HypothesisFailed, InconclusiveFit, SaturatedAtGridEnd)
 
 SCHEMA_VERSION = 1
-
-STAGES = ("conditions", "drift", "rate", "fit", "verify", "decay", "sweep",
-          "stability")
 
 _GRID_KEYS = {"r_min", "r_max", "points_per_decade", "s_min", "s_max",
               "wpi_r_min", "wpi_r_max", "n_wpi_r", "certificate_points"}
@@ -189,16 +192,14 @@ def load_config(source):
     if preset is not None:
         presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d, R=cfg.R,
                                     well_exponent=cfg.well_exponent, nu=cfg.nu)
-    _check_grids(cfg)
     _check_samples(cfg)
-    param = cfg.sweep.get("param", "sigma")
+    param, values = _sweep_spec(cfg)
     if param not in ("sigma", "delta", "p"):
         raise ConfigError(f"sweep.param: must be sigma, delta or p, got {param!r}")
-    values = cfg.sweep.get("values", [1.0])
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(f"sweep.values: must hold numbers, got {v!r}")
         try:  # a value the swept parameter takes
             if param != "p":
@@ -208,7 +209,33 @@ def load_config(source):
                                             well_exponent=cfg.well_exponent, nu=cfg.nu)
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"sweep.values: {exc}") from None
+    _check_fit(cfg.fit)
+    _check_grids(cfg)  # last: its s_min/s_max pairing comes after every value check
     return cfg
+
+
+def _sweep_spec(cfg):
+    """The swept parameter and its values; sigma over [1, 2, 5] by default."""
+    return cfg.sweep.get("param", "sigma"), cfg.sweep.get("values", [1, 2, 5])
+
+
+def _is_number(raw):
+    return not isinstance(raw, bool) and isinstance(raw, (int, float))
+
+
+def _check_fit(fit):
+    """fit.families lists known families; fit.window is two increasing numbers."""
+    fams = fit.get("families", rates_mod.FIT_FAMILIES)
+    if not isinstance(fams, (list, tuple)) or not fams \
+            or any(f not in rates_mod.FIT_FAMILIES for f in fams):
+        raise ConfigError(f"fit.families: must be a nonempty list of "
+                          f"{', '.join(rates_mod.FIT_FAMILIES)}, got {fams!r}")
+    win = fit.get("window")
+    if "window" in fit and not (isinstance(win, (list, tuple)) and len(win) == 2
+                                and all(_is_number(v) for v in win)
+                                and 0.0 < win[0] < win[1] < math.inf):
+        raise ConfigError(f"fit.window: must be two positive finite increasing "
+                          f"numbers, got {win!r}")
 
 
 def _check_source(spec, path):
@@ -240,8 +267,8 @@ def _positive(raw, path):
 
 def _check_grids(cfg):
     """Every grid key is a positive finite number, the counts are at least 1,
-    and each given range is increasing (r_min/r_max read the rate grid's
-    defaults where one is not given)."""
+    each given range is increasing (r_min/r_max read the rate grid's
+    defaults where one is not given), and s_min and s_max come together."""
     g = dict(cfg.grids)
     for key, raw in g.items():
         g[key] = _positive(raw, f"grids.{key}")
@@ -252,6 +279,9 @@ def _check_grids(cfg):
         if lo in g and hi in g and not g[lo] < g[hi]:
             raise ConfigError(f"grids.{lo}: must lie below grids.{hi} = {g[hi]:g}, "
                               f"got {g[lo]:g}")
+    for key, other in (("s_min", "s_max"), ("s_max", "s_min")):
+        if key in g and other not in g:
+            raise ConfigError(f"grids.{other}: required with grids.{key}")
 
 
 def _check_samples(cfg):
@@ -259,7 +289,7 @@ def _check_samples(cfg):
     integers of at least 2, and n_times is an integer of at least 1.  A decay
     grid of more than one time needs t_max above its first time."""
     for key, raw in cfg.samples.items():
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        if not _is_number(raw):
             raise ConfigError(f"samples.{key}: must be a number, got {raw!r}")
         if key in ("dt", "t_max"):
             if not 0.0 < raw < math.inf:
@@ -298,10 +328,6 @@ def apply_overrides(doc, pairs):
 # model construction
 # ---------------------------------------------------------------------------
 
-def _build_custom_potential(spec, d):
-    return _FAMILIES[spec["family"]][1](spec, int(spec.get("d", d)))
-
-
 def build_model(cfg):
     """ConvolutionModel (and the comparison model, when the preset's source
     is an unbounded lattice) from a validated config."""
@@ -316,7 +342,8 @@ def build_model(cfg):
             comparison = presets_mod.make_model("lemma_3_2", p=spec.p,
                                                 well_exponent=cfg.well_exponent)
         return model, comparison
-    pot = _build_custom_potential(cfg.custom.get("potential") or {}, cfg.d)
+    spec = cfg.custom.get("potential") or {}
+    pot = _FAMILIES[spec["family"]][1](spec, int(spec.get("d", cfg.d)))
     src = presets_mod.make_source(cfg.custom.get("source"), d=pot.d)
     return model_mod.ConvolutionModel(pot, src, name="custom"), None
 
@@ -351,16 +378,20 @@ def _fit(cfg, hint_window, table):
     """fit_asymptotics of an alpha table with the configured families and
     window (the preset's hint window by default)."""
     window = cfg.fit.get("window", hint_window)
-    families = tuple(cfg.fit.get("families", ("power", "poly_log", "stretched_exp")))
+    families = tuple(cfg.fit.get("families", rates_mod.FIT_FAMILIES))
     return rates_mod.fit_asymptotics(table, families=families,
                                      fit_window=tuple(window) if window else None)
 
 
 # ---------------------------------------------------------------------------
-# artifact writing
+# stages
 # ---------------------------------------------------------------------------
 
-def _write_json(path, doc):
+def _write(path, doc):
+    """Write a JSON mapping, or a CSV given as (header, columns)."""
+    if not isinstance(doc, dict):
+        rates_mod.write_csv(path, *doc)
+        return
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
@@ -368,268 +399,230 @@ def _write_json(path, doc):
     os.replace(tmp, path)
 
 
-# ---------------------------------------------------------------------------
-# stages
-# ---------------------------------------------------------------------------
+class _Run:
+    """What the stages of a run share: the config, the models, the user's drift
+    config, the rate grid, and the certificate and rates later stages read."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.model, self.comparison = build_model(cfg)
+        self.work = self.comparison if self.comparison is not None else self.model
+        self.dcfg = _drift_config(cfg)
+        self.r_grid, self.hint_window, self.ppd = _r_grid(cfg)
+        self.certificate = self.rate = None
+
+    @cached_property
+    def r0cfg(self):
+        """dcfg with R0 resolved, scanned once per run; if the scan fails, dcfg,
+        so that each stage resolves again and reports the failure itself."""
+        try:
+            return lyap.resolve_r0(self.work, self.dcfg)
+        except DriftConditionFailed:
+            return self.dcfg
+
+    @property
+    def c0(self):
+        return 1.0 if self.certificate is None else self.certificate.c0
+
+
+def _conditions(ctx):
+    rep = lyap.check_conditions(ctx.work, ctx.r0cfg)
+    doc = {**rep.to_dict(), "schema_version": SCHEMA_VERSION, "model": ctx.work.name}
+    return (rep.all_ok, "" if rep.all_ok else "a drift hypothesis failed on the grid",
+            {"conditions.json": doc})
+
+
+def _drift(ctx):
+    cfg = ctx.cfg
+    rcfg = lyap.resolve_r0(ctx.work, ctx.r0cfg)
+    radii = lyap.certificate_radii(rcfg.R0, int(cfg.grids.get("certificate_points", 200)))
+    cert = ctx.certificate = lyap.drift_check(
+        ctx.work, rcfg, radii, tol_abs=cfg.tolerances["drift_tol_abs"],
+        tol_rel=cfg.tolerances["drift_tol_rel"])
+    doc = {**cert.summary(), "schema_version": SCHEMA_VERSION, "model": ctx.work.name}
+    return (cert.valid, "" if cert.valid else "drift violations above 1%",
+            {"certificate.json": doc})
+
+
+def _rate(ctx):
+    g = ctx.cfg.grids
+    s_grid = _log_grid(float(g["s_min"]), float(g["s_max"]), ctx.ppd) \
+        if "s_min" in g else None
+    # the drift stage's profile holds the drift rates of its radii
+    res = ctx.rate = rates_mod.rate_tables(
+        ctx.model, ctx.r0cfg, r_grid=ctx.r_grid, s_grid=s_grid, c0=ctx.c0,
+        points_per_decade=ctx.ppd, via_comparison=ctx.comparison,
+        profile=None if ctx.certificate is None else ctx.certificate.phi)
+    alpha = res.alpha_final
+    return True, "", {
+        "alpha.csv": (("s", "alpha"), (alpha.grid, alpha.values)),
+        "beta.csv": (("r", "varphi_phi", "beta"),
+                     (res.beta.grid, res.varphi.values, res.beta.values))}
+
+
+def _fit_stage(ctx):
+    fit = _fit(ctx.cfg, ctx.hint_window, ctx.rate.alpha_final)
+    return fit.conclusive, "", {"fit.json": {**fit.to_dict(), "c0_used": ctx.c0}}
+
+
+def _verify(ctx):
+    cfg, alpha = ctx.cfg, ctx.rate.alpha_final
+    corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
+    alpha_unit = rates_mod.RateTable(grid=alpha.grid, values=alpha.values / ctx.c0,
+                                     monotonicity="nonincreasing", extrapolation="power_law")
+    lo = float(cfg.grids.get("wpi_r_min", alpha_unit.grid[0] * 2.0))
+    hi = float(cfg.grids.get("wpi_r_max", min(alpha_unit.grid[-1] * 0.5, 1e-2)))
+    r_w = np.geomspace(lo, hi, int(cfg.grids.get("n_wpi_r", 40)))
+    report = verify_mod.empirical_wpi(ctx.model, alpha_unit, corpus, r_w,
+                                      seed=cfg.seeds["sampler"],
+                                      n=int(cfg.samples["n_wpi"]))
+    return (report.passed, "" if report.passed else "holdout violations",
+            {"wpi_report.json": report.to_dict()})
+
+
+def _decay(ctx):
+    f = verify_mod.TestFunction(id="tanh", value=np.tanh,
+                                gradient=lambda x: verify_mod._sech2(x), osc_bound=2.0)
+    smp = ctx.cfg.samples
+    t_max, n_t = float(smp["t_max"]), int(smp["n_times"])
+    t_first = max(t_max / 64.0, _DECAY_T_FIRST) if n_t > 1 else t_max
+    trace = verify_mod.semigroup_decay(
+        ctx.model, f, np.geomspace(t_first, t_max, n_t), n_paths=int(smp["n_paths"]),
+        dt=float(smp["dt"]), seed=ctx.cfg.seeds["decay"], n_inner=int(smp["n_inner"]))
+    return True, "", {"decay.csv": (("t", "variance", "ci_halfwidth"), (
+        trace.times, trace.variance_estimates, trace.confidence_halfwidths))}
+
+
+def _sweep(ctx):
+    """Alpha tables across sigma (compared, at the resolved R0) or across p or
+    delta (fitted, at the user's R0), and their CSV on the shared grid."""
+    cfg = ctx.cfg
+    param, values = _sweep_spec(cfg)
+    if param == "sigma":
+        doc, runs, grid = rates_mod._sigma_runs(ctx.work, ctx.r0cfg, values,
+                                                r_grid=ctx.r_grid)
+        tables = [(f"sigma_{sig:g}", tab) for sig, (_, tab) in zip(values, runs)]
+    else:
+        rows, fits = {}, {}
+        for val in values:
+            key = f"{param}={val:g}"
+            if param == "p":
+                sub_model, sub_comp = build_model(replace(cfg, p=float(val)))
+                res = rates_mod.rate_tables(sub_model, ctx.dcfg, r_grid=ctx.r_grid,
+                                            via_comparison=sub_comp)
+            else:
+                c = replace(ctx.dcfg, case="cor_b" if ctx.dcfg.case.startswith("cor")
+                            else "b", delta=float(val))
+                res = rates_mod.rate_tables(ctx.work, c, r_grid=ctx.r_grid)
+            try:
+                fits[key] = _fit(cfg, ctx.hint_window, res.alpha_final).to_dict()
+            except InconclusiveFit as exc:
+                fits[key] = {"conclusive": False, "error": str(exc)}
+            rows[key] = res.alpha_final
+        tables = list(rows.items())
+        grid = rates_mod._shared_s_grid([tab for _, tab in tables])
+        doc = {"schema_version": SCHEMA_VERSION, "param": param,
+               "values": [float(v) for v in values], "fits": fits, "bounded": True}
+    columns = (["s"] + [f"alpha_{key}" for key, _ in tables],
+               [grid] + [tab.value_at(grid) for _, tab in tables])
+    return (doc["bounded"], "" if doc["bounded"] else "ratio range exceeded factor",
+            {"sweep.json": doc, "sweep.csv": columns})
+
+
+def _stability(ctx):
+    m = ctx.model
+    mu_model = model_mod.ConvolutionModel(m.potential, model_mod.point_mass(d=m.d),
+                                          name=m.name + "_base")
+    doc = rates_mod.compare_stability(mu_model, m, ctx.dcfg)
+    return doc["bounded"], "", {"stability.json": doc}
+
+
+class _Stage(NamedTuple):  # failure: (error it records, its document, flag set False)
+    run: Callable
+    needs: tuple = ()
+    failure: tuple = ((), None, None)
+
+
+# the stages in run order; a stage needs only stages before it
+_STAGES = {
+    "conditions": _Stage(_conditions),
+    "drift": _Stage(_drift),
+    "rate": _Stage(_rate),
+    "fit": _Stage(_fit_stage, ("rate",), (InconclusiveFit, "fit.json", "conclusive")),
+    "verify": _Stage(_verify, ("rate", "drift"),
+                     (CalibrationFailed, "wpi_report.json", "passed")),
+    "decay": _Stage(_decay),
+    "sweep": _Stage(_sweep),
+    "stability": _Stage(_stability, (), (HypothesisFailed, "stability.json", "bounded")),
+}
+STAGES = tuple(_STAGES)
+
 
 def _stage_closure(requested):
+    """The requested stages and every stage they need, in run order."""
     stages = set(requested)
-    if "fit" in stages:
-        stages.add("rate")
-    if "verify" in stages:
-        stages.update(("rate", "drift"))
-    order = [s for s in STAGES if s in stages]
-    return order
+    for name in reversed(STAGES):  # a stage's needs come before it
+        if name in stages:
+            stages.update(_STAGES[name].needs)
+    return [s for s in STAGES if s in stages]
 
 
 def run(config):
-    """Execute the configured stages; returns (exit_status, artifact_dict)."""
+    """Execute the configured stages; returns (exit_status, documents): each
+    document written, by file name (a JSON mapping, or CSV (header, columns))."""
     cfg = config if isinstance(config, RunConfig) else load_config(config)
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    status = 0
-    stage_status = {}
-    artifacts = {}
-
-    def mark(stage, ok, note=""):
-        nonlocal status
-        stage_status[stage] = {"ok": bool(ok), "note": note}
-        if not ok:
-            status = max(status, 2)
-
-    def fail(stage, name, flag, exc):
-        # the stage's document records the failure in place of its result
-        _write_json(os.path.join(outdir, name),
-                    {"schema_version": SCHEMA_VERSION, flag: False, "error": str(exc)})
-        mark(stage, False, str(exc))
-
-    model, comparison = build_model(cfg)
-    work = comparison if comparison is not None else model
-    dcfg = _drift_config(cfg)
-    order = _stage_closure(cfg.stages)
-    # the stages that share dcfg resolve R0 once, at the first of them; if
-    # that fails, each stage resolves again and reports the failure itself
-    needs_r0 = {"conditions", "drift", "rate"}
-    if cfg.sweep.get("param", "sigma") == "sigma":
-        needs_r0.add("sweep")
-    r_grid_full, hint_window, ppd = _r_grid(cfg)
-    rate_result = None
-    certificate = None
-    c0_used = 1.0
-    fit_result = None
-
-    try:
-        for stage in order:
-            if stage in needs_r0:
-                needs_r0 = set()
-                try:
-                    dcfg = lyap.resolve_r0(work, dcfg)
-                except DriftConditionFailed:
-                    pass
-
-            if stage == "conditions":
-                rep = lyap.check_conditions(work, dcfg)
-                doc = rep.to_dict()
-                doc["schema_version"] = SCHEMA_VERSION
-                doc["model"] = work.name
-                _write_json(os.path.join(outdir, "conditions.json"), doc)
-                artifacts["conditions"] = doc
-                mark(stage, rep.all_ok,
-                     "" if rep.all_ok else "a drift hypothesis failed on the grid")
-
-            elif stage == "drift":
-                rcfg = lyap.resolve_r0(work, dcfg)
-                npts = int(cfg.grids.get("certificate_points", 200))
-                grid = np.geomspace(rcfg.R0, 10.0 * rcfg.R0, npts)
-                certificate = lyap.drift_check(
-                    work, rcfg, grid,
-                    tol_abs=cfg.tolerances["drift_tol_abs"],
-                    tol_rel=cfg.tolerances["drift_tol_rel"])
-                doc = certificate.summary()
-                doc["schema_version"] = SCHEMA_VERSION
-                doc["model"] = work.name
-                _write_json(os.path.join(outdir, "certificate.json"), doc)
-                artifacts["certificate"] = doc
-                c0_used = certificate.c0
-                mark(stage, certificate.valid,
-                     "" if certificate.valid else "drift violations above 1%")
-
-            elif stage == "rate":
-                s_grid = None
-                if cfg.grids.get("s_min") and cfg.grids.get("s_max"):
-                    s_grid = _log_grid(float(cfg.grids["s_min"]),
-                                       float(cfg.grids["s_max"]), ppd)
-                # the drift stage's profile holds the drift rates of its radii
-                rate_result = rates_mod.rate_tables(
-                    model, dcfg, r_grid=r_grid_full, s_grid=s_grid, c0=c0_used,
-                    points_per_decade=ppd, via_comparison=comparison,
-                    profile=None if certificate is None else certificate.phi)
-                alpha = rate_result.alpha_final
-                rates_mod.write_csv(os.path.join(outdir, "alpha.csv"),
-                                    ("s", "alpha"), (alpha.grid, alpha.values))
-                rates_mod.write_csv(os.path.join(outdir, "beta.csv"),
-                                    ("r", "varphi_phi", "beta"),
-                                    (rate_result.beta.grid, rate_result.varphi.values,
-                                     rate_result.beta.values))
-                artifacts["rate"] = rate_result
-                mark(stage, True)
-
-            elif stage == "fit":
-                try:
-                    fit_result = _fit(cfg, hint_window, rate_result.alpha_final)
-                    doc = fit_result.to_dict()
-                    doc["c0_used"] = c0_used
-                    _write_json(os.path.join(outdir, "fit.json"), doc)
-                    artifacts["fit"] = doc
-                    mark(stage, fit_result.conclusive)
-                except InconclusiveFit as exc:
-                    fail(stage, "fit.json", "conclusive", exc)
-
-            elif stage == "verify":
-                corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
-                alpha_unit = rates_mod.RateTable(
-                    grid=rate_result.alpha_final.grid,
-                    values=rate_result.alpha_final.values / c0_used,
-                    monotonicity="nonincreasing", extrapolation="power_law")
-                lo = float(cfg.grids.get("wpi_r_min",
-                                         alpha_unit.grid[0] * 2.0))
-                hi = float(cfg.grids.get("wpi_r_max",
-                                         min(alpha_unit.grid[-1] * 0.5, 1e-2)))
-                n_r = int(cfg.grids.get("n_wpi_r", 40))
-                r_w = np.geomspace(lo, hi, n_r)
-                try:
-                    report = verify_mod.empirical_wpi(
-                        model, alpha_unit, corpus, r_w,
-                        seed=cfg.seeds["sampler"],
-                        n=int(cfg.samples["n_wpi"]))
-                    _write_json(os.path.join(outdir, "wpi_report.json"),
-                                report.to_dict())
-                    artifacts["wpi"] = report
-                    mark(stage, report.passed,
-                         "" if report.passed else "holdout violations")
-                except CalibrationFailed as exc:
-                    fail(stage, "wpi_report.json", "passed", exc)
-
-            elif stage == "decay":
-                f = verify_mod.TestFunction(
-                    id="tanh", value=np.tanh,
-                    gradient=lambda x: verify_mod._sech2(x), osc_bound=2.0)
-                t_max = float(cfg.samples["t_max"])
-                n_t = int(cfg.samples["n_times"])
-                t_first = max(t_max / 64.0, _DECAY_T_FIRST) if n_t > 1 else t_max
-                t_grid = np.geomspace(t_first, t_max, n_t)
-                trace = verify_mod.semigroup_decay(
-                    model, f, t_grid, n_paths=int(cfg.samples["n_paths"]),
-                    dt=float(cfg.samples["dt"]), seed=cfg.seeds["decay"],
-                    n_inner=int(cfg.samples["n_inner"]))
-                rates_mod.write_csv(os.path.join(outdir, "decay.csv"),
-                                    ("t", "variance", "ci_halfwidth"),
-                                    (trace.times, trace.variance_estimates,
-                                     trace.confidence_halfwidths))
-                artifacts["decay"] = trace
-                mark(stage, True)
-
-            elif stage == "sweep":
-                param = cfg.sweep.get("param", "sigma")
-                values = cfg.sweep.get("values", [1.0, 2.0, 5.0])
-                doc, columns = _run_sweep(model, comparison, dcfg, cfg,
-                                          param, values)
-                _write_json(os.path.join(outdir, "sweep.json"), doc)
-                if columns is not None:
-                    rates_mod.write_csv(os.path.join(outdir, "sweep.csv"),
-                                        columns[0], columns[1])
-                artifacts["sweep"] = doc
-                mark(stage, doc.get("bounded", True),
-                     "" if doc.get("bounded", True) else "ratio range exceeded factor")
-
-            elif stage == "stability":
-                mu_model = model_mod.ConvolutionModel(
-                    model.potential, model_mod.point_mass(d=model.d),
-                    name=model.name + "_base")
-                try:
-                    doc = rates_mod.compare_stability(mu_model, model, dcfg)
-                    _write_json(os.path.join(outdir, "stability.json"), doc)
-                    artifacts["stability"] = doc
-                    mark(stage, doc["bounded"])
-                except HypothesisFailed as exc:
-                    fail(stage, "stability.json", "bounded", exc)
-
-    except (DriftConditionFailed, SaturatedAtGridEnd) as exc:
-        mark(stage, False, f"{type(exc).__name__}: {exc}")
-    except ConfigError:
-        raise
-    except Exception as exc:  # annotate unexpected failures with the stage
-        _write_manifest(outdir, cfg, stage_status, c0_used, comparison,
-                        error=f"{stage}: {type(exc).__name__}: {exc}")
-        raise RuntimeError(f"stage {stage!r} failed: {exc}") from exc
-
-    _write_manifest(outdir, cfg, stage_status, c0_used, comparison)
-    return status, artifacts
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    ctx = _Run(cfg)
+    status, stage_status, timings, documents = 0, {}, {}, {}
+    for name in _stage_closure(cfg.stages):
+        t0 = time.perf_counter()
+        error, failed_doc, flag = _STAGES[name].failure
+        try:
+            try:
+                ok, note, docs = _STAGES[name].run(ctx)
+            except error as exc:
+                ok, note = False, str(exc)
+                docs = {failed_doc: {"schema_version": SCHEMA_VERSION, flag: False,
+                                     "error": note}}
+            for fname, doc in docs.items():
+                _write(os.path.join(cfg.output_dir, fname), doc)
+        except (DriftConditionFailed, SaturatedAtGridEnd) as exc:
+            # a failed drift condition or a saturated inverse ends the run
+            ok, note, docs = False, f"{type(exc).__name__}: {exc}", None
+        except ConfigError:
+            raise
+        except Exception as exc:  # annotate unexpected failures with the stage
+            timings[name] = time.perf_counter() - t0
+            _write_manifest(ctx, stage_status, timings,
+                            error=f"{name}: {type(exc).__name__}: {exc}")
+            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+        timings[name] = time.perf_counter() - t0
+        stage_status[name] = {"ok": bool(ok), "note": note}
+        status = status if ok else 2
+        if docs is None:
+            break
+        documents.update(docs)
+    _write_manifest(ctx, stage_status, timings)
+    return status, documents
 
 
-def _write_manifest(outdir, cfg, stage_status, c0_used, comparison, error=None):
-    doc = {"schema_version": SCHEMA_VERSION,
-           "version": __version__,
+def _write_manifest(ctx, stage_status, timings, error=None):
+    doc = {"schema_version": SCHEMA_VERSION, "version": __version__,
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-           "config": cfg.to_dict(),
-           "stages": stage_status,
-           "c0_used": c0_used,
-           "cpus": verify_mod._cpu_count()}
-    if comparison is not None:
-        doc["comparison_model"] = comparison.name
+           "config": ctx.cfg.to_dict(), "stages": stage_status, "timings": timings,
+           "c0_used": ctx.c0, "cpus": verify_mod._cpu_count()}
+    if ctx.comparison is not None:
+        doc["comparison_model"] = ctx.comparison.name
     if error:
         doc["error"] = error
-    _write_json(os.path.join(outdir, "manifest.json"), doc)
-
-
-def _run_sweep(model, comparison, dcfg, cfg, param, values):
-    r_grid, hint_window, _ = _r_grid(cfg)
-    if param == "sigma":
-        doc, runs, grid = rates_mod._sigma_runs(
-            model if comparison is None else comparison, dcfg, values,
-            r_grid=r_grid)
-        # wide CSV of the compared alpha tables on their shared grid
-        header = ["s"] + [f"alpha_sigma_{sig:g}" for sig in values]
-        cols = [grid] + [t.value_at(grid) for _, t in runs]
-        return doc, (header, cols)
-    if param in ("p", "delta"):
-        dcfg = _drift_config(cfg)  # the user's R0: R0 depends on the model and delta
-        rows = {}
-        fits = {}
-        for val in values:
-            if param == "p":
-                sub_cfg = RunConfig(**{**cfg.to_dict(), "p": float(val),
-                                       "stages": ()})
-                sub_model, sub_comp = build_model(sub_cfg)
-                res = rates_mod.rate_tables(sub_model, dcfg, r_grid=r_grid,
-                                            via_comparison=sub_comp)
-            else:
-                c = replace(dcfg, case="cor_b" if dcfg.case.startswith("cor") else "b",
-                            delta=float(val))
-                res = rates_mod.rate_tables(
-                    model if comparison is None else comparison, c, r_grid=r_grid)
-            try:
-                fits[f"{param}={val:g}"] = _fit(cfg, hint_window, res.alpha_final).to_dict()
-            except InconclusiveFit as exc:
-                fits[f"{param}={val:g}"] = {"conclusive": False, "error": str(exc)}
-            rows[f"{param}={val:g}"] = res.alpha_final
-        grid = rates_mod._shared_s_grid(list(rows.values()))
-        header = ["s"] + [f"alpha_{k}" for k in rows]
-        cols = [grid] + [t.value_at(grid) for t in rows.values()]
-        doc = {"schema_version": SCHEMA_VERSION, "param": param,
-               "values": [float(v) for v in values], "fits": fits,
-               "bounded": True}
-        return doc, (header, cols)
-    raise ConfigError(f"sweep.param: unknown parameter {param!r}")
+    _write(os.path.join(ctx.cfg.output_dir, "manifest.json"), doc)
 
 
 def sweep(config, param, values):
     """Run the sweep stage standalone (the sweep subcommand)."""
     cfg = config if isinstance(config, RunConfig) else load_config(config)
-    doc = dict(cfg.to_dict())
-    doc["sweep"] = {"param": param, "values": list(values)}
-    doc["stages"] = ["sweep"]
-    return run(load_config(doc))
+    return run(load_config({**cfg.to_dict(), "stages": ["sweep"],
+                            "sweep": {"param": param, "values": list(values)}}))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ __all__ = [
     "phi_profile",
     "case_b_integrand",
     "check_conditions",
+    "certificate_radii",
     "drift_check",
     "resolve_r0",
     "robustness_bracket",
@@ -554,6 +555,11 @@ def _exp_case_lw(model, x, delta):
     return v, -(1.0 - delta) * (delta * gsq - lap)
 
 
+def certificate_radii(R0, n=200):
+    """n geometric radii on [R0, 10 R0], the drift certificate's default."""
+    return np.geomspace(R0, 10.0 * R0, n)
+
+
 def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
     """Evaluate L W / W against -phi at sampled points with |x| >= R0 and
     assemble the certificate (b, local spectral bound, c0, violations).
@@ -563,7 +569,7 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
     """
     cfg = resolve_r0(model, cfg)
     if certificate_grid is None:
-        certificate_grid = np.geomspace(cfg.R0, 10.0 * cfg.R0, 200)
+        certificate_grid = certificate_radii(cfg.R0)
     radii = np.asarray(certificate_grid, dtype=float)
     s_max = float(radii.max()) * 1.05
     phi = phi_profile(model, cfg, s_max=s_max, include_radii=radii)

@@ -43,6 +43,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 S_MAX_CAP = 3e8  # largest profile grid end rate_tables grows to
+FIT_FAMILIES = ("power", "poly_log", "stretched_exp")  # fit_asymptotics' families
 CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by write_csv
 
 
@@ -267,8 +268,7 @@ def _linfit(x, y):
     return float(slope), float(intercept), r2
 
 
-def fit_asymptotics(alpha, families=("power", "poly_log", "stretched_exp"),
-                    fit_window=None):
+def fit_asymptotics(alpha, families=FIT_FAMILIES, fit_window=None):
     """Least-squares fit of alpha's small-s behavior in each family's natural
     coordinates; returns the best family by r^2.
 

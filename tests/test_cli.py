@@ -12,7 +12,7 @@ from wpconv import cli
 from wpconv import lyapunov as L
 from wpconv import rates as R
 from wpconv import verify
-from wpconv.errors import ConfigError
+from wpconv.errors import ConfigError, DriftConditionFailed
 
 
 FAST_GRIDS = "grids: {r_min: 1.0e-1, r_max: 1.0e+7, points_per_decade: 80}"
@@ -72,6 +72,14 @@ def test_load_rejects_unknown_keys():
     ("d=4", "d"),
     ("d=1.5", "d"),
     ("d=abc", "d"),
+    ("fit={families: [bogus]}", "fit.families"),
+    ("fit={families: power}", "fit.families"),
+    ("fit={families: []}", "fit.families"),
+    ("fit={window: 5}", "fit.window"),
+    ("fit={window: [1.0e-2, 1.0e-6]}", "fit.window"),
+    ("fit={window: [0, 1.0e-2]}", "fit.window"),
+    ("grids.points_per_decade=50", "grids.s_max: required"),  # a lone s_min
+    ("grids={s_max: 1.0e-3}", "grids.s_min: required"),
 ])
 def test_load_rejects_out_of_range_grids_and_sweeps(override, key, capsys, tmp_path):
     doc = cli.apply_overrides({"preset": "example_3_3", "grids": {"s_min": 1e-8}},
@@ -229,10 +237,83 @@ def test_run_infeasible_radius_exits_two(tmp_path):
     assert doc["psi_min"] < 0.0
 
 
+def test_stage_closure_keeps_the_run_order_and_the_needs():
+    """Every subset of STAGES closes over the same stages, in the same order,
+    as the rule the stage table replaced."""
+    def rule(requested):
+        stages = set(requested)
+        if "fit" in stages:
+            stages.add("rate")
+        if "verify" in stages:
+            stages.update(("rate", "drift"))
+        return [s for s in cli.STAGES if s in stages]
+
+    assert len(cli.STAGES) == 8
+    for mask in range(2 ** len(cli.STAGES)):
+        subset = [s for i, s in enumerate(cli.STAGES) if mask >> i & 1]
+        assert cli._stage_closure(subset) == rule(subset)
+
+
+def test_run_stability_stage(tmp_path):
+    """Compact nu: stability.json reads bounded.  The unbounded lattice of
+    lemma_3_2 fails the hypothesis: its document records the error, the
+    stage is marked failed and the run exits 2 after the stages before it."""
+    status, docs = run_cfg("{preset: example_3_3, p: 2, stages: [stability]}",
+                           tmp_path / "compact")
+    doc = json.loads((tmp_path / "compact" / "stability.json").read_text())
+    assert status == 0 and doc["bounded"] and docs["stability.json"] == doc
+    out = tmp_path / "lattice"
+    status, _ = run_cfg("preset: lemma_3_2\nstages: [stability, fit]\n" + FAST_GRIDS, out)
+    assert status == 2
+    doc = json.loads((out / "stability.json").read_text())
+    assert doc["bounded"] is False and "compact nu" in doc["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"]["stability"] == {"ok": False, "note": doc["error"]}
+    assert manifest["stages"]["fit"]["ok"] and (out / "fit.json").exists()
+
+
+def test_run_stops_at_the_stage_whose_r0_scan_fails(tmp_path, monkeypatch):
+    """With no radius of positive drift, conditions reports from its
+    fallback radius, drift is marked failed and rate does not run; the scan
+    is tried once for the run, once by conditions and once by drift."""
+    scans = []
+
+    def failing(model, cfg):
+        if cfg.R0 is not None:
+            return cfg
+        scans.append(model.name)
+        raise DriftConditionFailed("no radius with stable positive drift found")
+
+    monkeypatch.setattr(L, "resolve_r0", failing)
+    status, _ = run_cfg("{preset: example_3_3, stages: [conditions, drift, rate]}",
+                        tmp_path)
+    assert status == 2 and scans == ["example_3_3"] * 3
+    assert json.loads((tmp_path / "conditions.json").read_text())["R0"] == 2.0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stages"]["drift"] == {
+        "ok": False, "note": "DriftConditionFailed: no radius with stable positive "
+                             "drift found"}
+    assert set(manifest["stages"]) == set(manifest["timings"]) == {"conditions", "drift"}
+    assert not (tmp_path / "certificate.json").exists()
+    assert not (tmp_path / "beta.csv").exists()
+
+
+def test_run_records_an_unexpected_error_in_the_manifest(tmp_path, capsys):
+    """The alpha tables of example_3_4 at p = 1.5 and 3 share no range: the
+    manifest names the stage and the error, and the run exits 1."""
+    text = "{preset: example_3_4, stages: [sweep], sweep: {param: p, values: [1.5, 3]}}"
+    assert cli.main(["run", text, "-o", str(tmp_path)]) == 1
+    assert "stage 'sweep' failed: alpha tables have no common range" \
+        in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["error"] == "sweep: ValueError: alpha tables have no common range"
+    assert manifest["stages"] == {} and set(manifest["timings"]) == {"sweep"}
+
+
 def test_run_artifacts_are_reproducible(tmp_path):
     """Two runs write the same bytes: the drift certificate, the rate
     tables, the fit and the sigma sweep; the manifest differs in its
-    timestamp alone."""
+    timestamp and its stage wall times alone."""
     a, b = tmp_path / "a", tmp_path / "b"
     text = ("preset: example_3_3\nstages: [drift, rate, fit, sweep]\n"
             "sweep: {param: sigma, values: [1, 2]}\n"
@@ -245,6 +326,10 @@ def test_run_artifacts_are_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
+    for m in (ma, mb):
+        timings = m.pop("timings")
+        assert set(timings) == set(m["stages"]) == {"drift", "rate", "fit", "sweep"}
+        assert all(np.isfinite(t) and t >= 0.0 for t in timings.values())
     ma.pop("timestamp"), mb.pop("timestamp")
     ma["config"].pop("output_dir"), mb["config"].pop("output_dir")
     assert ma == mb
