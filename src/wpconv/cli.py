@@ -13,7 +13,9 @@ failed (artifacts are still written with failure markers).
 
 Stages are rows of one table (``_STAGES``): a function of the run's shared
 context that returns (ok, note, documents), the stages it needs, and the
-failure it records in its own document.  One loop runs them in order.
+failure it records in its own document.  One loop runs them in order.  The
+rate, fit, sweep and stability stages read their rate tables from one memo
+of the run (``_Run.rates``), built on the run's grids.
 
 Output layout (one directory per run): manifest.json, conditions.json,
 certificate.json, alpha.csv (s, alpha), beta.csv (r, varphi_phi, beta),
@@ -401,7 +403,8 @@ def _write(path, doc):
 
 class _Run:
     """What the stages of a run share: the config, the models, the user's drift
-    config, the rate grid, and the certificate and rates later stages read."""
+    config, the rate grids, the certificate and c0-scaled rate tables later
+    stages read, and the memo of rate tables (rates) every stage builds from."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -409,7 +412,11 @@ class _Run:
         self.work = self.comparison if self.comparison is not None else self.model
         self.dcfg = _drift_config(cfg)
         self.r_grid, self.hint_window, self.ppd = _r_grid(cfg)
+        g = cfg.grids
+        self.s_grid = _log_grid(float(g["s_min"]), float(g["s_max"]), self.ppd) \
+            if "s_min" in g else None
         self.certificate = self.rate = None
+        self._rates = {}
 
     @cached_property
     def r0cfg(self):
@@ -423,6 +430,27 @@ class _Run:
     @property
     def c0(self):
         return 1.0 if self.certificate is None else self.certificate.c0
+
+    def rates(self, model, cfg, comparison=None):
+        """rate_tables of model (through comparison, when given) under the
+        construction cfg, on the run's r grid, points per decade and s range,
+        with c0 = 1; built once per model and construction with R0 resolved
+        (the run's own construction through the run's one R0 scan)."""
+        work = model if comparison is None else comparison
+        if work is self.work and cfg == self.dcfg:
+            cfg = self.r0cfg
+        if cfg.R0 is None:
+            cfg = lyap.resolve_r0(work, cfg)
+        key = (id(model), id(comparison), cfg)
+        if key not in self._rates:
+            # a certificate of the same construction lends its drift rates
+            cert = self.certificate
+            lent = cert.phi if cert is not None and work is self.work \
+                and cert.config == cfg else None
+            self._rates[key] = (model, comparison, rates_mod.rate_tables(
+                model, cfg, r_grid=self.r_grid, s_grid=self.s_grid,
+                points_per_decade=self.ppd, via_comparison=comparison, profile=lent))
+        return self._rates[key][2]
 
 
 def _conditions(ctx):
@@ -445,14 +473,7 @@ def _drift(ctx):
 
 
 def _rate(ctx):
-    g = ctx.cfg.grids
-    s_grid = _log_grid(float(g["s_min"]), float(g["s_max"]), ctx.ppd) \
-        if "s_min" in g else None
-    # the drift stage's profile holds the drift rates of its radii
-    res = ctx.rate = rates_mod.rate_tables(
-        ctx.model, ctx.r0cfg, r_grid=ctx.r_grid, s_grid=s_grid, c0=ctx.c0,
-        points_per_decade=ctx.ppd, via_comparison=ctx.comparison,
-        profile=None if ctx.certificate is None else ctx.certificate.phi)
+    res = ctx.rate = ctx.rates(ctx.model, ctx.dcfg, ctx.comparison).scaled(ctx.c0)
     alpha = res.alpha_final
     return True, "", {
         "alpha.csv": (("s", "alpha"), (alpha.grid, alpha.values)),
@@ -468,8 +489,7 @@ def _fit_stage(ctx):
 def _verify(ctx):
     cfg, alpha = ctx.cfg, ctx.rate.alpha_final
     corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
-    alpha_unit = rates_mod.RateTable(grid=alpha.grid, values=alpha.values / ctx.c0,
-                                     monotonicity="nonincreasing", extrapolation="power_law")
+    alpha_unit = rates_mod.RateTable(grid=alpha.grid, values=alpha.values / ctx.c0)
     lo = float(cfg.grids.get("wpi_r_min", alpha_unit.grid[0] * 2.0))
     hi = float(cfg.grids.get("wpi_r_max", min(alpha_unit.grid[-1] * 0.5, 1e-2)))
     r_w = np.geomspace(lo, hi, int(cfg.grids.get("n_wpi_r", 40)))
@@ -499,30 +519,32 @@ def _sweep(ctx):
     cfg = ctx.cfg
     param, values = _sweep_spec(cfg)
     if param == "sigma":
-        doc, runs, grid = rates_mod._sigma_runs(ctx.work, ctx.r0cfg, values,
-                                                r_grid=ctx.r_grid)
-        tables = [(f"sigma_{sig:g}", tab) for sig, (_, tab) in zip(values, runs)]
+        runs = [(sig, ctx.rates(ctx.work, replace(ctx.r0cfg, sigma=sig)).alpha)
+                for sig in values]
+        # the pair labels of sweep.json keep their format's (constant) scale
+        doc = rates_mod.compare_sigma([(f"sigma={sig},scale=1.0", tab) for sig, tab in runs])
+        tables = [(f"sigma_{sig:g}", tab) for sig, tab in runs]
     else:
         rows, fits = {}, {}
         for val in values:
             key = f"{param}={val:g}"
-            if param == "p":
-                sub_model, sub_comp = build_model(replace(cfg, p=float(val)))
-                res = rates_mod.rate_tables(sub_model, ctx.dcfg, r_grid=ctx.r_grid,
-                                            via_comparison=sub_comp)
+            if param == "p":  # the run's own p reads the run's models
+                sub_model, sub_comp = (ctx.model, ctx.comparison) if float(val) == cfg.p \
+                    else build_model(replace(cfg, p=float(val)))
+                res = ctx.rates(sub_model, ctx.dcfg, sub_comp)
             else:
-                c = replace(ctx.dcfg, case="cor_b" if ctx.dcfg.case.startswith("cor")
-                            else "b", delta=float(val))
-                res = rates_mod.rate_tables(ctx.work, c, r_grid=ctx.r_grid)
+                res = ctx.rates(ctx.work, replace(
+                    ctx.dcfg, case="cor_b" if ctx.dcfg.case.startswith("cor") else "b",
+                    delta=float(val)))
             try:
                 fits[key] = _fit(cfg, ctx.hint_window, res.alpha_final).to_dict()
             except InconclusiveFit as exc:
                 fits[key] = {"conclusive": False, "error": str(exc)}
             rows[key] = res.alpha_final
         tables = list(rows.items())
-        grid = rates_mod._shared_s_grid([tab for _, tab in tables])
         doc = {"schema_version": SCHEMA_VERSION, "param": param,
                "values": [float(v) for v in values], "fits": fits, "bounded": True}
+    grid = rates_mod._shared_s_grid([tab for _, tab in tables])
     columns = (["s"] + [f"alpha_{key}" for key, _ in tables],
                [grid] + [tab.value_at(grid) for _, tab in tables])
     return (doc["bounded"], "" if doc["bounded"] else "ratio range exceeded factor",
@@ -533,7 +555,9 @@ def _stability(ctx):
     m = ctx.model
     mu_model = model_mod.ConvolutionModel(m.potential, model_mod.point_mass(d=m.d),
                                           name=m.name + "_base")
-    doc = rates_mod.compare_stability(mu_model, m, ctx.dcfg)
+    doc = rates_mod.compare_stability(
+        mu_model, m, ctx.dcfg, ctx.rates(mu_model, ctx.dcfg).alpha,
+        ctx.rates(m, ctx.dcfg, ctx.comparison).alpha)
     return doc["bounded"], "", {"stability.json": doc}
 
 

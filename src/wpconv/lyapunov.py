@@ -371,25 +371,20 @@ def _case_scan_values(model, grid, cfg):
 
 
 def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=None,
-                psi_scale=1.0, prefix=None):
+                prefix=None):
     """The certified radial rate phi of cfg.case on [R0, s_max], extended by
     the constant phi(R0) below R0 (the practical lower-bound form):
     psi / ((1+sigma) p_sigma) for cases 'a'/'cor_a', and (1-delta) times the
     tilted integrand ('b') or its ball infimum ('cor_b') for the exponential
     Lyapunov function.
 
-    psi_scale multiplies the drift rate of cases 'a'/'cor_a' before the
-    correction integrals (used by the perturbation comparisons); prefix, a
-    profile built with the same model, case, delta and psi_scale, lends its
+    prefix, a profile built with the same model, case and delta, lends its
     psi on the nodes the two grids share, and its p_sigma values too when
     its grid starts this one's and no include_radii are given.
 
     DriftConditionFailed names the radius where a 'cor_a' window leaves the
     positive axis (checked before any evaluation) or the case quantity is <= 0."""
     exp_case = cfg.case in ("b", "cor_b")
-    if exp_case and psi_scale != 1.0:
-        raise ValueError(f"psi_scale={psi_scale:g} scales the drift rate of cases "
-                         f"'a'/'cor_a'; case {cfg.case!r} has none to scale")
     cfg = resolve_r0(model, cfg)
     R0 = cfg.R0
     if s_max is None:
@@ -404,7 +399,7 @@ def phi_profile(model, cfg, s_max=None, points_per_decade=200, include_radii=Non
         at = np.minimum(np.searchsorted(prefix.grid, grid), prefix.grid.size - 1)
         known = prefix.grid[at] == grid
         psi[known] = prefix.psi[at[known]]
-    psi[~known] = psi_scale * np.asarray(_case_scan_values(model, grid[~known], cfg), dtype=float)
+    psi[~known] = np.asarray(_case_scan_values(model, grid[~known], cfg), dtype=float)
     bad = psi <= 0.0
     if np.any(bad):
         what = "case-b integrand" if exp_case else "drift rate"

@@ -11,13 +11,15 @@ The chain:
 the beta tail restricts to {|x| >= R + R0} and the nu term vanishes for large r.
 
 All generalized inverses use the left-continuous convention
-F^{-1}(s) = inf{r : F(r) <= s}, evaluated tablewise.
+F^{-1}(s) = inf{r : F(r) <= s}, evaluated tablewise.  No table extrapolates:
+a read past the top of its grid returns the top value (for the nonincreasing
+alpha, a valid upper bound on the rate there) and a read below its bottom
+raises SaturatedAtGridEnd.  The comparisons take the tables they compare.
 """
 
 import csv
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,14 +59,13 @@ class RateTable:
 
     Values must respect the declared monotonicity up to 1e-12 (violations
     beyond that are rejected at construction).  Positive tables interpolate
-    log-log; extrapolation is 'clamp' or 'power_law' (terminal slope, with a
-    warning).
+    log-log.  value_at never extrapolates: past the top of the grid it reads
+    the top value, and below the bottom it raises SaturatedAtGridEnd.
     """
 
     grid: np.ndarray
     values: np.ndarray
     monotonicity: str = "nonincreasing"
-    extrapolation: str = "clamp"
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -75,8 +76,6 @@ class RateTable:
             raise ValueError("grid must be strictly increasing")
         if self.monotonicity not in ("nonincreasing", "nondecreasing"):
             raise ValueError("monotonicity must be nonincreasing or nondecreasing")
-        if self.extrapolation not in ("clamp", "power_law"):
-            raise ValueError("extrapolation must be clamp or power_law")
         d = np.diff(v)
         scale = np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
         bad = d > 1e-12 * np.maximum(scale, 1.0) if self.monotonicity == "nonincreasing" \
@@ -86,34 +85,20 @@ class RateTable:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
-    @property
-    def positive(self):
-        return bool(np.all(self.values > 0.0))
-
-    def value_at(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self._interp(np.clip(r, self.grid[0], self.grid[-1]))
-        if self.extrapolation == "power_law" and np.any(
-                (r < self.grid[0]) | (r > self.grid[-1])):
-            warnings.warn("rate table extrapolated by terminal power law",
-                          stacklevel=2)
-            out = np.where(r < self.grid[0],
-                           self.values[0] * (r / self.grid[0]) ** self._edge_slope(0),
-                           np.where(r > self.grid[-1],
-                                    self.values[-1] * (r / self.grid[-1])
-                                    ** self._edge_slope(-1), out))
-        return out if r.shape else float(out)
-
-    def _interp(self, r):
-        if self.positive:
-            return np.exp(np.interp(np.log(r), np.log(self.grid),
-                                    np.log(self.values)))
-        return np.interp(r, self.grid, self.values)
-
-    def _edge_slope(self, end):
-        i = (0, 1) if end == 0 else (-2, -1)
-        return (math.log(self.values[i[1]] / self.values[i[0]])
-                / math.log(self.grid[i[1]] / self.grid[i[0]]))
+    def value_at(self, s):
+        """The table at s, interpolated; the top value past the grid end."""
+        s = np.asarray(s, dtype=float)
+        below = s < self.grid[0]
+        if np.any(below):
+            raise SaturatedAtGridEnd(
+                f"rate table read at s={s[below].flat[0]:g} below its grid "
+                f"start {self.grid[0]:g}; extend the grid")
+        s_in = np.minimum(s, self.grid[-1])
+        if np.all(self.values > 0.0):  # log-log
+            out = np.exp(np.interp(np.log(s_in), np.log(self.grid), np.log(self.values)))
+        else:
+            out = np.interp(s_in, self.grid, self.values)
+        return out if s.shape else float(out)
 
     def inverse(self, s):
         """inf{r : value(r) <= s} for nonincreasing tables, evaluated on the
@@ -249,8 +234,7 @@ def alpha_from_beta(beta, c0=1.0, s_grid=None, points_per_decade=200):
     inv = np.asarray(beta.inverse(s_grid), dtype=float)
     # alpha is nonincreasing in s; clamp stray float wiggles downward
     vals = np.minimum.accumulate(c0 * inv)
-    return RateTable(grid=s_grid, values=vals, monotonicity="nonincreasing",
-                     extrapolation="power_law")
+    return RateTable(grid=s_grid, values=vals, monotonicity="nonincreasing")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +269,8 @@ def fit_asymptotics(alpha, families=FIT_FAMILIES, fit_window=None):
     # tolerant edges: sqrt(g0 gN) is an odd grid's middle node up to rounding
     msk = (alpha.grid >= lo * (1.0 - 1e-12)) & (alpha.grid <= hi * (1.0 + 1e-12))
     if int(msk.sum()) < 10:
-        raise ValueError("fit window must contain at least 10 grid points")
+        raise InconclusiveFit(f"fit window [{lo:g}, {hi:g}] holds {int(msk.sum())} "
+                              f"nodes of the alpha grid, fewer than 10")
     s = alpha.grid[msk]
     a = alpha.values[msk]
     diagnostics = {}
@@ -330,11 +315,12 @@ class RateResult:
     """Output of the rate pipeline.
 
     beta/alpha are the tables of the model the drift construction actually
-    ran on; when a comparison model was used (discrete source replaced by its
-    equivalent density) alpha_final carries the transferred table and
-    `comparison` the measured density-ratio constants.  r_truncated counts
-    the requested r cut at the S_MAX_CAP grid end, r_dropped those whose
-    beta underflowed.
+    ran on, alpha with the constant c0; when a comparison model was used
+    (discrete source replaced by its equivalent density) alpha_final carries
+    the transferred table, (c_hi/c_lo) alpha(s/c_hi), and `comparison` the
+    measured density-ratio constants c_lo, c_hi.  r_truncated counts the
+    requested r cut at the S_MAX_CAP grid end, r_dropped those whose beta
+    underflowed.
     """
 
     phi: lyap.RadialProfile
@@ -343,14 +329,24 @@ class RateResult:
     alpha: RateTable
     c0: float
     config: lyap.DriftConfig
-    alpha_final: Optional[RateTable] = None
     comparison: Optional[dict] = None
     r_truncated: int = 0
     r_dropped: int = 0
+    alpha_final: RateTable = field(init=False)
 
     def __post_init__(self):
-        if self.alpha_final is None:
-            object.__setattr__(self, "alpha_final", self.alpha)
+        final = self.alpha
+        if self.comparison is not None:
+            c_lo, c_hi = self.comparison["ratio_lower"], self.comparison["ratio_upper"]
+            final = RateTable(grid=self.alpha.grid * c_hi,
+                              values=(c_hi / c_lo) * self.alpha.values)
+        object.__setattr__(self, "alpha_final", final)
+
+    def scaled(self, c0):
+        """This result with alpha, and so alpha_final, multiplied by c0 (a
+        result of rate_tables has c0 = 1)."""
+        return replace(self, c0=c0, alpha=RateTable(grid=self.alpha.grid,
+                                                    values=c0 * self.alpha.values))
 
 
 def _density_ratio_bounds(model, comparison, n=600):
@@ -369,19 +365,20 @@ def _density_ratio_bounds(model, comparison, n=600):
     return float(np.exp(ratio.min())), float(np.exp(ratio.max()))
 
 
-def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
-                points_per_decade=200, via_comparison=None, psi_scale=1.0,
-                profile=None):
-    """Run the full chain phi -> varphi -> beta -> alpha.
+def rate_tables(model, cfg, r_grid=None, s_grid=None, points_per_decade=200,
+                via_comparison=None, profile=None):
+    """Run the full chain phi -> varphi -> beta -> alpha, with c0 = 1
+    (RateResult.scaled applies a certificate's constant).
 
     The profile grid end extends by doubling until varphi is defined at every
-    requested r; r values whose beta underflows are dropped.  via_comparison
-    computes everything on the comparison model and transfers alpha through
-    measured density-ratio bounds (alpha(s) = (c_hi/c_lo) alpha_tilde(s/c_hi),
-    reported as alpha_final).  profile, a phi_profile of the same model
-    (the comparison model, with via_comparison), case, delta and psi_scale
-    such as a drift certificate's, lends its drift rates on the radii it
-    holds (phi_profile's prefix).
+    requested r; r values whose beta underflows are dropped.  alpha is
+    tabulated on s_grid, or on points_per_decade nodes per decade inside the
+    range of beta.  via_comparison computes everything on the comparison
+    model and transfers alpha through measured density-ratio bounds
+    (alpha(s) = (c_hi/c_lo) alpha_tilde(s/c_hi), reported as alpha_final).
+    profile, a phi_profile of the same model (the comparison model, with
+    via_comparison), case and delta, such as a drift certificate's, lends its
+    drift rates on the radii it holds (phi_profile's prefix).
     """
     work = via_comparison if via_comparison is not None else model
     cfg = lyap.resolve_r0(work, cfg)
@@ -396,8 +393,7 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
     phi = profile
     for _ in range(40):
         phi = lyap.phi_profile(work, cfg, s_max=s_max,
-                               points_per_decade=points_per_decade,
-                               psi_scale=psi_scale, prefix=phi)
+                               points_per_decade=points_per_decade, prefix=phi)
         # varphi_phi's test: the sublevel set of 1/r reaches past the grid end
         saturated = phi.values.min() >= 1.0 / r_grid
         if not np.any(saturated):
@@ -421,22 +417,16 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, c0=1.0,
                            monotonicity="nondecreasing")
     beta_tab = RateTable(grid=r_kept, values=np.minimum.accumulate(beta_vals[keep]),
                          monotonicity="nonincreasing")
-    alpha_tab = alpha_from_beta(beta_tab, c0=c0, s_grid=s_grid,
+    alpha_tab = alpha_from_beta(beta_tab, s_grid=s_grid,
                                 points_per_decade=points_per_decade)
 
     comparison = None
-    alpha_final = None
     if via_comparison is not None:
         c_lo, c_hi = _density_ratio_bounds(model, via_comparison)
-        alpha_final = RateTable(grid=alpha_tab.grid * c_hi,
-                                values=(c_hi / c_lo) * alpha_tab.values,
-                                monotonicity="nonincreasing",
-                                extrapolation="power_law")
         comparison = {"ratio_lower": c_lo, "ratio_upper": c_hi,
                       "comparison_model": via_comparison.name}
     return RateResult(phi=phi, varphi=varphi_tab, beta=beta_tab,
-                      alpha=alpha_tab, c0=c0, config=cfg,
-                      alpha_final=alpha_final, comparison=comparison,
+                      alpha=alpha_tab, c0=1.0, config=cfg, comparison=comparison,
                       r_truncated=n_requested - r_grid.size,
                       r_dropped=int(np.count_nonzero(~keep)))
 
@@ -453,30 +443,14 @@ def _shared_s_grid(tables, n=400):
     return np.geomspace(lo, hi, n)
 
 
-def compare_sigma(model, cfg, sigma_list, r_grid=None, psi_scales=None,
-                  s_window=None):
-    """Rate functions across sigma (and optionally across scaled drift rates):
-    pairwise ratio ranges over a shared s grid plus a boundedness verdict.
+def compare_sigma(runs, s_window=None):
+    """Pairwise ratio ranges of labelled alpha tables, runs = [(label,
+    table), ...] such as one construction across sigma, over their shared s
+    grid (inside s_window when given), plus a boundedness verdict.
 
     The verdict factor 2 is a harness choice; the underlying comparison
     statement asserts only two-sided bounds.
     """
-    return _sigma_runs(model, cfg, sigma_list, r_grid, psi_scales, s_window)[0]
-
-
-def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
-                s_window=None):
-    """compare_sigma's report together with the labelled alpha tables it
-    compared, one per (scale, sigma) in that loop order, and their shared
-    grid."""
-    sigma_list = list(sigma_list)
-    psi_scales = [1.0] if not psi_scales else list(psi_scales)
-    runs = []
-    for k in psi_scales:
-        for sig in sigma_list:
-            c = replace(cfg, sigma=sig)
-            res = rate_tables(model, c, r_grid=r_grid, psi_scale=k)
-            runs.append((f"sigma={sig},scale={k}", res.alpha))
     grid = _shared_s_grid([tab for _, tab in runs])
     if s_window is not None:
         grid = grid[(grid >= s_window[0]) & (grid <= s_window[1])]
@@ -494,21 +468,21 @@ def _sigma_runs(model, cfg, sigma_list, r_grid=None, psi_scales=None,
                 "ratio_max": float(ratio.max()),
                 "range_factor": rng}
             worst = max(worst, rng)
-    doc = {"schema_version": SCHEMA_VERSION,
-           "s_min": float(grid[0]), "s_max": float(grid[-1]),
-           "pairs": pairs, "worst_range_factor": worst,
-           "bounded": bool(worst < 2.0), "bound_factor": 2.0}
-    return doc, runs, grid
+    return {"schema_version": SCHEMA_VERSION,
+            "s_min": float(grid[0]), "s_max": float(grid[-1]),
+            "pairs": pairs, "worst_range_factor": worst,
+            "bounded": bool(worst < 2.0), "bound_factor": 2.0}
 
 
-def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,
+def compare_stability(mu_model, conv_model, cfg, alpha_mu, alpha_conv, sigma0=0.5,
                       eval_radii=(1e2, 1e3, 1e4)):
     """Stability of the rate order under convolution with a compact measure.
 
     Estimates eta0 = liminf of (window infimum of eta) / eta_mu, checks the
-    admissibility bound sigma > sigma0 / (eta0 (1+sigma0) - sigma0), and
-    compares the two rate functions over their shared range (bounded when
-    their ratio ranges over less than a factor 3).
+    admissibility bound sigma > sigma0 / (eta0 (1+sigma0) - sigma0) at
+    sigma = cfg.sigma, and compares the rate functions alpha_mu of mu_model
+    and alpha_conv of conv_model, built by the caller, over their shared
+    range (bounded when their ratio ranges over less than a factor 3).
     """
     R = conv_model.source.support_radius
     if not np.isfinite(R):
@@ -526,10 +500,8 @@ def compare_stability(mu_model, conv_model, cfg, sigma0=0.5,
     sigma_min = sigma0 / (eta0 * (1.0 + sigma0) - sigma0)
     s_chk = np.geomspace(max(10.0, 2.0 * R + 1.0), 1e4, 200)
     rob = lyap.robustness_bracket(s_chk, pot.v0p(s_chk), sigma0, mu_model.d)
-    res_mu = rate_tables(mu_model, lyap.DriftConfig(case="cor_a", sigma=cfg.sigma))
-    res_conv = rate_tables(conv_model, lyap.DriftConfig(case="cor_a", sigma=cfg.sigma))
-    grid = _shared_s_grid([res_mu.alpha, res_conv.alpha])
-    ratio = res_conv.alpha.value_at(grid) / res_mu.alpha.value_at(grid)
+    grid = _shared_s_grid([alpha_mu, alpha_conv])
+    ratio = alpha_conv.value_at(grid) / alpha_mu.value_at(grid)
     rng = float(ratio.max() / ratio.min())
     return {"schema_version": SCHEMA_VERSION,
             "eta0_estimates": [float(v) for v in ratios],

@@ -144,10 +144,12 @@ def test_criterion_06_p_sigma_monotone_in_sigma(models):
 
 
 def test_criterion_07_sigma_robustness(models):
-    rep = R.compare_sigma(models["example_3_3"],
-                          L.DriftConfig(case="cor_a"), [1.0, 2.0, 5.0],
-                          r_grid=np.geomspace(1e-2, 1e10, 2401),
-                          s_window=(1e-6, 1e-2))
+    rg = np.geomspace(1e-2, 1e10, 2401)
+    runs = [(f"sigma={sig}", R.rate_tables(models["example_3_3"],
+                                            L.DriftConfig(case="cor_a", sigma=sig),
+                                            r_grid=rg).alpha)
+            for sig in (1.0, 2.0, 5.0)]
+    rep = R.compare_sigma(runs, s_window=(1e-6, 1e-2))
     ok = rep["bounded"] and rep["worst_range_factor"] < 2.0
     report(7, "alpha ratio across sigma bounded by factor 2",
            ok, f"worst range factor {rep['worst_range_factor']:.3f} "
@@ -159,10 +161,10 @@ def test_criterion_08_convolution_stability(models):
                                   name="base")
     conv = models["example_3_3"]
     cfg = L.DriftConfig(case="cor_a", sigma=1.5)
-    rep = R.compare_stability(mu_model, conv, cfg)
     rg = np.geomspace(1e-2, 1e10, 2401)
     res_mu = R.rate_tables(mu_model, cfg, r_grid=rg)
     res_conv = R.rate_tables(conv, cfg, r_grid=rg)
+    rep = R.compare_stability(mu_model, conv, cfg, res_mu.alpha, res_conv.alpha)
     ss = np.geomspace(1e-6, 1e-2, 400)
     ratio = res_conv.alpha.value_at(ss) / res_mu.alpha.value_at(ss)
     rng = float(ratio.max() / ratio.min())

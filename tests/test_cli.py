@@ -10,6 +10,7 @@ import yaml
 
 from wpconv import cli
 from wpconv import lyapunov as L
+from wpconv import model as M
 from wpconv import rates as R
 from wpconv import verify
 from wpconv.errors import ConfigError, DriftConditionFailed
@@ -272,6 +273,89 @@ def test_run_stability_stage(tmp_path):
     assert manifest["stages"]["fit"]["ok"] and (out / "fit.json").exists()
 
 
+def test_stability_reads_the_runs_construction_and_grids(tmp_path):
+    """stability.json compares the point-mass and the convolved tables built
+    with the run's case, R0 and grids: with R0 = 5 and case cor_b it equals
+    compare_stability on such tables and differs from the default run's."""
+    text = "{preset: example_3_3, p: 2, R0: 5, case: cor_b, stages: [stability]}"
+    status, docs = run_cfg(text, tmp_path / "cor_b")
+    cfg = cli.load_config(text)
+    model, _ = cli.build_model(cfg)
+    r_grid, _, ppd = cli._r_grid(cfg)
+    dcfg = L.DriftConfig(case="cor_b", R0=5.0)
+    mu = M.ConvolutionModel(model.potential, M.point_mass(), name="mu")
+    tables = [R.rate_tables(m, dcfg, r_grid=r_grid, points_per_decade=ppd).alpha
+              for m in (mu, model)]
+    assert status == 0 and docs["stability.json"]["bounded"]
+    assert docs["stability.json"] == R.compare_stability(mu, model, dcfg, *tables)
+    _, default = run_cfg("{preset: example_3_3, p: 2, stages: [stability]}",
+                         tmp_path / "default")
+    assert default["stability.json"]["bounded"]
+    assert default["stability.json"] != docs["stability.json"]
+
+
+def test_sweep_and_stability_follow_the_runs_s_range(tmp_path):
+    """With grids.s_min/s_max, the sigma sweep and the stability comparison
+    read the rate stage's alpha on that range: sweep.csv's sigma = 1 column
+    is alpha.csv read at its s, and every s lies in [s_min, s_max]."""
+    status, docs = run_cfg(
+        "{preset: example_3_3, p: 2, stages: [rate, sweep, stability], "
+        "sweep: {values: [1, 2]}, grids: {s_min: 1.0e-5, s_max: 1.0e-3}}", tmp_path)
+    assert status == 0
+    alpha = np.loadtxt(tmp_path / "alpha.csv", delimiter=",", skiprows=1)
+    sweep = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    assert (alpha[0, 0], alpha[-1, 0]) == pytest.approx((1e-5, 1e-3), rel=1e-12)
+    table = R.RateTable(grid=alpha[:, 0], values=alpha[:, 1])
+    np.testing.assert_array_equal(sweep[:, 1], table.value_at(sweep[:, 0]))
+    stab = docs["stability.json"]
+    for lo, hi in ((sweep[0, 0], sweep[-1, 0]), (stab["s_min"], stab["s_max"])):
+        assert 1e-5 <= lo < hi <= 1e-3
+    assert stab["bounded"]
+
+
+def test_run_builds_each_rate_table_once(tmp_path, monkeypatch):
+    """The rate stage's table is the sigma = 1 sweep entry, the p sweep's
+    entry at the run's own p and the stability stage's convolved table."""
+    calls = []
+    build = R.rate_tables
+
+    def counting(model, cfg, *args, **kw):
+        calls.append((model.name, cfg.sigma))
+        return build(model, cfg, *args, **kw)
+
+    monkeypatch.setattr(R, "rate_tables", counting)
+    status, _ = run_cfg("{preset: example_3_3, p: 2, stages: [rate, fit, sweep, "
+                        "stability], sweep: {param: sigma, values: [1, 2, 5]}}",
+                        tmp_path / "sigma")
+    assert status == 0
+    assert calls == [("example_3_3", 1.0), ("example_3_3", 2), ("example_3_3", 5),
+                     ("example_3_3_base", 1.0)]
+    calls[:] = []
+    status, _ = run_cfg("{preset: example_3_3, p: 2, stages: [rate, fit, sweep], "
+                        "sweep: {param: p, values: [1.5, 2, 3]}}", tmp_path / "p")
+    assert status == 0 and len(calls) == 3
+
+
+def test_short_fit_window_is_an_inconclusive_fit(tmp_path):
+    """A fit window holding fewer than 10 nodes of the alpha grid records an
+    inconclusive fit: fit.json reads conclusive false and the run exits 2,
+    and a p sweep records it per p."""
+    window = "fit: {window: [1.0e-12, 1.0e-11]}"
+    out = tmp_path / "fit"
+    assert cli.main(["run", "{preset: example_3_3, p: 2, stages: [fit], " + window + "}",
+                     "-o", str(out)]) == 2
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["conclusive"] is False and "fewer than 10" in fit["error"]
+    out = tmp_path / "sweep"
+    assert cli.main(["run", "{preset: example_3_3, p: 2, stages: [sweep], "
+                     "sweep: {param: p, values: [1.5, 2]}, " + window + "}",
+                     "-o", str(out)]) == 0
+    fits = json.loads((out / "sweep.json").read_text())["fits"]
+    assert set(fits) == {"p=1.5", "p=2"}
+    for doc in fits.values():
+        assert doc["conclusive"] is False and "fewer than 10" in doc["error"]
+
+
 def test_run_stops_at_the_stage_whose_r0_scan_fails(tmp_path, monkeypatch):
     """With no radius of positive drift, conditions reports from its
     fallback radius, drift is marked failed and rate does not run; the scan
@@ -423,7 +507,8 @@ def test_sweep_single_value_degenerates(tmp_path):
 
 
 def test_sigma_sweep_csv_holds_the_compared_tables(tmp_path):
-    """sweep.csv tabulates the runs sweep.json compares, at the user's R0."""
+    """sweep.csv tabulates the runs sweep.json compares, at the user's R0
+    and on the run's r grid and points per decade."""
     cfg = cli.load_config(
         "preset: example_3_3\nR0: 5.0\nstages: []\noutput_dir: " + str(tmp_path)
         + "\n" + FAST_GRIDS)
@@ -431,15 +516,16 @@ def test_sigma_sweep_csv_holds_the_compared_tables(tmp_path):
     assert status == 0
     data = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
     model, _ = cli.build_model(cfg)
-    r_grid = cli._r_grid(cfg)[0]
+    r_grid, _, ppd = cli._r_grid(cfg)
     for col, sig in enumerate((1.0, 2.0), start=1):
         res = R.rate_tables(model, L.DriftConfig(case="cor_a", R0=5.0, sigma=sig),
-                            r_grid=r_grid)
+                            r_grid=r_grid, points_per_decade=ppd)
         np.testing.assert_array_equal(data[:, col], res.alpha.value_at(data[:, 0]))
 
 
 def test_delta_sweep_csv_holds_the_tables_at_the_users_R0(tmp_path):
-    """sweep.csv of a delta sweep tabulates case-cor_b runs at the user's R0."""
+    """sweep.csv of a delta sweep tabulates case-cor_b runs at the user's R0
+    and on the run's r grid and points per decade."""
     cfg = cli.load_config(
         "preset: example_3_3\nR0: 5.0\nstages: []\noutput_dir: " + str(tmp_path)
         + "\n" + FAST_GRIDS)
@@ -447,10 +533,10 @@ def test_delta_sweep_csv_holds_the_tables_at_the_users_R0(tmp_path):
     assert status == 0
     data = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
     model, _ = cli.build_model(cfg)
-    r_grid = cli._r_grid(cfg)[0]
+    r_grid, _, ppd = cli._r_grid(cfg)
     for col, delta in enumerate((0.5, 0.75), start=1):
         res = R.rate_tables(model, L.DriftConfig(case="cor_b", R0=5.0, delta=delta),
-                            r_grid=r_grid)
+                            r_grid=r_grid, points_per_decade=ppd)
         np.testing.assert_array_equal(data[:, col], res.alpha_final.value_at(data[:, 0]))
 
 

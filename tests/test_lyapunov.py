@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -394,16 +395,17 @@ def test_phi_profile_builds_a_prefix_without_psi_in_full(models):
         np.testing.assert_array_equal(getattr(grown, field), getattr(fresh, field))
 
 
-@pytest.mark.parametrize("psi_scale", [1.0, 0.7])
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
 @pytest.mark.parametrize("name", ["example_3_2", "example_3_3", "example_3_4",
                                   "lemma_3_2"])
-def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_scale):
+def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, sigma):
     """Each growth round runs the p_sigma lattice from the seam, the last
-    node of the profile it grows, and equals a fresh build bit for bit.
-    psi is read from one table, scanned once, so the rounds and the fresh
-    builds spend their time on the p_sigma lattice this test is about."""
+    node of the profile it grows, and equals a fresh build bit for bit, at
+    the default sigma and another.  psi is read from one table, scanned
+    once, so the rounds and the fresh builds spend their time on the
+    p_sigma lattice this test is about."""
     m = P.make_model(name)
-    cfg = L.resolve_r0(m, P.default_drift_config(name))
+    cfg = L.resolve_r0(m, replace(P.default_drift_config(name), sigma=sigma))
     top = 1600.0 * max(cfg.R0, 1.0)
     nodes = L._anchored_grid(cfg.R0, top, 200)
     table = dict(zip(nodes, L._case_scan_values(m, nodes, cfg)))
@@ -420,12 +422,12 @@ def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_sc
     grown = None
     for s_max in (top / 16.0, top / 4.0, top):
         prev, calls[:] = grown, []
-        grown = L.phi_profile(m, cfg, s_max=s_max, psi_scale=psi_scale, prefix=prev)
+        grown = L.phi_profile(m, cfg, s_max=s_max, prefix=prev)
         lattice = L._anchored_grid(cfg.R0, grown.grid[-1], L._REFINE_PER_DECADE,
                                    include_radii=grown.grid)
         seam = cfg.R0 if prev is None else prev.grid[-1]
         assert calls == [(seam, int(np.sum(lattice >= seam)))]
-        fresh = L.phi_profile(m, cfg, s_max=s_max, psi_scale=psi_scale)
+        fresh = L.phi_profile(m, cfg, s_max=s_max)
         for field in ("grid", "values", "psi", "log_p_sigma"):
             np.testing.assert_array_equal(getattr(grown, field), getattr(fresh, field))
         assert grown._seam == fresh._seam
@@ -434,7 +436,7 @@ def test_grown_profile_integrates_only_the_new_lattice(monkeypatch, name, psi_sc
     for kw in ({"s_max": top, "include_radii": nodes[3:4]},
                {"s_max": top / 4.0}):
         calls[:] = []
-        L.phi_profile(m, cfg, psi_scale=psi_scale, prefix=grown, **kw)
+        L.phi_profile(m, cfg, prefix=grown, **kw)
         assert calls[0][0] == cfg.R0
 
 

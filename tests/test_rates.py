@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,24 @@ def test_rate_table_constant_inverse_clamps():
                     values=np.array([0.3, 0.3, 0.3]))
     assert t.inverse(0.3) == 2.0
     assert t.inverse(0.7) == 2.0
+
+
+def test_rate_table_reads_its_top_value_past_the_grid_and_raises_below():
+    """A table never extrapolates: past its top it reads the top value (for
+    a nonincreasing rate, an upper bound there), with no warning, and below
+    its bottom it raises SaturatedAtGridEnd naming s."""
+    g = np.geomspace(1e-3, 1e-1, 30)
+    t = R.RateTable(grid=g, values=g ** -1.5)
+    top = t.value_at(g[-1])
+    assert top == pytest.approx(t.values[-1], rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert t.value_at(0.5) == top
+        np.testing.assert_array_equal(t.value_at(np.array([0.1, 2.0, 1e9])), top)
+    with pytest.raises(SaturatedAtGridEnd, match=r"s=0\.0005 below"):
+        t.value_at(5e-4)
+    with pytest.raises(SaturatedAtGridEnd, match=r"s=1e-06 below"):
+        t.value_at(np.array([1e-2, 1e-6, 1e-7]))
 
 
 def test_rate_table_inverse_value_sandwich():
@@ -447,7 +467,7 @@ def test_fit_requires_enough_points_and_conclusive_r2():
     ss = np.geomspace(1e-4, 1e-1, 50)
     # a hard step is far from every candidate family
     alpha = R.RateTable(grid=ss, values=np.where(ss < 3e-3, 1e8, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InconclusiveFit, match="holds 2 nodes of the alpha grid"):
         R.fit_asymptotics(alpha, fit_window=(1e-4, 1.2e-4))
     with pytest.raises(InconclusiveFit):
         R.fit_asymptotics(alpha, fit_window=(ss[0], ss[-1]))
@@ -457,11 +477,16 @@ def test_fit_requires_enough_points_and_conclusive_r2():
 # comparisons
 # ---------------------------------------------------------------------------
 
+def _sigma_runs(m, cfg, sigmas, rg=None):
+    return [(f"sigma={sig}", R.rate_tables(m, replace(cfg, sigma=sig), r_grid=rg).alpha)
+            for sig in sigmas]
+
+
 def test_compare_sigma_identity():
     m = P.make_model("example_3_3", p=2.0)
     cfg = L.DriftConfig(case="cor_a")
     rg = np.geomspace(1.0, 1e6, 600)
-    rep = R.compare_sigma(m, cfg, [1.0, 1.0], r_grid=rg)
+    rep = R.compare_sigma(_sigma_runs(m, cfg, [1.0, 1.0], rg))
     pair = next(iter(rep["pairs"].values()))
     assert pair["range_factor"] == pytest.approx(1.0, abs=1e-12)
     assert rep["bounded"]
@@ -471,32 +496,21 @@ def test_compare_sigma_bounded_across_sigmas():
     m = P.make_model("example_3_3", p=2.0)
     cfg = L.DriftConfig(case="cor_a")
     rg = np.geomspace(1.0, 1e8, 1000)
-    rep = R.compare_sigma(m, cfg, [1.0, 5.0], r_grid=rg)
+    rep = R.compare_sigma(_sigma_runs(m, cfg, [1.0, 5.0], rg))
     assert rep["bounded"], rep
 
 
-def test_compare_sigma_perturbed_rate():
-    """Scaling the drift rate by 1.05 keeps the rate functions equivalent."""
-    m = P.make_model("example_3_3", p=2.0)
-    cfg = L.DriftConfig(case="cor_a", sigma=10.0)
-    rg = np.geomspace(1.0, 1e7, 800)
-    rep = R.compare_sigma(m, cfg, [10.0], r_grid=rg, psi_scales=[1.0, 1.05])
-    assert rep["bounded"], rep
-
-
-def test_compare_sigma_rejects_psi_scales_for_exponential_case():
-    """Case cor_b has no drift rate to scale: psi_scales must not be dropped
-    silently (the report would claim bounded ratios of identical tables)."""
-    m = P.make_model("example_3_3", p=2.0)
-    with pytest.raises(ValueError, match="psi_scale=2.*'cor_b'"):
-        R.compare_sigma(m, L.DriftConfig(case="cor_b"), [1.0],
-                        psi_scales=[1.0, 2.0])
+def _stability(mu, conv, cfg, **kw):
+    """compare_stability on both models' tables on rate_tables' default grid."""
+    tables = (R.rate_tables(m, L.DriftConfig(case="cor_a", sigma=cfg.sigma)).alpha
+              for m in (mu, conv))
+    return R.compare_stability(mu, conv, cfg, *tables, **kw)
 
 
 def test_compare_stability_identical_measures():
     m = M.ConvolutionModel(M.log_potential(2.0), M.point_mass())
     cfg = L.DriftConfig(case="cor_a", sigma=1.5)
-    rep = R.compare_stability(m, m, cfg)
+    rep = _stability(m, m, cfg)
     assert rep["eta0"] == pytest.approx(1.0, abs=1e-12)
     assert rep["range_factor"] == pytest.approx(1.0, abs=1e-12)
 
@@ -505,7 +519,7 @@ def test_compare_stability_eta0_grows_toward_one():
     mu = M.ConvolutionModel(M.log_potential(1.0), M.point_mass())
     conv = M.ConvolutionModel(M.log_potential(1.0), M.uniform_density(1.0))
     cfg = L.DriftConfig(case="cor_a", sigma=1.5)
-    rep = R.compare_stability(mu, conv, cfg)
+    rep = _stability(mu, conv, cfg)
     est = rep["eta0_estimates"]
     assert est[0] < est[1] < est[2] < 1.0
     assert rep["eta0"] > 0.9
@@ -517,7 +531,7 @@ def test_compare_stability_hypothesis_failure():
     cfg = L.DriftConfig(case="cor_a", sigma=1.5)
     # tiny evaluation radii make the window ratio collapse below w0
     with pytest.raises(HypothesisFailed):
-        R.compare_stability(mu, conv, cfg, sigma0=19.0, eval_radii=(2.3, 2.5, 3.0))
+        _stability(mu, conv, cfg, sigma0=19.0, eval_radii=(2.3, 2.5, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +571,17 @@ def test_rate_result_counts_nothing_cut_on_example_3_1():
     assert res.beta.grid.size == rg.size
 
 
+def test_scaled_result_equals_the_alpha_built_with_c0(alpha_33):
+    """Scaling a c0 = 1 result by c0 equals alpha_from_beta with c0 bit for
+    bit: rounding is monotone, so c0 commutes with the running minimum."""
+    assert alpha_33.c0 == 1.0
+    for c0 in (1.0, 5.206, math.pi, 1e-3):
+        scaled = alpha_33.scaled(c0)
+        assert scaled.c0 == c0 and scaled.alpha_final is scaled.alpha
+        np.testing.assert_array_equal(scaled.alpha.values,
+                                      R.alpha_from_beta(alpha_33.beta, c0=c0).values)
+
+
 def test_rate_tables_names_the_first_nonpositive_r():
     m = P.make_model("example_3_3", p=2.0)
     with pytest.raises(ValueError, match=r"r must be positive, got r=0"):
@@ -572,6 +597,11 @@ def test_comparison_transfer_preserves_order():
                         via_comparison=comp)
     assert res.comparison is not None
     assert 0.9 < res.comparison["ratio_lower"] <= res.comparison["ratio_upper"] < 1.1
+    c_lo, c_hi = res.comparison["ratio_lower"], res.comparison["ratio_upper"]
+    scaled = res.scaled(3.0)
+    np.testing.assert_array_equal(scaled.alpha_final.grid, res.alpha.grid * c_hi)
+    np.testing.assert_array_equal(scaled.alpha_final.values,
+                                  (c_hi / c_lo) * (3.0 * res.alpha.values))
     f_raw = R.fit_asymptotics(res.alpha, families=("power",))
     f_fin = R.fit_asymptotics(res.alpha_final, families=("power",))
     assert f_fin.exponent == pytest.approx(f_raw.exponent, abs=0.02)
