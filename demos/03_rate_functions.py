@@ -19,13 +19,14 @@ print("=" * 70)
 print("RATE FUNCTIONS AND ASYMPTOTIC ORDERS")
 print("=" * 70)
 
-for name, p, theory in [
-    ("example_3_3", 2.0, "power, exponent 1.0"),
-    ("example_3_2", 0.6, "poly_log, exponent 1.333"),
-    ("example_3_4", 2.0, "stretched_exp, exponent 1.0"),
+for name, theory in [
+    ("example_3_3", "power, exponent 1.0"),
+    ("example_3_2", "poly_log, exponent 1.333"),
+    ("example_3_4", "stretched_exp, exponent 1.0"),
 ]:
-    m = P.make_model(name, p=p)
-    hints = P.rate_grid_hints(name, p)
+    p = P.validate_preset(name)  # the preset's default p
+    m = P.make_model(name)
+    hints = P.rate_grid_hints(name)
     n = int(200 * np.log10(hints["r_max"] / hints["r_min"])) + 1
     rg = np.geomspace(hints["r_min"], hints["r_max"], n)
     res = R.rate_tables(m, P.default_drift_config(name), r_grid=rg)
@@ -40,8 +41,8 @@ for name, p, theory in [
 
 # the discrete lattice goes through the equivalent continuous model
 print("\nexample_3_1 (p = 1), via the density-comparison transfer:")
-m31 = P.make_model("example_3_1", p=1.0)
-comp = P.make_model("lemma_3_2", p=1.0)
+m31 = P.make_model("example_3_1")
+comp = P.comparison_model("example_3_1")
 rg = np.geomspace(1.0, 1e8, 1601)
 res = R.rate_tables(m31, L.DriftConfig(case="a", sigma=1.0), r_grid=rg,
                     via_comparison=comp)

@@ -50,10 +50,9 @@ from .errors import (CalibrationFailed, ConfigError, DriftConditionFailed,
 SCHEMA_VERSION = 1
 
 _GRID_KEYS = {"r_min", "r_max", "points_per_decade", "s_min", "s_max",
-              "wpi_r_min", "wpi_r_max", "n_wpi_r", "certificate_points"}
+              "n_wpi_r", "certificate_points"}
 _SEED_KEYS = {"sampler", "corpus", "decay"}
 _SAMPLE_KEYS = {"n_wpi", "n_paths", "n_inner", "dt", "t_max", "n_times"}
-_TOL_KEYS = {"drift_tol_abs", "drift_tol_rel"}
 _FIT_KEYS = {"families", "window"}
 _SWEEP_KEYS = {"param", "values"}
 
@@ -66,8 +65,7 @@ class RunConfig:
     custom: Optional[dict] = None
     p: Optional[float] = None
     d: int = 1
-    R: float = 1.0
-    well_exponent: float = 0.5
+    R: Optional[float] = None
     R0: Optional[float] = None
     sigma: float = 1.0
     delta: float = 0.75
@@ -77,7 +75,6 @@ class RunConfig:
     grids: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     fit: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     output_dir: str = "wpconv_out"
@@ -89,29 +86,17 @@ class RunConfig:
 
 
 _TOP_KEYS = {f.name for f in fields(RunConfig)}
-# custom.potential families: the parameter each requires, and its constructor
-_FAMILIES = {
-    "power": ("p", lambda s, d: model_mod.power_potential(float(s["p"]), d=d)),
-    "log": ("p", lambda s, d: model_mod.log_potential(float(s["p"]), d=d)),
-    "loglog": ("p", lambda s, d: model_mod.loglog_potential(float(s["p"]), d=d)),
-    "smooth_well": (None, lambda s, d: model_mod.smooth_well_potential(
-        float(s.get("exponent", 0.5)), d=d)),
-    "quadratic": (None, lambda s, d: model_mod.quadratic_potential(d=d)),
-    "expression": ("expression",
-                   lambda s, d: model_mod.expression_potential(s["expression"], d=d)),
-}
 
 _DEFAULT_SEEDS = {"sampler": 20_260_809, "corpus": 7, "decay": 5}
 _DEFAULT_SAMPLES = {"n_wpi": 1_000_000, "n_paths": 128, "n_inner": 128,
                     "dt": 2e-3, "t_max": 40.0, "n_times": 8}
-_DEFAULT_TOLS = {"drift_tol_abs": 1e-8, "drift_tol_rel": 1e-6}
 _DECAY_T_FIRST = 0.25   # earliest first time of a decay grid of n_times > 1
 
 
-def _check_keys(doc, allowed, path):
+def _check_keys(doc, allowed, path, why="unknown key"):
     for k in doc:
         if k not in allowed:
-            raise ConfigError(f"{path}{k}: unknown key")
+            raise ConfigError(f"{path}{k}: {why}")
 
 
 def _read_config(source):
@@ -138,8 +123,8 @@ def load_config(source):
     if (preset is None) == (custom is None):
         raise ConfigError("preset/custom: exactly one must be given")
     for sub, keys in (("grids", _GRID_KEYS), ("seeds", _SEED_KEYS),
-                      ("samples", _SAMPLE_KEYS), ("tolerances", _TOL_KEYS),
-                      ("fit", _FIT_KEYS), ("sweep", _SWEEP_KEYS)):
+                      ("samples", _SAMPLE_KEYS), ("fit", _FIT_KEYS),
+                      ("sweep", _SWEEP_KEYS)):
         val = doc.get(sub) or {}
         if not isinstance(val, dict):
             raise ConfigError(f"{sub}: must be a mapping")
@@ -150,29 +135,32 @@ def load_config(source):
     for st in stages:
         if st not in STAGES:
             raise ConfigError(f"stages: unknown stage {st!r} (choose from {STAGES})")
+    d = _check_d(doc.get("d", 1), "d")
     if custom is not None:
+        for key in ("p", "R", "nu"):  # a preset's keys, which a custom model has no use for
+            if doc.get(key) is not None:
+                raise ConfigError(f"{key}: a preset key; a custom model takes its "
+                                  f"potential and source from custom")
         _check_keys(custom, {"potential", "source"}, "custom.")
         pot = custom.get("potential") or {}
-        _check_keys(pot, {"family", "p", "d", "exponent", "expression"},
-                    "custom.potential.")
+        _check_keys(pot, {"family", "p", "d", "exponent", "expression"}, "custom.potential.")
         _check_d(pot.get("d", 1), "custom.potential.d")
         fam = pot.get("family")
-        if not isinstance(fam, str) or fam not in _FAMILIES:
+        if not isinstance(fam, str) or fam not in presets_mod.FAMILIES:
             raise ConfigError("custom.potential.family: unknown family")
-        required = _FAMILIES[fam][0]
+        required = presets_mod.FAMILIES[fam][0]
         if required is not None and pot.get(required) is None:
             raise ConfigError(f"custom.potential.{required}: required for family {fam!r}")
-        _check_source(custom.get("source") or {}, "custom.source")
-    _check_d(doc.get("d", 1), "d")
+        _check_source(custom.get("source"), pot.get("d", d), "custom.source")
+    else:
+        _check_source(doc.get("nu"), d, "nu")
     for key in ("R", "R0"):
         if doc.get(key) is not None:
             _positive(doc[key], key)
-    if doc.get("nu") is not None:
-        _check_source(doc["nu"], "nu")
     cfg = RunConfig(
         preset=preset, custom=custom,
-        p=doc.get("p"), d=int(doc.get("d", 1)), R=float(doc.get("R", 1.0)),
-        well_exponent=float(doc.get("well_exponent", 0.5)),
+        p=doc.get("p"), d=int(d),
+        R=None if custom is not None else float(doc.get("R", 1.0)),
         R0=(None if doc.get("R0") is None else float(doc["R0"])),
         sigma=float(doc.get("sigma", 1.0)), delta=float(doc.get("delta", 0.75)),
         case=doc.get("case"), nu=doc.get("nu"),
@@ -180,24 +168,22 @@ def load_config(source):
         grids=dict(doc.get("grids") or {}),
         seeds={**_DEFAULT_SEEDS, **(doc.get("seeds") or {})},
         samples={**_DEFAULT_SAMPLES, **(doc.get("samples") or {})},
-        tolerances={**_DEFAULT_TOLS, **(doc.get("tolerances") or {})},
         fit=dict(doc.get("fit") or {}),
         sweep=dict(doc.get("sweep") or {}),
         output_dir=str(doc.get("output_dir", "wpconv_out")),
     )
-    if cfg.sigma <= 0.0:
-        raise ConfigError("sigma: must be positive")
-    if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError("delta: must lie in (0, 1)")
-    if cfg.case is not None and cfg.case not in ("a", "b", "cor_a", "cor_b"):
-        raise ConfigError("case: must be one of a, b, cor_a, cor_b")
+    try:  # sigma, delta and case
+        _drift_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if preset is not None:
-        presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d, R=cfg.R,
-                                    well_exponent=cfg.well_exponent, nu=cfg.nu)
+        presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d)
     _check_samples(cfg)
     param, values = _sweep_spec(cfg)
     if param not in ("sigma", "delta", "p"):
         raise ConfigError(f"sweep.param: must be sigma, delta or p, got {param!r}")
+    if param == "p" and preset is None:
+        raise ConfigError("sweep.param: p is a preset's parameter; a custom model has none")
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
     for v in values:
@@ -206,9 +192,8 @@ def load_config(source):
         try:  # a value the swept parameter takes
             if param != "p":
                 lyap.DriftConfig(**{param: v})
-            elif preset is not None:
-                presets_mod.validate_preset(preset, p=v, d=cfg.d, R=cfg.R,
-                                            well_exponent=cfg.well_exponent, nu=cfg.nu)
+            else:
+                presets_mod.validate_preset(preset, p=v, d=cfg.d)
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"sweep.values: {exc}") from None
     _check_fit(cfg.fit)
@@ -240,20 +225,33 @@ def _check_fit(fit):
                           f"numbers, got {win!r}")
 
 
-def _check_source(spec, path):
-    """A source spec is a mapping of known keys with a positive halfwidth."""
+def _check_source(spec, d, path):
+    """A source spec (None or empty: the default source) names a kind of
+    presets.SOURCES and sets only that kind's keys, every one it requires, a
+    positive halfwidth, and d = 1 where the kind needs it."""
+    if spec is None or spec == {}:
+        return
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be a mapping, got {spec!r}")
-    _check_keys(spec, {"kind", "halfwidth", "location", "locations", "weights", "p",
-                       "n_max"}, path + ".")
+    name = spec.get("kind")
+    if str(name) not in presets_mod.SOURCES:
+        raise ConfigError(f"{path}.kind: unknown source kind {name!r}")
+    keys, required, d1, _ = presets_mod.SOURCES[name]
+    _check_keys(spec, {"kind", *keys}, path + ".", f"unknown key for kind {name!r}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}: required for kind {name!r}")
+    if d1 and d != 1:
+        raise ConfigError(f"{path}.kind: {name} requires d = 1")
     if "halfwidth" in spec:
         _positive(spec["halfwidth"], path + ".halfwidth")
 
 
 def _check_d(raw, path):
-    """The dimension is 1, 2 or 3."""
+    """The dimension, which is 1, 2 or 3."""
     if isinstance(raw, bool) or raw not in (1, 2, 3):
         raise ConfigError(f"{path}: must be 1, 2 or 3, got {raw!r}")
+    return raw
 
 
 def _positive(raw, path):
@@ -276,8 +274,8 @@ def _check_grids(cfg):
         g[key] = _positive(raw, f"grids.{key}")
         if key in ("points_per_decade", "n_wpi_r", "certificate_points") and g[key] < 1.0:
             raise ConfigError(f"grids.{key}: must be at least 1, got {raw!r}")
-    g = {**_r_hints(cfg), **g}
-    for lo, hi in (("r_min", "r_max"), ("s_min", "s_max"), ("wpi_r_min", "wpi_r_max")):
+    g = {**presets_mod.rate_grid_hints(cfg.preset), **g}
+    for lo, hi in (("r_min", "r_max"), ("s_min", "s_max")):
         if lo in g and hi in g and not g[lo] < g[hi]:
             raise ConfigError(f"grids.{lo}: must lie below grids.{hi} = {g[hi]:g}, "
                               f"got {g[lo]:g}")
@@ -331,39 +329,23 @@ def apply_overrides(doc, pairs):
 # ---------------------------------------------------------------------------
 
 def build_model(cfg):
-    """ConvolutionModel (and the comparison model, when the preset's source
-    is an unbounded lattice) from a validated config."""
-    if cfg.preset is not None:
-        model = presets_mod.make_model(cfg.preset, p=cfg.p, d=cfg.d, R=cfg.R,
-                                       well_exponent=cfg.well_exponent, nu=cfg.nu)
-        comparison = None
-        if cfg.preset == "example_3_1" and model.source.support_radius == np.inf \
-                and model.source.kind == "discrete_atoms":
-            spec = presets_mod.validate_preset(cfg.preset, p=cfg.p, d=cfg.d,
-                                               well_exponent=cfg.well_exponent)
-            comparison = presets_mod.make_model("lemma_3_2", p=spec.p,
-                                                well_exponent=cfg.well_exponent)
-        return model, comparison
-    spec = cfg.custom.get("potential") or {}
-    pot = _FAMILIES[spec["family"]][1](spec, int(spec.get("d", cfg.d)))
-    src = presets_mod.make_source(cfg.custom.get("source"), d=pot.d)
-    return model_mod.ConvolutionModel(pot, src, name="custom"), None
+    """ConvolutionModel and its comparison model (None unless the preset's
+    row transfers its source's rate from a twin) from a validated config."""
+    if cfg.preset is None:
+        pot = cfg.custom.get("potential") or {}
+        return presets_mod.model_from_specs(pot, cfg.custom.get("source"),
+                                            int(pot.get("d", cfg.d))), None
+    return (presets_mod.make_model(cfg.preset, p=cfg.p, d=cfg.d, R=cfg.R, nu=cfg.nu),
+            presets_mod.comparison_model(cfg.preset, p=cfg.p, nu=cfg.nu))
 
 
 def _drift_config(cfg):
-    case = cfg.case or (presets_mod.default_drift_config(cfg.preset).case
-                        if cfg.preset else "cor_a")
-    return lyap.DriftConfig(case=case, R0=cfg.R0, sigma=cfg.sigma,
-                            delta=cfg.delta)
-
-
-def _r_hints(cfg):
-    return presets_mod.rate_grid_hints(cfg.preset, cfg.p) if cfg.preset \
-        else {"r_min": 1e-2, "r_max": 1e8, "fit_window": None}
+    return lyap.DriftConfig(case=cfg.case or presets_mod.default_drift_config(cfg.preset).case,
+                            R0=cfg.R0, sigma=cfg.sigma, delta=cfg.delta)
 
 
 def _r_grid(cfg):
-    hints = _r_hints(cfg)
+    hints = presets_mod.rate_grid_hints(cfg.preset)
     g = cfg.grids
     r_min = float(g.get("r_min", hints["r_min"]))
     r_max = float(g.get("r_max", hints["r_max"]))
@@ -464,9 +446,7 @@ def _drift(ctx):
     cfg = ctx.cfg
     rcfg = lyap.resolve_r0(ctx.work, ctx.r0cfg)
     radii = lyap.certificate_radii(rcfg.R0, int(cfg.grids.get("certificate_points", 200)))
-    cert = ctx.certificate = lyap.drift_check(
-        ctx.work, rcfg, radii, tol_abs=cfg.tolerances["drift_tol_abs"],
-        tol_rel=cfg.tolerances["drift_tol_rel"])
+    cert = ctx.certificate = lyap.drift_check(ctx.work, rcfg, radii)
     doc = {**cert.summary(), "schema_version": SCHEMA_VERSION, "model": ctx.work.name}
     return (cert.valid, "" if cert.valid else "drift violations above 1%",
             {"certificate.json": doc})
@@ -490,9 +470,8 @@ def _verify(ctx):
     cfg, alpha = ctx.cfg, ctx.rate.alpha_final
     corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
     alpha_unit = rates_mod.RateTable(grid=alpha.grid, values=alpha.values / ctx.c0)
-    lo = float(cfg.grids.get("wpi_r_min", alpha_unit.grid[0] * 2.0))
-    hi = float(cfg.grids.get("wpi_r_max", min(alpha_unit.grid[-1] * 0.5, 1e-2)))
-    r_w = np.geomspace(lo, hi, int(cfg.grids.get("n_wpi_r", 40)))
+    r_w = np.geomspace(alpha_unit.grid[0] * 2.0, min(alpha_unit.grid[-1] * 0.5, 1e-2),
+                       int(cfg.grids.get("n_wpi_r", 40)))
     report = verify_mod.empirical_wpi(ctx.model, alpha_unit, corpus, r_w,
                                       seed=cfg.seeds["sampler"],
                                       n=int(cfg.samples["n_wpi"]))

@@ -78,7 +78,7 @@ class QuadratureSpec:
               nodes reach the accuracy of 48 at half the terms; more nodes
               round worse (the 48-point rule's floor is about 10 times the
               16- or 24-point one).  An unbounded density's full panels, on
-              the ladder ..., 1/2, 1, 2, ..., 2^23, are built once per model
+              the ladder ..., 1/2, 1, 2, ..., 2^24, are built once per model
               (ConvolutionModel._ladder); only a point's end pieces are built
               per point.
     """
@@ -775,8 +775,8 @@ def _line_panels(lo, hi, n, seam=None):
                        np.concatenate(graded, axis=1), n)
 
 
-# the kernel's ladder around zero: ..., -1, -1/2, 0, 1/2, 1, 2, ..., 2^23
-_LADDER = np.concatenate([[0.0, 0.5], 2.0 ** np.arange(0, 24, dtype=float)])
+# the kernel's ladder around zero: ..., -1, -1/2, 0, 1/2, 1, 2, ..., 2^24
+_LADDER = np.concatenate([[0.0, 0.5], 2.0 ** np.arange(0, 25, dtype=float)])
 
 
 def _ladder_rule(edges, n):

@@ -1,129 +1,147 @@
-"""Named model presets: the standard potential / source-measure combinations.
+"""Named model presets, the paper's worked examples (README.md lists them).
 
-Each preset builds a ConvolutionModel (make_model, from the parameters p, d,
-R, well_exponent and nu and no others), a default DriftConfig (from the name
-alone) and grid hints for the rate pipeline.  Presets:
-
-  example_3_1  d=1 smooth sub-linear well (1+x^2)^(q/2) with the integer
-               lattice source of weight ~ 1/(1+|i|^(1+p)); expected rate
-               function order: power s^(-2/p).
-  lemma_3_2    same well with the continuous density ~ 1/(1+|z|^(1+p)).
-  example_3_2  |x|^p well, 0 < p < 1, compact source; expected order:
-               poly-log [1+log(1+1/s)]^(2(1-p)/p).
-  example_3_3  (d+p) log(1+|x|) well, compact source; expected order s^(-2/p).
-  example_3_4  d log(1+|x|) + p loglog(e+|x|) well, p > 1, compact source;
-               expected order exp(c s^(-1/(p-1))).
-
-Compact presets default to the uniform source on [-R, R], R = 1; `nu` spec
-dicts override (kinds: point_mass, uniform, atoms, integer_lattice,
-power_density).
+Every model fact lives in three tables: _PRESETS (one row per preset),
+FAMILIES (potential families) and SOURCES (source kinds); preset and custom
+models are both built from the last two.  The comparison rule: a row with a
+twin takes the rate of an integer-lattice source from the twin preset at the
+lattice's own p (for example_3_1, Lemma 3.2's model: the same well with the
+lattice's density twin) by the density-ratio transfer, which holds only
+through that twin.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from typing import Callable, NamedTuple, Optional
 
 from . import model as model_mod
 from .errors import ConfigError
 from .lyapunov import DriftConfig
 
-__all__ = ["PRESETS", "PresetSpec", "make_model", "make_source", "default_drift_config",
+__all__ = ["PRESETS", "FAMILIES", "SOURCES", "validate_preset", "make_model",
+           "make_source", "model_from_specs", "comparison_model", "default_drift_config",
            "rate_grid_hints"]
 
-PRESETS = ("example_3_1", "example_3_2", "example_3_3", "example_3_4", "lemma_3_2")
+
+class _Preset(NamedTuple):
+    p: float              # default p
+    p_range: tuple        # the open interval p lies in
+    d1: bool              # defined for d = 1 only
+    well: Callable        # p -> potential spec (of FAMILIES)
+    source: Callable      # (p, R) -> default source spec (of SOURCES)
+    case: str             # default drift case
+    hints: tuple          # r-grid hints: r_min, r_max, fit_window (None: automatic)
+    twin: Optional[str] = None  # the preset that, at a lattice source's p, is the comparison
 
 
-@dataclass(frozen=True)
-class PresetSpec:
-    """Validated preset parameters."""
+_well = lambda family: lambda p: {"family": family, "p": p}
+_tail = lambda kind: lambda p, R: {"kind": kind, "p": p}
+_SMOOTH_WELL = lambda p: {"family": "smooth_well", "exponent": 0.5}  # q = 1/2
+_UNIFORM = lambda p, R: {"kind": "uniform", "halfwidth": R}
 
-    name: str
-    p: float
-    d: int = 1
-    R: float = 1.0
-    well_exponent: float = 0.5
-    nu: Optional[dict] = None
+_PRESETS = {
+    "example_3_1": _Preset(1.0, (0.0, math.inf), True, _SMOOTH_WELL, _tail("integer_lattice"),
+                           "a", (1e0, 1e9, None), twin="lemma_3_2"),
+    "example_3_2": _Preset(0.6, (0.0, 1.0), False, _well("power"), _UNIFORM, "cor_a",
+                           (1e-2, 1e5, None)),
+    "example_3_3": _Preset(2.0, (0.0, math.inf), False, _well("log"), _UNIFORM, "cor_a",
+                           (1e-2, 1e10, (1e-6, 1e-2))),
+    "example_3_4": _Preset(2.0, (1.0, math.inf), False, _well("loglog"), _UNIFORM, "cor_a",
+                           (1e0, 1e9, None)),
+    "lemma_3_2": _Preset(1.0, (0.0, math.inf), True, _SMOOTH_WELL, _tail("power_density"),
+                         "a", (1e0, 1e9, None)),
+}
+PRESETS = tuple(_PRESETS)
+# what a model without a preset reads: the windowed case and its r grid
+_CUSTOM = _Preset(None, None, False, None, None, "cor_a", (1e-2, 1e8, None))
+
+# potential families: the key each requires (None: none), and its constructor
+FAMILIES = {
+    "power": ("p", lambda s, d: model_mod.power_potential(float(s["p"]), d=d)),
+    "log": ("p", lambda s, d: model_mod.log_potential(float(s["p"]), d=d)),
+    "loglog": ("p", lambda s, d: model_mod.loglog_potential(float(s["p"]), d=d)),
+    "smooth_well": (None, lambda s, d: model_mod.smooth_well_potential(
+        float(s.get("exponent", 0.5)), d=d)),
+    "quadratic": (None, lambda s, d: model_mod.quadratic_potential(d=d)),
+    "expression": ("expression",
+                   lambda s, d: model_mod.expression_potential(s["expression"], d=d)),
+}
+
+# source kinds: the keys a spec of the kind may set besides kind, those it
+# must set, whether it is defined for d = 1 only, and its constructor
+SOURCES = {
+    "point_mass": (("location",), (), False,
+                   lambda s, d: model_mod.point_mass(s.get("location", 0.0), d=d)),
+    "uniform": (("halfwidth",), (), True,
+                lambda s, d: model_mod.uniform_density(s.get("halfwidth", 1.0))),
+    "atoms": (("locations", "weights"), ("locations", "weights"), False,
+              lambda s, d: model_mod.discrete_atoms(s["locations"], s["weights"], d=d)),
+    "integer_lattice": (("p", "n_max"), (), True, lambda s, d: model_mod.integer_lattice(
+        s.get("p", 1.0), n_max=int(s.get("n_max", 200_000)))),
+    "power_density": (("p",), (), True,
+                      lambda s, d: model_mod.power_tail_density(s.get("p", 1.0))),
+}
 
 
-def validate_preset(name, p=None, d=1, R=1.0, well_exponent=0.5, nu=None):
-    """PresetSpec of the named preset; p defaults per preset, and a p, d or
-    well_exponent outside the preset's range raises ConfigError naming it."""
-    if name not in PRESETS:
+def _row(name):
+    if name is None:
+        return _CUSTOM
+    if name not in _PRESETS:
         raise ConfigError(f"preset: unknown preset '{name}' (choose from {PRESETS})")
-    defaults = {"example_3_1": 1.0, "example_3_2": 0.6, "example_3_3": 2.0,
-                "example_3_4": 2.0, "lemma_3_2": 1.0}
-    p = defaults[name] if p is None else float(p)
-    if name == "example_3_2" and not 0.0 < p < 1.0:
-        raise ConfigError("p: example_3_2 requires 0 < p < 1")
-    if name == "example_3_4" and not p > 1.0:
-        raise ConfigError("p: example_3_4 requires p > 1")
-    if name in ("example_3_1", "example_3_3", "lemma_3_2") and not p > 0.0:
-        raise ConfigError(f"p: {name} requires p > 0")
-    if name in ("example_3_1", "lemma_3_2") and d != 1:
+    return _PRESETS[name]
+
+
+def validate_preset(name, p=None, d=1):
+    """p of the named preset (its default when None); a p or d outside the
+    row's raises ConfigError naming it."""
+    row = _row(name)
+    p = row.p if p is None else float(p)
+    lo, hi = row.p_range
+    if not lo < p < hi:
+        raise ConfigError(f"p: {name} requires p > {lo:g}" if hi == math.inf
+                          else f"p: {name} requires {lo:g} < p < {hi:g}")
+    if row.d1 and d != 1:
         raise ConfigError(f"d: {name} is defined for d = 1")
-    if not 0.0 < well_exponent < 1.0:
-        raise ConfigError("well_exponent: must lie in (0, 1)")
-    return PresetSpec(name=name, p=p, d=int(d), R=float(R),
-                      well_exponent=float(well_exponent), nu=nu)
+    return p
 
 
 def make_source(spec, d=1):
-    """Build a SourceMeasure from a config dict."""
-    if spec is None:
-        return model_mod.point_mass(d=d)
-    kind = spec.get("kind")
-    if kind == "point_mass":
-        return model_mod.point_mass(spec.get("location", 0.0), d=d)
-    if kind == "uniform":
-        if d != 1:
-            raise ConfigError("nu.kind: uniform density requires d = 1")
-        return model_mod.uniform_density(spec.get("halfwidth", 1.0))
-    if kind == "atoms":
-        try:
-            return model_mod.discrete_atoms(spec["locations"], spec["weights"], d=d)
-        except KeyError as exc:
-            raise ConfigError(f"nu.{exc.args[0]}: required for kind 'atoms'") from exc
-    if kind == "integer_lattice":
-        return model_mod.integer_lattice(spec.get("p", 1.0),
-                                         n_max=int(spec.get("n_max", 200_000)))
-    if kind == "power_density":
-        return model_mod.power_tail_density(spec.get("p", 1.0))
-    raise ConfigError(f"nu.kind: unknown source kind {kind!r}")
+    """Build a SourceMeasure from a spec of SOURCES (None or empty: a point mass at 0)."""
+    return SOURCES[spec["kind"]][3](spec, d) if spec else model_mod.point_mass(d=d)
 
 
-def make_model(name, p=None, d=1, R=1.0, well_exponent=0.5, nu=None):
-    """Build the preset's ConvolutionModel (default quadrature)."""
-    spec = validate_preset(name, p=p, d=d, R=R, well_exponent=well_exponent, nu=nu)
-    if spec.name == "example_3_1":
-        pot = model_mod.smooth_well_potential(spec.well_exponent, d=1)
-        src = make_source(spec.nu, d=1) if spec.nu else model_mod.integer_lattice(spec.p)
-    elif spec.name == "lemma_3_2":
-        pot = model_mod.smooth_well_potential(spec.well_exponent, d=1)
-        src = make_source(spec.nu, d=1) if spec.nu else model_mod.power_tail_density(spec.p)
-    else:
-        if spec.name == "example_3_2":
-            pot = model_mod.power_potential(spec.p, d=spec.d)
-        elif spec.name == "example_3_3":
-            pot = model_mod.log_potential(spec.p, d=spec.d)
-        else:
-            pot = model_mod.loglog_potential(spec.p, d=spec.d)
-        src = make_source(spec.nu, d=spec.d) if spec.nu \
-            else model_mod.uniform_density(spec.R)
-    return model_mod.ConvolutionModel(pot, src, name=spec.name)
+def model_from_specs(potential, source, d=1, name="custom"):
+    """ConvolutionModel of a potential spec of FAMILIES (of dimension d) and a
+    source spec of SOURCES."""
+    pot = FAMILIES[potential["family"]][1](potential, d)
+    return model_mod.ConvolutionModel(pot, make_source(source, d=pot.d), name=name)
+
+
+def make_model(name, p=None, d=1, R=1.0, nu=None):
+    """Build the preset's ConvolutionModel (default quadrature); a nu spec
+    overrides the row's default source."""
+    p = validate_preset(name, p=p, d=d)
+    row = _row(name)
+    return model_from_specs(row.well(p), nu or row.source(p, float(R)), d, name)
+
+
+def comparison_model(name, p=None, nu=None):
+    """The model whose rate the preset's model takes by the density-ratio
+    transfer: the row's twin at the lattice's own p when the source (nu, or
+    the row's default) is an integer lattice, else None."""
+    row = _row(name)
+    spec = nu or row.source(validate_preset(name, p=p), 1.0)
+    if row.twin is None or spec["kind"] != "integer_lattice":
+        return None
+    return make_model(row.twin, p=float(spec.get("p", 1.0)))
 
 
 def default_drift_config(name):
     """Preset drift configuration with DriftConfig's defaults otherwise: the
-    windowed case cor_a for compact sources, the tilted case a for the others."""
-    return DriftConfig(case="a" if name in ("example_3_1", "lemma_3_2") else "cor_a")
+    windowed case cor_a for compact sources, the tilted case a for the others;
+    cor_a without a preset (name None)."""
+    return DriftConfig(case=_row(name).case)
 
 
-def rate_grid_hints(name, p):
-    """Per-preset defaults for the inversion grid: (r_min, r_max) plus the
-    fit window in the rate-function argument (None = automatic)."""
-    if name == "example_3_2":
-        return {"r_min": 1e-2, "r_max": 1e5, "fit_window": None}
-    if name == "example_3_4":
-        return {"r_min": 1e0, "r_max": 1e9, "fit_window": None}
-    if name in ("example_3_1", "lemma_3_2"):
-        return {"r_min": 1e0, "r_max": 1e9, "fit_window": None}
-    return {"r_min": 1e-2, "r_max": 1e10, "fit_window": (1e-6, 1e-2)}
+def rate_grid_hints(name):
+    """Defaults for the inversion grid: (r_min, r_max) plus the fit window in
+    the rate-function argument (None = automatic); name None: no preset."""
+    return dict(zip(("r_min", "r_max", "fit_window"), _row(name).hints))

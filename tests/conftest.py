@@ -69,7 +69,7 @@ def preset_rate_run():
         if key not in runs:
             name, p = PRESET_RATE_RUNS[key]
             model = P.make_model(name, p=p)
-            hints = P.rate_grid_hints(name, p)
+            hints = P.rate_grid_hints(name)
             decades = math.log10(hints["r_max"] / hints["r_min"])
             r_grid = np.geomspace(hints["r_min"], hints["r_max"], int(200 * decades) + 1)
             radii = []

@@ -32,9 +32,7 @@ def run_preset(tmpdir, text):
 
 @pytest.fixture(scope="module")
 def models():
-    return {name: P.make_model(name) for name in
-            ("example_3_1", "example_3_2", "example_3_3", "example_3_4",
-             "lemma_3_2")}
+    return {name: P.make_model(name) for name in P.PRESETS}
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +40,12 @@ def pipelines(models):
     """Rate pipelines for every preset at default grids (c0 = 1)."""
     out = {}
     for name, m in models.items():
-        hints = P.rate_grid_hints(name, {"example_3_1": 1.0, "lemma_3_2": 1.0,
-                                         "example_3_2": 0.6}.get(name, 2.0))
+        hints = P.rate_grid_hints(name)
         n = int(200 * np.log10(hints["r_max"] / hints["r_min"])) + 1
         rg = np.geomspace(hints["r_min"], hints["r_max"], n)
         cfg = P.default_drift_config(name)
-        comp = P.make_model("lemma_3_2", p=1.0) if name == "example_3_1" else None
-        out[name] = R.rate_tables(m, cfg, r_grid=rg, via_comparison=comp)
+        out[name] = R.rate_tables(m, cfg, r_grid=rg,
+                                  via_comparison=P.comparison_model(name))
     return out
 
 
@@ -125,7 +122,7 @@ def test_criterion_06_p_sigma_monotone_in_sigma(models):
     ok = True
     details = []
     for name, m in models.items():
-        work = P.make_model("lemma_3_2", p=1.0) if name == "example_3_1" else m
+        work = P.comparison_model(name) or m
         cfg0 = L.resolve_r0(work, P.default_drift_config(name))
         psi = lambda s: L.drift_rate(work, s, cfg0)
         rr = np.geomspace(cfg0.R0, 1e3, 60)

@@ -65,6 +65,9 @@ def test_load_rejects_unknown_keys():
     ("nu={kind: uniform, halfwidth: 0}", "nu.halfwidth"),
     ("nu={kind: uniform, halfwith: 2}", "nu.halfwith: unknown key"),
     ("nu=5", "nu: must be a mapping"),
+    ("nu={kind: point_mass, p: 2}", "nu.p: unknown key for kind 'point_mass'"),
+    ("nu={kind: bogus}", "nu.kind: unknown source kind 'bogus'"),
+    ("nu={kind: atoms, locations: [1.0]}", "nu.weights: required for kind 'atoms'"),
     ("sweep.values=[-1, 2]", "sweep.values: sigma must be positive"),
     ("sweep={param: delta, values: [0.5, 1.0]}", "sweep.values: delta must lie"),
     ("sweep={param: p, values: [2, -1]}", "sweep.values: p: example_3_3 requires p > 0"),
@@ -157,6 +160,54 @@ def test_load_rejects_custom_potential_without_its_parameter(family, key, capsys
         cli.load_config(text)
     assert cli.main(["validate", text]) == 1
     assert f"config error: custom.potential.{key}" in capsys.readouterr().err
+
+
+CUSTOM = {"custom": {"potential": {"family": "log", "p": 2}}}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({**CUSTOM, "p": 2}, "p"),
+    ({**CUSTOM, "R": 2}, "R"),
+    ({**CUSTOM, "nu": {"kind": "uniform"}}, "nu"),
+    ({**CUSTOM, "sweep": {"param": "p", "values": [1, 3]}}, "sweep.param"),
+    ({"custom": {"potential": {"family": "log", "p": 2},
+                 "source": {"kind": "uniform", "weights": [1]}}},
+     "custom.source.weights: unknown key for kind 'uniform'"),
+    ({"preset": "example_3_3", "nu": {"kind": "uniform", "weights": [1]}},
+     "nu.weights: unknown key for kind 'uniform'"),
+], ids=["p", "R", "nu", "p-sweep", "custom-source-key", "nu-key"])
+def test_load_refuses_keys_the_model_would_ignore(doc, key, capsys):
+    """A custom model has no p, R or nu to set or sweep, and a source spec
+    sets only its own kind's keys: each is refused, naming the key, instead
+    of being read as the default."""
+    with pytest.raises(ConfigError, match=key):
+        cli.load_config(doc)
+    assert cli.main(["validate", json.dumps(doc)]) == 1
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_load_refuses_a_one_dimensional_source_in_d_2():
+    with pytest.raises(ConfigError, match="nu.kind: power_density requires d = 1"):
+        cli.load_config({"preset": "example_3_3", "d": 2, "nu": {"kind": "power_density"}})
+
+
+def test_custom_p_sweep_exits_one(tmp_path, capsys):
+    text = json.dumps({**CUSTOM, "grids": {"r_min": 0.1, "r_max": 1e7,
+                                            "points_per_decade": 80}})
+    assert cli.main(["sweep", text, "--param", "p", "--values", "1,3",
+                     "-o", str(tmp_path)]) == 1
+    assert "config error: sweep.param" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_lattice_override_transfers_through_its_own_p_twin():
+    """A lattice nu of another p than the preset's is compared with the
+    power-tail density of its own p, so the density ratio stays near 1."""
+    cfg = cli.load_config("{preset: example_3_1, nu: {kind: integer_lattice, p: 3.0}}")
+    model, comparison = cli.build_model(cfg)
+    assert comparison.source.name == M.power_tail_density(3.0).name
+    lo, hi = R._density_ratio_bounds(model, comparison)
+    assert 0.5 < lo <= hi < 2.0
 
 
 def test_load_rejects_unknown_stage():

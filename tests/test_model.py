@@ -943,6 +943,22 @@ def test_table_kernel_equals_the_per_point_ladder_bitwise(name, nodes, x):
             assert new.tobytes() == old.tobytes(), (name, nodes, x)
 
 
+def test_ladder_reaches_past_the_reach_cap(monkeypatch):
+    """The ladder ends at 2^24, past the 1e7 cap of the reach the kernel reads
+    out to: log p of the log well with the power-tail density at 1e5, 1e6
+    and 1e7 equals that of a fresh model on a ladder to 2^26 bit for bit."""
+    x = np.array([1e5, 1e6, 1e7])
+
+    def log_p():
+        m = M.ConvolutionModel(M.log_potential(1.0), M.power_tail_density(1.0))
+        return M._batch_log_p(m, x)
+    assert M._LADDER[-1] > 1e7
+    base = log_p()
+    monkeypatch.setattr(M, "_LADDER", np.concatenate(
+        [[0.0, 0.5], 2.0 ** np.arange(0, 27, dtype=float)]))
+    assert base.tobytes() == log_p().tobytes()
+
+
 CHUNK_CASES = {**{name: make for name, (make, _) in KERNEL_CASES.items()},
                "atoms_d2": lambda: M.ConvolutionModel(M.smooth_well_potential(0.5, d=2),
                                                       M.symmetric_pair(1.0, d=2))}
