@@ -143,26 +143,29 @@ def load_config(source):
                                   f"potential and source from custom")
         _check_keys(custom, {"potential", "source"}, "custom.")
         pot = custom.get("potential") or {}
-        _check_keys(pot, {"family", "p", "d", "exponent", "expression"}, "custom.potential.")
-        _check_d(pot.get("d", 1), "custom.potential.d")
         fam = pot.get("family")
         if not isinstance(fam, str) or fam not in presets_mod.FAMILIES:
             raise ConfigError("custom.potential.family: unknown family")
-        required = presets_mod.FAMILIES[fam][0]
-        if required is not None and pot.get(required) is None:
-            raise ConfigError(f"custom.potential.{required}: required for family {fam!r}")
+        keys, required, _ = presets_mod.FAMILIES[fam]
+        _check_keys(pot, {"family", "d", *keys}, "custom.potential.",
+                    f"unknown key for family {fam!r}")
+        _check_d(pot.get("d", 1), "custom.potential.d")
+        for key in required:
+            if pot.get(key) is None:
+                raise ConfigError(f"custom.potential.{key}: required for family {fam!r}")
         _check_source(custom.get("source"), pot.get("d", d), "custom.source")
     else:
         _check_source(doc.get("nu"), d, "nu")
-    for key in ("R", "R0"):
+    for key, check in (("p", _number), ("R", _positive), ("R0", _positive)):
         if doc.get(key) is not None:
-            _positive(doc[key], key)
+            check(doc[key], key)
     cfg = RunConfig(
         preset=preset, custom=custom,
         p=doc.get("p"), d=int(d),
-        R=None if custom is not None else float(doc.get("R", 1.0)),
+        R=(None if doc.get("R") is None else float(doc["R"])),
         R0=(None if doc.get("R0") is None else float(doc["R0"])),
-        sigma=float(doc.get("sigma", 1.0)), delta=float(doc.get("delta", 0.75)),
+        sigma=_number(doc.get("sigma", 1.0), "sigma"),
+        delta=_number(doc.get("delta", 0.75), "delta"),
         case=doc.get("case"), nu=doc.get("nu"),
         stages=tuple(stages),
         grids=dict(doc.get("grids") or {}),
@@ -177,7 +180,7 @@ def load_config(source):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if preset is not None:
-        presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d)
+        presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d, R=cfg.R, nu=cfg.nu)
     _check_samples(cfg)
     param, values = _sweep_spec(cfg)
     if param not in ("sigma", "delta", "p"):
@@ -193,7 +196,7 @@ def load_config(source):
             if param != "p":
                 lyap.DriftConfig(**{param: v})
             else:
-                presets_mod.validate_preset(preset, p=v, d=cfg.d)
+                presets_mod.validate_preset(preset, p=v, d=cfg.d, nu=cfg.nu)
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"sweep.values: {exc}") from None
     _check_fit(cfg.fit)
@@ -254,12 +257,17 @@ def _check_d(raw, path):
     return raw
 
 
-def _positive(raw, path):
-    """float(raw), which must be a positive finite number."""
+def _number(raw, path):
+    """float(raw), which must be a number."""
     try:
-        val = float(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: must be a number, got {raw!r}") from None
+
+
+def _positive(raw, path):
+    """float(raw), which must be a positive finite number."""
+    val = _number(raw, path)
     if not 0.0 < val < math.inf:
         raise ConfigError(f"{path}: must be positive and finite, got {raw!r}")
     return val

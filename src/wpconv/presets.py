@@ -53,15 +53,16 @@ PRESETS = tuple(_PRESETS)
 # what a model without a preset reads: the windowed case and its r grid
 _CUSTOM = _Preset(None, None, False, None, None, "cor_a", (1e-2, 1e8, None))
 
-# potential families: the key each requires (None: none), and its constructor
+# potential families: the keys a spec of the family may set besides family
+# and d, those it must set, and its constructor
 FAMILIES = {
-    "power": ("p", lambda s, d: model_mod.power_potential(float(s["p"]), d=d)),
-    "log": ("p", lambda s, d: model_mod.log_potential(float(s["p"]), d=d)),
-    "loglog": ("p", lambda s, d: model_mod.loglog_potential(float(s["p"]), d=d)),
-    "smooth_well": (None, lambda s, d: model_mod.smooth_well_potential(
+    "power": (("p",), ("p",), lambda s, d: model_mod.power_potential(float(s["p"]), d=d)),
+    "log": (("p",), ("p",), lambda s, d: model_mod.log_potential(float(s["p"]), d=d)),
+    "loglog": (("p",), ("p",), lambda s, d: model_mod.loglog_potential(float(s["p"]), d=d)),
+    "smooth_well": (("exponent",), (), lambda s, d: model_mod.smooth_well_potential(
         float(s.get("exponent", 0.5)), d=d)),
-    "quadratic": (None, lambda s, d: model_mod.quadratic_potential(d=d)),
-    "expression": ("expression",
+    "quadratic": ((), (), lambda s, d: model_mod.quadratic_potential(d=d)),
+    "expression": (("expression",), ("expression",),
                    lambda s, d: model_mod.expression_potential(s["expression"], d=d)),
 }
 
@@ -89,10 +90,16 @@ def _row(name):
     return _PRESETS[name]
 
 
-def validate_preset(name, p=None, d=1):
-    """p of the named preset (its default when None); a p or d outside the
-    row's raises ConfigError naming it."""
+def validate_preset(name, p=None, d=1, R=None, nu=None):
+    """p of the named preset (its default when None).  A p or d outside the
+    row's raises ConfigError naming it, and so does a p or R the model would
+    not read: R is only the halfwidth of the row's default source, and p,
+    where the well takes none, only that source's p; a nu replaces the source."""
     row = _row(name)
+    if R is not None and (nu or "halfwidth" not in row.source(row.p, R)):
+        raise ConfigError(f"R: {name} reads R only as its default source's halfwidth")
+    if p is not None and nu and "p" not in row.well(row.p):
+        raise ConfigError(f"p: {name} reads p only in its default source, which nu replaces")
     p = row.p if p is None else float(p)
     lo, hi = row.p_range
     if not lo < p < hi:
@@ -111,16 +118,17 @@ def make_source(spec, d=1):
 def model_from_specs(potential, source, d=1, name="custom"):
     """ConvolutionModel of a potential spec of FAMILIES (of dimension d) and a
     source spec of SOURCES."""
-    pot = FAMILIES[potential["family"]][1](potential, d)
+    pot = FAMILIES[potential["family"]][2](potential, d)
     return model_mod.ConvolutionModel(pot, make_source(source, d=pot.d), name=name)
 
 
-def make_model(name, p=None, d=1, R=1.0, nu=None):
+def make_model(name, p=None, d=1, R=None, nu=None):
     """Build the preset's ConvolutionModel (default quadrature); a nu spec
-    overrides the row's default source."""
+    overrides the row's default source, whose halfwidth R is 1 by default."""
     p = validate_preset(name, p=p, d=d)
     row = _row(name)
-    return model_from_specs(row.well(p), nu or row.source(p, float(R)), d, name)
+    source = nu or row.source(p, 1.0 if R is None else float(R))
+    return model_from_specs(row.well(p), source, d, name)
 
 
 def comparison_model(name, p=None, nu=None):

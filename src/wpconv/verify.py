@@ -14,16 +14,19 @@ constant c of
 
 on a calibration split of a bounded-function corpus and reports the slack on
 the holdout split.  Its statistics run in blocks of WPI_BLOCK samples over
-three buffers reused for every function, and reduce over the full buffers, so
-they are bitwise the one-shot formulas.  The samplers invert their tables on
-sorted queries (_interp_sorted, bitwise np.interp).  The KS reference CDF,
-a sum over atoms or quadrature nodes of the source, runs in row blocks on two
-CPUs when the process may use them (_map_blocks); each row is summed alone,
-so no value depends on the blocks.  semigroup_decay runs nested Euler-Maruyama paths of the diffusion
-with drift -grad V_nu and reports the variance of the conditional mean of a
-test function over time.  Its normals are drawn a block of DECAY_ROWS steps
-ahead on a second CPU when the process may use one (inline otherwise); the
-trace is bitwise that of the step-by-step stream.
+one buffer reused for every function, and reduce over the full buffer, so
+they are bitwise the one-shot formulas.  The samplers invert their tables in
+place on blocks of SAMPLE_BLOCK sorted queries (_interp_sorted, bitwise
+np.interp) and add Z a block at a time: n draws hold the (n, d) result, a
+sign mask and block temporaries (and an unbounded source's radial draws).
+The KS reference CDF, a sum over atoms or quadrature nodes of the source,
+runs in row blocks on two CPUs when the process may use them (_map_blocks);
+each row is summed alone, so no value depends on the blocks.  semigroup_decay
+runs nested Euler-Maruyama paths of the diffusion with drift -grad V_nu and
+reports the variance of the conditional mean of a test function over time.
+Its normals are drawn a block of DECAY_ROWS steps ahead on a second CPU when
+the process may use one (inline otherwise); the trace is bitwise that of the
+step-by-step stream.
 """
 
 import contextvars
@@ -58,6 +61,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 CDF_BLOCK = 1024      # rows per block of the KS reference CDF, up to 96 nodes
 WPI_BLOCK = 16384     # samples per block of the WPI corpus statistics
+SAMPLE_BLOCK = 65536  # draws per block of the samplers
 DRIFT_NODES = 8001    # uniform asinh-grid nodes of the decay drift table
 DECAY_ROWS = 8        # Euler steps of normals per block drawn ahead
 
@@ -145,63 +149,75 @@ def _mu_log_tail(model):
 
 
 def _interp_sorted(q, xp, fp):
-    """Bitwise np.interp(q, xp, fp) for a float array q, evaluated on the
-    sorted queries so that each bin search starts from the previous one, and
-    scattered back."""
-    order = np.argsort(q)
-    out = q[order]
-    out[order] = np.interp(out, xp, fp)
-    return out
+    """Bitwise np.interp(q, xp, fp) for a 1-D float array q, written into q and
+    returned (callers use the return value).  Each block of SAMPLE_BLOCK
+    queries is evaluated sorted, so that each bin search starts from the
+    previous one, and scattered back: np.interp evaluates each query alone."""
+    for k in range(0, q.size, SAMPLE_BLOCK):
+        b = q[k:k + SAMPLE_BLOCK]
+        order = np.argsort(b)
+        b[order] = np.interp(b[order], xp, fp)
+    return q
 
 
-def _invert_tail(log_q, log_t, log_tails):
-    """Radii t with tail(t) = exp(log_q): the decreasing table (log_t,
-    log_tails) interpolated log-log and clamped at its ends.  log_q is
-    negated in place."""
-    t = _interp_sorted(np.negative(log_q, out=log_q), -log_tails, log_t)
-    return np.exp(t, out=t)
+def _invert_tail(u, log_t, log_tails):
+    """Radii t with tail(t) = 1 - u, written into u: the decreasing table
+    (log_t, log_tails) interpolated log-log and clamped at its ends."""
+    log_q = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+    return np.exp(_interp_sorted(log_q, -log_tails, log_t), out=log_q)
 
 
 def _radial_draws(rng, n, d, table):
     """n draws, shape (n, d), of the radial law with the log-tail table
     (_log_tail_table): |X| = T^-1(1 - u) on the strictly decreasing part of
     the table (below the 1e-320 floor it is flat).  The direction is a fair
-    sign in d = 1 and normalized standard normals in d > 1."""
+    sign in d = 1 (a mask drawn in blocks), normalized normals in d > 1."""
     log_t, log_tails = table
     strict = np.concatenate([[True], np.diff(log_tails) < 0.0])
-    log_q = np.log1p(-rng.uniform(0.0, 1.0, size=n))
+    u = rng.uniform(0.0, 1.0, size=n)
     if d == 1:
-        x = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)[:, None]
-    else:
-        x = rng.standard_normal((n, d))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-    x *= _invert_tail(log_q, log_t[strict], log_tails[strict])[:, None]
+        neg = np.empty(n, dtype=bool)
+        for k in range(0, n, SAMPLE_BLOCK):
+            b = neg[k:k + SAMPLE_BLOCK]
+            np.less(rng.uniform(size=b.size), 0.5, out=b)
+        t = _invert_tail(u, log_t[strict], log_tails[strict])
+        return np.negative(t, out=t, where=neg)[:, None]
+    x = rng.standard_normal((n, d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    x *= _invert_tail(u, log_t[strict], log_tails[strict])[:, None]
     return x
 
 
-def _sample_source(src, rng, n):
-    """n draws from the source, shape (n, d); densities only in d = 1."""
+def _sample_source(src, rng, n, x=None):
+    """x (zeros when not given), shape (n, d), plus n draws from the source,
+    added in place a block at a time but for an unbounded density (d = 1)."""
+    x = np.zeros((n, src.d)) if x is None else x
     if src.kind in ("point_mass", "discrete_atoms"):
-        cum = np.cumsum(src.weights)
-        idx = np.searchsorted(cum / cum[-1], rng.uniform(size=n), side="left")
-        return src.locations[idx]
-    if src.d != 1:
+        cdf = np.cumsum(src.weights)
+        cdf /= cdf[-1]
+        inverse = lambda u: src.locations[np.searchsorted(cdf, u, side="left")]
+    elif src.d != 1:
         raise UnsupportedDimension(f"d={src.d} sampling supports atom sources")
-    if np.isfinite(src.support_radius):
+    elif np.isfinite(src.support_radius):
         R = src.support_radius
         zz = np.linspace(-R, R, 20001)
         dens = src.density(zz)
         cdf = np.concatenate([[0.0], np.cumsum(
             0.5 * (dens[1:] + dens[:-1]) * np.diff(zz))])
         cdf = cdf / cdf[-1]
-        return _interp_sorted(rng.uniform(size=n), cdf, zz)[:, None]
-    return _radial_draws(rng, n, 1, _log_tail_table(src.tail))
+        inverse = lambda u: _interp_sorted(u, cdf, zz)[:, None]
+    else:
+        x += _radial_draws(rng, n, 1, _log_tail_table(src.tail))
+        return x
+    for k in range(0, n, SAMPLE_BLOCK):
+        x[k:k + SAMPLE_BLOCK] += inverse(rng.uniform(size=min(SAMPLE_BLOCK, n - k)))
+    return x
 
 
 def _draws(model, seed, n, table):
-    """n draws of X + Z, shape (n, d): X from the mu table, then Z."""
+    """n draws of X + Z, shape (n, d): X from the mu table, then Z added to it."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    return _radial_draws(rng, n, model.d, table) + _sample_source(model.source, rng, n)
+    return _sample_source(model.source, rng, n, _radial_draws(rng, n, model.d, table))
 
 
 def sample_convolution(model, seed, n):
@@ -335,23 +351,25 @@ def empirical_wpi(model, alpha, corpus, r_grid, seed, n):
     x = batch.points[:, 0]
     a_of_r = np.asarray(alpha.value_at(r_grid), dtype=float)
 
-    c2, c4, g2 = np.empty((3, n))
+    buf = np.empty(n)
     blocks = [slice(k, k + WPI_BLOCK) for k in range(0, n, WPI_BLOCK)]
     stats = {}
     for f in corpus:
         for b in blocks:
-            c2[b] = f.value(x[b])
-            g2[b] = f.gradient(x[b]) ** 2
-        mean, energy = c2.mean(), float(g2.mean())
-        for b in blocks:    # c2 <- (f - mean)^2, c4 <- c2^2, g2 <- (g2 - energy)^2
-            np.square(np.subtract(c2[b], mean, out=c2[b]), out=c2[b])
-            np.square(c2[b], out=c4[b])
-            np.square(np.subtract(g2[b], energy, out=g2[b]), out=g2[b])
+            buf[b] = f.value(x[b])
+        mean = buf.mean()
+        for b in blocks:    # buf <- (f - mean)^2
+            np.square(np.subtract(buf[b], mean, out=buf[b]), out=buf[b])
         # full-array reductions keep numpy's pairwise order: one-shot moments bitwise
-        var = float(np.sum(c2) / (n - 1))
-        m2, m4 = float(np.mean(c2)), float(np.mean(c4))
+        var, m2 = float(np.sum(buf) / (n - 1)), float(np.mean(buf))
+        m4 = float(np.mean(np.square(buf, out=buf)))
         se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
-        se_energy = math.sqrt(float(np.sum(g2)) / (n - 1)) / math.sqrt(n)
+        for b in blocks:
+            buf[b] = f.gradient(x[b]) ** 2
+        energy = float(buf.mean())
+        for b in blocks:    # buf <- (|grad f|^2 - energy)^2
+            np.square(np.subtract(buf[b], energy, out=buf[b]), out=buf[b])
+        se_energy = math.sqrt(float(np.sum(buf)) / (n - 1)) / math.sqrt(n)
         stats[f.id] = {"role": f.role, "var": var, "se_var": se_var,
                        "energy": energy, "se_energy": se_energy,
                        "osc": f.osc_bound}
@@ -424,8 +442,8 @@ def _drift(table, x, out, w, idx):
     np.minimum(out, g.size - 1, out=out)
     np.copyto(idx, out, casting="unsafe")       # truncation is floor: out >= 0
     out -= idx
-    out *= np.take(dg, idx, out=w)
-    out += np.take(g, idx, out=w)
+    out *= np.take(dg, idx, out=w, mode="clip")  # idx is in range; "raise" would
+    out += np.take(g, idx, out=w, mode="clip")   # buffer out through a copy
     return np.multiply(out, np.sign(x, out=w), out=out)
 
 

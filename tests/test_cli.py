@@ -61,6 +61,9 @@ def test_load_rejects_unknown_keys():
     ("sweep.values=[]", "sweep.values"),
     ("sweep.values=[a]", "sweep.values"),
     ("R=-1", "R:"),
+    ("sigma=abc", "sigma: must be a number, got 'abc'"),
+    ("delta=abc", "delta: must be a number, got 'abc'"),
+    ("p=abc", "p: must be a number, got 'abc'"),
     ("R0=-1", "R0:"),
     ("nu={kind: uniform, halfwidth: 0}", "nu.halfwidth"),
     ("nu={kind: uniform, halfwith: 2}", "nu.halfwith: unknown key"),
@@ -175,11 +178,27 @@ CUSTOM = {"custom": {"potential": {"family": "log", "p": 2}}}
      "custom.source.weights: unknown key for kind 'uniform'"),
     ({"preset": "example_3_3", "nu": {"kind": "uniform", "weights": [1]}},
      "nu.weights: unknown key for kind 'uniform'"),
-], ids=["p", "R", "nu", "p-sweep", "custom-source-key", "nu-key"])
+    ({"preset": "lemma_3_2", "R": 5}, "R: lemma_3_2 reads R only"),
+    ({"preset": "example_3_1", "R": 2}, "R: example_3_1 reads R only"),
+    ({"preset": "example_3_3", "R": 2, "nu": {"kind": "uniform"}},
+     "R: example_3_3 reads R only"),
+    ({"preset": "example_3_1", "p": 3, "nu": {"kind": "integer_lattice"}},
+     "p: example_3_1 reads p only"),
+    ({"preset": "lemma_3_2", "nu": {"kind": "integer_lattice"},
+      "sweep": {"param": "p", "values": [1, 3]}}, "sweep.values: p: lemma_3_2 reads p only"),
+    ({"custom": {"potential": {"family": "quadratic", "p": 2}}},
+     "custom.potential.p: unknown key for family 'quadratic'"),
+    ({"custom": {"potential": {"family": "log", "p": 2, "exponent": 0.3}}},
+     "custom.potential.exponent: unknown key for family 'log'"),
+], ids=["p", "R", "nu", "p-sweep", "custom-source-key", "nu-key", "R-no-halfwidth",
+        "R-lattice", "R-with-nu", "p-with-nu", "p-sweep-with-nu", "quadratic-p",
+        "log-exponent"])
 def test_load_refuses_keys_the_model_would_ignore(doc, key, capsys):
-    """A custom model has no p, R or nu to set or sweep, and a source spec
-    sets only its own kind's keys: each is refused, naming the key, instead
-    of being read as the default."""
+    """A custom model has no p, R or nu to set or sweep, a source spec sets
+    only its own kind's keys and a potential spec its own family's, and a
+    preset reads R only as its default source's halfwidth and, where its well
+    has no p, p only in that source: each is refused, naming the key,
+    instead of being read as the default."""
     with pytest.raises(ConfigError, match=key):
         cli.load_config(doc)
     assert cli.main(["validate", json.dumps(doc)]) == 1

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,7 +152,62 @@ def test_interp_sorted_is_np_interp(qs):
     xp = np.array([-2.0, -0.5, 0.0, 0.5, 1.0, 4.0])
     fp = np.array([3.0, -1.0, 0.125, 0.125, 9.0, -4.0])
     q = np.asarray(qs)
-    assert np.array_equal(V._interp_sorted(q, xp, fp), np.interp(q, xp, fp))
+    want = np.interp(q.copy(), xp, fp)
+    got = V._interp_sorted(q, xp, fp)
+    assert got is q and np.array_equal(got, want)
+
+
+def test_interp_sorted_blocks_are_np_interp():
+    """Several blocks, a ragged last one, and ties across blocks."""
+    rng = np.random.default_rng(3)
+    q = rng.choice(np.append(rng.uniform(-0.5, 1.5, 1000), [0.0, 0.5, 1.0]),
+                   size=2 * V.SAMPLE_BLOCK + 17)
+    xp = np.linspace(0.0, 1.0, 257)
+    fp = np.sin(7.0 * xp)
+    want = np.interp(q, xp, fp)
+    assert np.array_equal(V._interp_sorted(q, xp, fp), want)
+
+
+def test_uniform_blocks_are_the_one_call_stream():
+    """The samplers draw uniforms a block at a time: the doubles, and the
+    generator's state after them, are those of one call."""
+    n = 2 * V.SAMPLE_BLOCK + 17
+    one, blocked = (np.random.default_rng(np.random.PCG64(5)) for _ in range(2))
+    whole = one.uniform(size=n)
+    parts = [blocked.uniform(size=min(V.SAMPLE_BLOCK, n - k))
+             for k in range(0, n, V.SAMPLE_BLOCK)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert blocked.standard_normal() == one.standard_normal()
+
+
+def _traced_peak(fn):
+    """The peak of tracemalloc's traced memory while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draws_hold_the_points_a_mask_and_blocks(m33):
+    """Drawing n points of example_3_3 (compact source) holds the returned
+    float array, a bool sign mask and block-sized temporaries: below 1.5 x
+    8n bytes, where one more sample-length float array would pass it.  A
+    small warm-up draw first keeps numpy's one-time allocations out."""
+    n, table = 2 ** 20, V._mu_log_tail(m33)
+    V._draws(m33, 5, 1000, table)
+    assert _traced_peak(lambda: V._draws(m33, 5, n, table)) < 1.5 * 8 * n
+
+
+def test_wpi_holds_the_draws_and_one_buffer(m33, alpha_33):
+    """A whole empirical_wpi call at n = 2^20 holds the draws and one
+    sample-length buffer: below 2.5 x 8n bytes."""
+    n, corpus = 2 ** 20, V.build_corpus(seed=7)
+    V._draws(m33, 5, 1000, V._mu_log_tail(m33))
+    peak = _traced_peak(lambda: V.empirical_wpi(m33, alpha_33.alpha, corpus,
+                                                np.array([1e-3]), seed=13, n=n))
+    assert peak < 2.5 * 8 * n
 
 
 @pytest.mark.parametrize("draw", ["compact", "unbounded", "mu_1d"])
