@@ -21,8 +21,9 @@ Output layout (one directory per run): manifest.json, conditions.json,
 certificate.json, alpha.csv (s, alpha), beta.csv (r, varphi_phi, beta),
 fit.json, wpi_report.json, decay.csv (t, variance, ci_halfwidth), sweep.csv,
 sweep.json, stability.json.  JSON documents carry schema_version; the
-manifest holds the only timestamp, the wall time of each stage that ran
-(timings), and the number of CPUs the run could use.
+manifest echoes the filled config (every key, defaults written out; it loads
+back as the same config) and holds the only timestamp, the wall time of each
+stage that ran (timings), and the number of CPUs the run could use.
 """
 
 import argparse
@@ -31,9 +32,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import asdict, make_dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -48,48 +49,6 @@ from .errors import (CalibrationFailed, ConfigError, DriftConditionFailed,
                      HypothesisFailed, InconclusiveFit, SaturatedAtGridEnd)
 
 SCHEMA_VERSION = 1
-
-_GRID_KEYS = {"r_min", "r_max", "points_per_decade", "s_min", "s_max",
-              "n_wpi_r", "certificate_points"}
-_SEED_KEYS = {"sampler", "corpus", "decay"}
-_SAMPLE_KEYS = {"n_wpi", "n_paths", "n_inner", "dt", "t_max", "n_times"}
-_FIT_KEYS = {"families", "window"}
-_SWEEP_KEYS = {"param", "values"}
-
-
-@dataclass
-class RunConfig:
-    """Validated batch-run configuration with defaults filled."""
-
-    preset: Optional[str] = None
-    custom: Optional[dict] = None
-    p: Optional[float] = None
-    d: int = 1
-    R: Optional[float] = None
-    R0: Optional[float] = None
-    sigma: float = 1.0
-    delta: float = 0.75
-    case: Optional[str] = None
-    nu: Optional[dict] = None
-    stages: tuple = ()
-    grids: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
-    samples: dict = field(default_factory=dict)
-    fit: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    output_dir: str = "wpconv_out"
-
-    def to_dict(self):
-        doc = asdict(self)
-        doc["stages"] = list(self.stages)
-        return doc
-
-
-_TOP_KEYS = {f.name for f in fields(RunConfig)}
-
-_DEFAULT_SEEDS = {"sampler": 20_260_809, "corpus": 7, "decay": 5}
-_DEFAULT_SAMPLES = {"n_wpi": 1_000_000, "n_paths": 128, "n_inner": 128,
-                    "dt": 2e-3, "t_max": 40.0, "n_times": 8}
 _DECAY_T_FIRST = 0.25   # earliest first time of a decay grid of n_times > 1
 
 
@@ -97,6 +56,205 @@ def _check_keys(doc, allowed, path, why="unknown key"):
     for k in doc:
         if k not in allowed:
             raise ConfigError(f"{path}{k}: {why}")
+
+
+def _is_number(raw):
+    return not isinstance(raw, bool) and isinstance(raw, (int, float))
+
+
+# the kinds of value: each reads a raw value at a key path, or raises
+# ConfigError naming the path
+
+def _kind(test, what, cast=float):
+    """The kind of a number (not a bool) that passes test, read by cast."""
+    def check(raw, path):
+        if not (_is_number(raw) and test(raw)):
+            raise ConfigError(f"{path}: must be {what}, got {raw!r}")
+        return cast(raw)
+    return check
+
+
+_number = _kind(lambda v: abs(v) <= sys.float_info.max, "a number")
+_positive = _kind(lambda v: 0.0 < v <= sys.float_info.max, "positive and finite")
+
+
+def _count(least):
+    """The kind of an integer of at least `least` (a seed: 0), read as an int."""
+    return _kind(lambda v: (isinstance(v, int) or v.is_integer()) and v >= least,
+                 f"an integer of at least {least}", int)
+
+
+def _choice(*choices):
+    """The kind of one of `choices`, read as that choice (d: 1.0 reads as 1)."""
+    def check(raw, path):
+        if isinstance(raw, bool) or raw not in choices:
+            *head, last = map(str, choices)
+            raise ConfigError(f"{path}: must be {', '.join(head)} or {last}, got {raw!r}")
+        return choices[choices.index(raw)]
+    return check
+
+
+def _path(raw, path):
+    """A file system path, read as a str."""
+    if not isinstance(raw, (str, os.PathLike)):
+        raise ConfigError(f"{path}: must be a path, got {raw!r}")
+    return os.fspath(raw)
+
+
+def _check_stages(raw, path):
+    """A stage or a list of stages, read as a list."""
+    stages = [raw] if isinstance(raw, str) else raw
+    if not isinstance(stages, (list, tuple)):
+        raise ConfigError(f"{path}: must be a stage or a list of stages, got {raw!r}")
+    for st in stages:
+        if st not in STAGES:
+            raise ConfigError(f"{path}: unknown stage {st!r} (choose from {STAGES})")
+    return list(stages)
+
+
+def _check_source(spec, path):
+    """A source spec (empty: the default source) names a kind of
+    presets.SOURCES and sets only that kind's keys, every one it requires and
+    a positive halfwidth."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: must be a mapping, got {spec!r}")
+    if not spec:
+        return spec
+    name = spec.get("kind")
+    if str(name) not in presets_mod.SOURCES:
+        raise ConfigError(f"{path}.kind: unknown source kind {name!r}")
+    keys, required, _, _ = presets_mod.SOURCES[name]
+    _check_keys(spec, {"kind", *keys}, path + ".", f"unknown key for kind {name!r}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{path}.{key}: required for kind {name!r}")
+    if "halfwidth" in spec:
+        _positive(spec["halfwidth"], path + ".halfwidth")
+    return spec
+
+
+_DIM = _choice(1, 2, 3)
+
+
+def _check_custom(custom, path):
+    """A custom model: a potential spec of presets.FAMILIES, which sets only
+    its family's keys, every one it requires and a d of 1, 2 or 3, and a
+    source spec."""
+    if not isinstance(custom, dict):
+        raise ConfigError(f"{path}: must be a mapping, got {custom!r}")
+    _check_keys(custom, {"potential", "source"}, path + ".")
+    pot = custom.get("potential")
+    fam = pot.get("family") if isinstance(pot, dict) else None
+    if not isinstance(fam, str) or fam not in presets_mod.FAMILIES:
+        raise ConfigError(f"{path}.potential.family: unknown family")
+    keys, required, _ = presets_mod.FAMILIES[fam]
+    _check_keys(pot, {"family", "d", *keys}, path + ".potential.",
+                f"unknown key for family {fam!r}")
+    _DIM(pot.get("d", 1), path + ".potential.d")
+    for key in required:
+        if pot.get(key) is None:
+            raise ConfigError(f"{path}.potential.{key}: required for family {fam!r}")
+    if custom.get("source") is not None:
+        _check_source(custom["source"], path + ".source")
+    return custom
+
+
+def _check_families(raw, path):
+    """A nonempty list of rates.FIT_FAMILIES, read as a tuple."""
+    if not isinstance(raw, (list, tuple)) or not raw \
+            or any(f not in rates_mod.FIT_FAMILIES for f in raw):
+        raise ConfigError(f"{path}: must be a nonempty list of "
+                          f"{', '.join(rates_mod.FIT_FAMILIES)}, got {raw!r}")
+    return tuple(raw)
+
+
+def _check_window(raw, path):
+    """Two positive finite increasing numbers, read as a tuple."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2
+            and all(_is_number(v) for v in raw) and 0.0 < raw[0] < raw[1] < math.inf):
+        raise ConfigError(f"{path}: must be two positive finite increasing "
+                          f"numbers, got {raw!r}")
+    return tuple(raw)
+
+
+def _check_values(raw, path):
+    """A nonempty list of numbers, kept as given (sweep.json prints them)."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"{path}: must be a nonempty list, got {raw!r}")
+    for v in raw:
+        _number(v, path)
+    return list(raw)
+
+
+def _hint(key):
+    """The default that reads `key` of the preset's rate-grid hints."""
+    return lambda preset: presets_mod.rate_grid_hints(preset)[key]
+
+
+# Every key a config may set: (its kind, its default), or for a section the
+# table of its own keys.  An unset or null key takes its default; a default
+# that is a function reads the preset (None: a custom model), so "preset"
+# comes first.  p and R stay unset unless given: a preset refuses either
+# beside a nu that makes it unread (presets.validate_preset).
+_SCHEMA = {
+    "preset": (_choice(*presets_mod.PRESETS), None),
+    "custom": (_check_custom, None),
+    "p": (_number, None),
+    "d": (_DIM, 1),
+    "R": (_positive, None),
+    "R0": (_positive, None),
+    "sigma": (_number, 1.0),
+    "delta": (_number, 0.75),
+    "case": (_choice(*lyap._CASES),
+             lambda preset: presets_mod.default_drift_config(preset).case),
+    "nu": (_check_source, None),
+    "stages": (_check_stages, []),
+    "grids": {"r_min": (_positive, _hint("r_min")),
+              "r_max": (_positive, _hint("r_max")),
+              "points_per_decade": (_count(1), 200),
+              "s_min": (_positive, None),
+              "s_max": (_positive, None),
+              "n_wpi_r": (_count(1), 40),
+              "certificate_points": (_count(1), 200)},
+    "seeds": {"sampler": (_count(0), 20_260_809),
+              "corpus": (_count(0), 7),
+              "decay": (_count(0), 5)},
+    "samples": {"n_wpi": (_count(2), 1_000_000),
+                "n_paths": (_count(2), 128),
+                "n_inner": (_count(2), 128),
+                "dt": (_positive, 2e-3),
+                "t_max": (_positive, 40.0),
+                "n_times": (_count(1), 8)},
+    "fit": {"families": (_check_families, rates_mod.FIT_FAMILIES),
+            "window": (_check_window, _hint("fit_window"))},
+    "sweep": {"param": (_choice("sigma", "delta", "p"), "sigma"),
+              "values": (_check_values, [1, 2, 5])},
+    "output_dir": (_path, "wpconv_out"),
+}
+
+# a configuration as load_config returns it: every key of _SCHEMA, its value
+# read by its kind and its default filled
+RunConfig = make_dataclass("RunConfig", list(_SCHEMA), namespace={"to_dict": asdict})
+
+
+def _fill(doc, schema, path, preset):
+    """The values of the mapping doc read by their kinds in schema, with every
+    unset key's default; a section is a mapping read by its own table."""
+    _check_keys(doc, schema, path)
+    out = {}
+    for key, entry in schema.items():
+        raw = doc.get(key)
+        if isinstance(entry, dict):
+            raw = {} if raw is None else raw
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{path}{key}: must be a mapping, got {raw!r}")
+            out[key] = _fill(raw, entry, f"{path}{key}.", preset)
+            continue
+        check, default = entry
+        if raw is None:
+            raw = default(preset) if callable(default) else default
+        out[key] = None if raw is None else check(raw, path + key)
+    return out
 
 
 def _read_config(source):
@@ -115,83 +273,36 @@ def _read_config(source):
 
 
 def load_config(source):
-    """Parse and validate a configuration from a path or inline YAML text."""
+    """Parse a configuration from a path, inline YAML text or a mapping: read
+    every value by its kind in _SCHEMA, fill every default, then check the
+    rules that tie keys together."""
     doc = source if isinstance(source, dict) else _read_config(source)
-    _check_keys(doc, _TOP_KEYS, "")
-    preset = doc.get("preset")
-    custom = doc.get("custom")
+    cfg = RunConfig(**_fill(doc, _SCHEMA, "", doc.get("preset")))
+    preset, custom, g = cfg.preset, cfg.custom, cfg.grids
     if (preset is None) == (custom is None):
         raise ConfigError("preset/custom: exactly one must be given")
-    for sub, keys in (("grids", _GRID_KEYS), ("seeds", _SEED_KEYS),
-                      ("samples", _SAMPLE_KEYS), ("fit", _FIT_KEYS),
-                      ("sweep", _SWEEP_KEYS)):
-        val = doc.get(sub) or {}
-        if not isinstance(val, dict):
-            raise ConfigError(f"{sub}: must be a mapping")
-        _check_keys(val, keys, sub + ".")
-    stages = doc.get("stages", [])
-    if isinstance(stages, str):
-        stages = [stages]
-    for st in stages:
-        if st not in STAGES:
-            raise ConfigError(f"stages: unknown stage {st!r} (choose from {STAGES})")
-    d = _check_d(doc.get("d", 1), "d")
     if custom is not None:
         for key in ("p", "R", "nu"):  # a preset's keys, which a custom model has no use for
-            if doc.get(key) is not None:
+            if getattr(cfg, key) is not None:
                 raise ConfigError(f"{key}: a preset key; a custom model takes its "
                                   f"potential and source from custom")
-        _check_keys(custom, {"potential", "source"}, "custom.")
-        pot = custom.get("potential") or {}
-        fam = pot.get("family")
-        if not isinstance(fam, str) or fam not in presets_mod.FAMILIES:
-            raise ConfigError("custom.potential.family: unknown family")
-        keys, required, _ = presets_mod.FAMILIES[fam]
-        _check_keys(pot, {"family", "d", *keys}, "custom.potential.",
-                    f"unknown key for family {fam!r}")
-        _check_d(pot.get("d", 1), "custom.potential.d")
-        for key in required:
-            if pot.get(key) is None:
-                raise ConfigError(f"custom.potential.{key}: required for family {fam!r}")
-        _check_source(custom.get("source"), pot.get("d", d), "custom.source")
-    else:
-        _check_source(doc.get("nu"), d, "nu")
-    for key, check in (("p", _number), ("R", _positive), ("R0", _positive)):
-        if doc.get(key) is not None:
-            check(doc[key], key)
-    cfg = RunConfig(
-        preset=preset, custom=custom,
-        p=doc.get("p"), d=int(d),
-        R=(None if doc.get("R") is None else float(doc["R"])),
-        R0=(None if doc.get("R0") is None else float(doc["R0"])),
-        sigma=_number(doc.get("sigma", 1.0), "sigma"),
-        delta=_number(doc.get("delta", 0.75), "delta"),
-        case=doc.get("case"), nu=doc.get("nu"),
-        stages=tuple(stages),
-        grids=dict(doc.get("grids") or {}),
-        seeds={**_DEFAULT_SEEDS, **(doc.get("seeds") or {})},
-        samples={**_DEFAULT_SAMPLES, **(doc.get("samples") or {})},
-        fit=dict(doc.get("fit") or {}),
-        sweep=dict(doc.get("sweep") or {}),
-        output_dir=str(doc.get("output_dir", "wpconv_out")),
-    )
-    try:  # sigma, delta and case
+    spec, path, d = (custom.get("source"), "custom.source",
+                     custom["potential"].get("d", cfg.d)) if custom else (cfg.nu, "nu", cfg.d)
+    if spec and presets_mod.SOURCES[spec["kind"]][2] and d != 1:
+        raise ConfigError(f"{path}.kind: {spec['kind']} requires d = 1")
+    try:  # sigma and delta
         _drift_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if preset is not None:
         presets_mod.validate_preset(preset, p=cfg.p, d=cfg.d, R=cfg.R, nu=cfg.nu)
-    _check_samples(cfg)
-    param, values = _sweep_spec(cfg)
-    if param not in ("sigma", "delta", "p"):
-        raise ConfigError(f"sweep.param: must be sigma, delta or p, got {param!r}")
+    if cfg.samples["n_times"] > 1 and cfg.samples["t_max"] <= _DECAY_T_FIRST:
+        raise ConfigError(f"samples.t_max: must exceed {_DECAY_T_FIRST:g} when n_times > 1, "
+                          f"got {cfg.samples['t_max']!r}")
+    param = cfg.sweep["param"]
     if param == "p" and preset is None:
         raise ConfigError("sweep.param: p is a preset's parameter; a custom model has none")
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"sweep.values: must be a nonempty list, got {values!r}")
-    for v in values:
-        if not _is_number(v):
-            raise ConfigError(f"sweep.values: must hold numbers, got {v!r}")
+    for v in cfg.sweep["values"]:
         try:  # a value the swept parameter takes
             if param != "p":
                 lyap.DriftConfig(**{param: v})
@@ -199,117 +310,14 @@ def load_config(source):
                 presets_mod.validate_preset(preset, p=v, d=cfg.d, nu=cfg.nu)
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"sweep.values: {exc}") from None
-    _check_fit(cfg.fit)
-    _check_grids(cfg)  # last: its s_min/s_max pairing comes after every value check
-    return cfg
-
-
-def _sweep_spec(cfg):
-    """The swept parameter and its values; sigma over [1, 2, 5] by default."""
-    return cfg.sweep.get("param", "sigma"), cfg.sweep.get("values", [1, 2, 5])
-
-
-def _is_number(raw):
-    return not isinstance(raw, bool) and isinstance(raw, (int, float))
-
-
-def _check_fit(fit):
-    """fit.families lists known families; fit.window is two increasing numbers."""
-    fams = fit.get("families", rates_mod.FIT_FAMILIES)
-    if not isinstance(fams, (list, tuple)) or not fams \
-            or any(f not in rates_mod.FIT_FAMILIES for f in fams):
-        raise ConfigError(f"fit.families: must be a nonempty list of "
-                          f"{', '.join(rates_mod.FIT_FAMILIES)}, got {fams!r}")
-    win = fit.get("window")
-    if "window" in fit and not (isinstance(win, (list, tuple)) and len(win) == 2
-                                and all(_is_number(v) for v in win)
-                                and 0.0 < win[0] < win[1] < math.inf):
-        raise ConfigError(f"fit.window: must be two positive finite increasing "
-                          f"numbers, got {win!r}")
-
-
-def _check_source(spec, d, path):
-    """A source spec (None or empty: the default source) names a kind of
-    presets.SOURCES and sets only that kind's keys, every one it requires, a
-    positive halfwidth, and d = 1 where the kind needs it."""
-    if spec is None or spec == {}:
-        return
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: must be a mapping, got {spec!r}")
-    name = spec.get("kind")
-    if str(name) not in presets_mod.SOURCES:
-        raise ConfigError(f"{path}.kind: unknown source kind {name!r}")
-    keys, required, d1, _ = presets_mod.SOURCES[name]
-    _check_keys(spec, {"kind", *keys}, path + ".", f"unknown key for kind {name!r}")
-    for key in required:
-        if key not in spec:
-            raise ConfigError(f"{path}.{key}: required for kind {name!r}")
-    if d1 and d != 1:
-        raise ConfigError(f"{path}.kind: {name} requires d = 1")
-    if "halfwidth" in spec:
-        _positive(spec["halfwidth"], path + ".halfwidth")
-
-
-def _check_d(raw, path):
-    """The dimension, which is 1, 2 or 3."""
-    if isinstance(raw, bool) or raw not in (1, 2, 3):
-        raise ConfigError(f"{path}: must be 1, 2 or 3, got {raw!r}")
-    return raw
-
-
-def _number(raw, path):
-    """float(raw), which must be a number."""
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: must be a number, got {raw!r}") from None
-
-
-def _positive(raw, path):
-    """float(raw), which must be a positive finite number."""
-    val = _number(raw, path)
-    if not 0.0 < val < math.inf:
-        raise ConfigError(f"{path}: must be positive and finite, got {raw!r}")
-    return val
-
-
-def _check_grids(cfg):
-    """Every grid key is a positive finite number, the counts are at least 1,
-    each given range is increasing (r_min/r_max read the rate grid's
-    defaults where one is not given), and s_min and s_max come together."""
-    g = dict(cfg.grids)
-    for key, raw in g.items():
-        g[key] = _positive(raw, f"grids.{key}")
-        if key in ("points_per_decade", "n_wpi_r", "certificate_points") and g[key] < 1.0:
-            raise ConfigError(f"grids.{key}: must be at least 1, got {raw!r}")
-    g = {**presets_mod.rate_grid_hints(cfg.preset), **g}
     for lo, hi in (("r_min", "r_max"), ("s_min", "s_max")):
-        if lo in g and hi in g and not g[lo] < g[hi]:
+        if None not in (g[lo], g[hi]) and not g[lo] < g[hi]:
             raise ConfigError(f"grids.{lo}: must lie below grids.{hi} = {g[hi]:g}, "
                               f"got {g[lo]:g}")
     for key, other in (("s_min", "s_max"), ("s_max", "s_min")):
-        if key in g and other not in g:
+        if g[key] is not None and g[other] is None:
             raise ConfigError(f"grids.{other}: required with grids.{key}")
-
-
-def _check_samples(cfg):
-    """dt and t_max are positive and finite; n_wpi, n_paths and n_inner are
-    integers of at least 2, and n_times is an integer of at least 1.  A decay
-    grid of more than one time needs t_max above its first time."""
-    for key, raw in cfg.samples.items():
-        if not _is_number(raw):
-            raise ConfigError(f"samples.{key}: must be a number, got {raw!r}")
-        if key in ("dt", "t_max"):
-            if not 0.0 < raw < math.inf:
-                raise ConfigError(f"samples.{key}: must be positive and finite, got {raw!r}")
-            continue
-        least = 1 if key == "n_times" else 2
-        if not float(raw).is_integer() or raw < least:
-            raise ConfigError(f"samples.{key}: must be an integer of at least {least}, "
-                              f"got {raw!r}")
-    if cfg.samples["n_times"] > 1 and cfg.samples["t_max"] <= _DECAY_T_FIRST:
-        raise ConfigError(f"samples.t_max: must exceed {_DECAY_T_FIRST:g} when n_times > 1, "
-                          f"got {cfg.samples['t_max']!r}")
+    return cfg
 
 
 def apply_overrides(doc, pairs):
@@ -340,7 +348,7 @@ def build_model(cfg):
     """ConvolutionModel and its comparison model (None unless the preset's
     row transfers its source's rate from a twin) from a validated config."""
     if cfg.preset is None:
-        pot = cfg.custom.get("potential") or {}
+        pot = cfg.custom["potential"]
         return presets_mod.model_from_specs(pot, cfg.custom.get("source"),
                                             int(pot.get("d", cfg.d))), None
     return (presets_mod.make_model(cfg.preset, p=cfg.p, d=cfg.d, R=cfg.R, nu=cfg.nu),
@@ -348,17 +356,12 @@ def build_model(cfg):
 
 
 def _drift_config(cfg):
-    return lyap.DriftConfig(case=cfg.case or presets_mod.default_drift_config(cfg.preset).case,
-                            R0=cfg.R0, sigma=cfg.sigma, delta=cfg.delta)
+    return lyap.DriftConfig(case=cfg.case, R0=cfg.R0, sigma=cfg.sigma, delta=cfg.delta)
 
 
 def _r_grid(cfg):
-    hints = presets_mod.rate_grid_hints(cfg.preset)
     g = cfg.grids
-    r_min = float(g.get("r_min", hints["r_min"]))
-    r_max = float(g.get("r_max", hints["r_max"]))
-    ppd = int(g.get("points_per_decade", 200))
-    return _log_grid(r_min, r_max, ppd), hints.get("fit_window"), ppd
+    return _log_grid(g["r_min"], g["r_max"], g["points_per_decade"])
 
 
 def _log_grid(lo, hi, ppd):
@@ -366,13 +369,9 @@ def _log_grid(lo, hi, ppd):
     return np.geomspace(lo, hi, max(int(ppd * math.log10(hi / lo)) + 1, 16))
 
 
-def _fit(cfg, hint_window, table):
-    """fit_asymptotics of an alpha table with the configured families and
-    window (the preset's hint window by default)."""
-    window = cfg.fit.get("window", hint_window)
-    families = tuple(cfg.fit.get("families", rates_mod.FIT_FAMILIES))
-    return rates_mod.fit_asymptotics(table, families=families,
-                                     fit_window=tuple(window) if window else None)
+def _fit(cfg, table):
+    """fit_asymptotics of an alpha table with the configured families and window."""
+    return rates_mod.fit_asymptotics(table, cfg.fit["families"], cfg.fit["window"])
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +400,10 @@ class _Run:
         self.model, self.comparison = build_model(cfg)
         self.work = self.comparison if self.comparison is not None else self.model
         self.dcfg = _drift_config(cfg)
-        self.r_grid, self.hint_window, self.ppd = _r_grid(cfg)
         g = cfg.grids
-        self.s_grid = _log_grid(float(g["s_min"]), float(g["s_max"]), self.ppd) \
-            if "s_min" in g else None
+        self.r_grid = _r_grid(cfg)
+        self.s_grid = None if g["s_min"] is None else \
+            _log_grid(g["s_min"], g["s_max"], g["points_per_decade"])
         self.certificate = self.rate = None
         self._rates = {}
 
@@ -439,7 +438,8 @@ class _Run:
                 and cert.config == cfg else None
             self._rates[key] = (model, comparison, rates_mod.rate_tables(
                 model, cfg, r_grid=self.r_grid, s_grid=self.s_grid,
-                points_per_decade=self.ppd, via_comparison=comparison, profile=lent))
+                points_per_decade=self.cfg.grids["points_per_decade"],
+                via_comparison=comparison, profile=lent))
         return self._rates[key][2]
 
 
@@ -453,7 +453,7 @@ def _conditions(ctx):
 def _drift(ctx):
     cfg = ctx.cfg
     rcfg = lyap.resolve_r0(ctx.work, ctx.r0cfg)
-    radii = lyap.certificate_radii(rcfg.R0, int(cfg.grids.get("certificate_points", 200)))
+    radii = lyap.certificate_radii(rcfg.R0, cfg.grids["certificate_points"])
     cert = ctx.certificate = lyap.drift_check(ctx.work, rcfg, radii)
     doc = {**cert.summary(), "schema_version": SCHEMA_VERSION, "model": ctx.work.name}
     return (cert.valid, "" if cert.valid else "drift violations above 1%",
@@ -470,7 +470,7 @@ def _rate(ctx):
 
 
 def _fit_stage(ctx):
-    fit = _fit(ctx.cfg, ctx.hint_window, ctx.rate.alpha_final)
+    fit = _fit(ctx.cfg, ctx.rate.alpha_final)
     return fit.conclusive, "", {"fit.json": {**fit.to_dict(), "c0_used": ctx.c0}}
 
 
@@ -479,10 +479,10 @@ def _verify(ctx):
     corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
     alpha_unit = rates_mod.RateTable(grid=alpha.grid, values=alpha.values / ctx.c0)
     r_w = np.geomspace(alpha_unit.grid[0] * 2.0, min(alpha_unit.grid[-1] * 0.5, 1e-2),
-                       int(cfg.grids.get("n_wpi_r", 40)))
+                       cfg.grids["n_wpi_r"])
     report = verify_mod.empirical_wpi(ctx.model, alpha_unit, corpus, r_w,
                                       seed=cfg.seeds["sampler"],
-                                      n=int(cfg.samples["n_wpi"]))
+                                      n=cfg.samples["n_wpi"])
     return (report.passed, "" if report.passed else "holdout violations",
             {"wpi_report.json": report.to_dict()})
 
@@ -491,11 +491,11 @@ def _decay(ctx):
     f = verify_mod.TestFunction(id="tanh", value=np.tanh,
                                 gradient=lambda x: verify_mod._sech2(x), osc_bound=2.0)
     smp = ctx.cfg.samples
-    t_max, n_t = float(smp["t_max"]), int(smp["n_times"])
+    t_max, n_t = smp["t_max"], smp["n_times"]
     t_first = max(t_max / 64.0, _DECAY_T_FIRST) if n_t > 1 else t_max
     trace = verify_mod.semigroup_decay(
-        ctx.model, f, np.geomspace(t_first, t_max, n_t), n_paths=int(smp["n_paths"]),
-        dt=float(smp["dt"]), seed=ctx.cfg.seeds["decay"], n_inner=int(smp["n_inner"]))
+        ctx.model, f, np.geomspace(t_first, t_max, n_t), n_paths=smp["n_paths"],
+        dt=smp["dt"], seed=ctx.cfg.seeds["decay"], n_inner=smp["n_inner"])
     return True, "", {"decay.csv": (("t", "variance", "ci_halfwidth"), (
         trace.times, trace.variance_estimates, trace.confidence_halfwidths))}
 
@@ -504,7 +504,7 @@ def _sweep(ctx):
     """Alpha tables across sigma (compared, at the resolved R0) or across p or
     delta (fitted, at the user's R0), and their CSV on the shared grid."""
     cfg = ctx.cfg
-    param, values = _sweep_spec(cfg)
+    param, values = cfg.sweep["param"], cfg.sweep["values"]
     if param == "sigma":
         runs = [(sig, ctx.rates(ctx.work, replace(ctx.r0cfg, sigma=sig)).alpha)
                 for sig in values]
@@ -524,7 +524,7 @@ def _sweep(ctx):
                     ctx.dcfg, case="cor_b" if ctx.dcfg.case.startswith("cor") else "b",
                     delta=float(val)))
             try:
-                fits[key] = _fit(cfg, ctx.hint_window, res.alpha_final).to_dict()
+                fits[key] = _fit(cfg, res.alpha_final).to_dict()
             except InconclusiveFit as exc:
                 fits[key] = {"conclusive": False, "error": str(exc)}
             rows[key] = res.alpha_final
@@ -674,19 +674,13 @@ def main(argv=None):
         return 0
 
     try:
-        doc = apply_overrides(_read_config(args.config), getattr(args, "overrides", []))
+        doc = apply_overrides(_read_config(args.config), args.overrides)
         if getattr(args, "output_dir", None):
             doc["output_dir"] = args.output_dir
         cfg = load_config(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        print("ok")
-        return 0
-
-    try:
+        if args.command == "validate":
+            print("ok")
+            return 0
         if args.command == "sweep":
             values = [float(v) for v in args.values.split(",")]
             status, _ = sweep(cfg, args.param, values)

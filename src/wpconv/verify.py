@@ -300,10 +300,15 @@ def ks_statistic(model, seed, n):
     if model.d != 1:
         raise UnsupportedDimension("convolution CDF implemented for d = 1")
     table = _mu_log_tail(model)
-    x = np.sort(_draws(model, seed, n, table)[:, 0])
-    F = _mixed_cdf(model.source, _mu_cdf(model, table))(x)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+    x = _draws(model, seed, n, table)[:, 0]
+    x.sort()
+    F = _mixed_cdf(model.source, _mu_cdf(model, table))
+    dist = -math.inf  # a running max over blocks: beside x, only block temporaries
+    for k in range(0, n, SAMPLE_BLOCK):
+        f = F(x[k:k + SAMPLE_BLOCK])
+        i = np.arange(k + 1, k + f.size + 1)
+        dist = max(dist, np.max(i / n - f), np.max(f - (i - 1) / n))
+    return float(dist)
 
 
 def ks_critical_value(n, level=0.01):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import yaml
 from wpconv import cli
 from wpconv import lyapunov as L
 from wpconv import model as M
+from wpconv import presets as P
 from wpconv import rates as R
 from wpconv import verify
 from wpconv.errors import ConfigError, DriftConditionFailed
@@ -54,6 +56,9 @@ def test_load_rejects_unknown_keys():
 @pytest.mark.parametrize("override, key", [
     ("grids.points_per_decade=0", "grids.points_per_decade"),
     ("grids.points_per_decade=0.5", "grids.points_per_decade"),
+    ("grids.points_per_decade=1.5", "grids.points_per_decade: must be an integer"),
+    ("grids.certificate_points=2.7", "grids.certificate_points: must be an integer"),
+    ("grids.n_wpi_r=1.2", "grids.n_wpi_r: must be an integer"),
     ("grids.r_min=-1", "grids.r_min"),
     ("grids.r_min=abc", "grids.r_min"),
     ("grids.r_min=1e11", "grids.r_min"),  # above example_3_3's default r_max
@@ -64,6 +69,10 @@ def test_load_rejects_unknown_keys():
     ("sigma=abc", "sigma: must be a number, got 'abc'"),
     ("delta=abc", "delta: must be a number, got 'abc'"),
     ("p=abc", "p: must be a number, got 'abc'"),
+    ("p=true", "p: must be a number, got True"),
+    ("sigma=true", "sigma: must be a number, got True"),
+    ("R=true", "R: must be positive and finite, got True"),
+    ("R0=true", "R0: must be positive and finite, got True"),
     ("R0=-1", "R0:"),
     ("nu={kind: uniform, halfwidth: 0}", "nu.halfwidth"),
     ("nu={kind: uniform, halfwith: 2}", "nu.halfwith: unknown key"),
@@ -112,6 +121,9 @@ def test_load_rejects_out_of_range_grids_and_sweeps(override, key, capsys, tmp_p
     # the default n_times (8) needs a grid that increases from 0.25
     ("samples.t_max=0.25", "samples.t_max"),
     ("samples.t_max=0.1", "samples.t_max"),
+    ("seeds.sampler=abc", "seeds.sampler: must be an integer of at least 0"),
+    ("seeds.corpus=1.5", "seeds.corpus: must be an integer of at least 0"),
+    ("seeds.decay=-1", "seeds.decay: must be an integer of at least 0"),
 ])
 def test_load_rejects_out_of_range_samples(override, key, capsys, tmp_path):
     doc = cli.apply_overrides({"preset": "example_3_3", "p": 2}, [override])
@@ -140,6 +152,63 @@ def test_run_decay_of_one_time_reads_t_max(tmp_path):
     assert len(rows) == 2 and rows[1].split(",")[0] == "0.1"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["cpus"] == verify._cpu_count() >= 1
+
+
+@pytest.mark.parametrize("text, key", [
+    ("{preset: example_3_3, stages: 3}", "stages: must be a stage or a list of stages"),
+    ("{preset: example_3_3, output_dir: {a: 1}}", "output_dir: must be a path"),
+    ("{preset: [example_3_3]}", "preset: must be example_3_1"),
+    ("{preset: example_3_3, case: c}", "case: must be a, b, cor_a or cor_b"),
+    ("{preset: example_3_3, grids: 5}", "grids: must be a mapping"),
+    ("{custom: 5}", "custom: must be a mapping"),
+    ("{custom: {potential: log}}", "custom.potential.family: unknown family"),
+])
+def test_main_reports_malformed_values_naming_the_key(text, key, capsys):
+    """A value of the wrong type is a config error that names its key, not a
+    traceback or a value read some other way."""
+    assert cli.main(["validate", text]) == 1
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def _workload_configs():
+    """The CLI configs of the benchmark's workloads (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job["config"] for name in workloads.WORKLOADS
+            for job in workloads.jobs(name, 1) if job["kind"] == "cli"]
+
+
+def _readme_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+CI_CONFIGS = [  # the no-extras job's configs in .github/workflows/tier1.yml
+    "{preset: example_3_3, stages: [rate]}",
+    "{preset: example_3_3, p: 2, stages: [conditions, drift, rate, fit, verify, decay, "
+    "sweep, stability], samples: {n_wpi: 20000, n_paths: 8, n_inner: 8, dt: 0.01, "
+    "t_max: 1.0, n_times: 3}, grids: {certificate_points: 40, n_wpi_r: 8}}",
+    "{preset: example_3_3, p: 2}",
+    "{preset: example_3_3, p: 2, stages: [rate, fit, sweep, stability], "
+    "grids: {s_min: 1.0e-5, s_max: 1.0e-3}}",
+    *[f"{{preset: {name}}}" for name in P.PRESETS],
+    "{custom: {potential: {family: log, p: 2}}}",
+]
+
+
+@pytest.mark.parametrize("source", [
+    *_workload_configs(), _readme_config(), *CI_CONFIGS,
+    {"preset": "example_3_1", "nu": {"kind": "integer_lattice"}}])
+def test_filled_config_loads_as_itself(source):
+    """A loaded config, every default filled, loads back unchanged: the
+    manifest's echo is a config that reproduces the run."""
+    cfg = cli.load_config(source)
+    assert None not in (cfg.case, cfg.grids["certificate_points"], cfg.fit["families"],
+                        cfg.sweep["values"])  # defaults written out
+    assert cli.load_config(cfg.to_dict()) == cfg
+    assert cli.load_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_load_requires_exactly_one_of_preset_custom():
@@ -351,7 +420,7 @@ def test_stability_reads_the_runs_construction_and_grids(tmp_path):
     status, docs = run_cfg(text, tmp_path / "cor_b")
     cfg = cli.load_config(text)
     model, _ = cli.build_model(cfg)
-    r_grid, _, ppd = cli._r_grid(cfg)
+    r_grid, ppd = cli._r_grid(cfg), cfg.grids["points_per_decade"]
     dcfg = L.DriftConfig(case="cor_b", R0=5.0)
     mu = M.ConvolutionModel(model.potential, M.point_mass(), name="mu")
     tables = [R.rate_tables(m, dcfg, r_grid=r_grid, points_per_decade=ppd).alpha
@@ -586,7 +655,7 @@ def test_sigma_sweep_csv_holds_the_compared_tables(tmp_path):
     assert status == 0
     data = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
     model, _ = cli.build_model(cfg)
-    r_grid, _, ppd = cli._r_grid(cfg)
+    r_grid, ppd = cli._r_grid(cfg), cfg.grids["points_per_decade"]
     for col, sig in enumerate((1.0, 2.0), start=1):
         res = R.rate_tables(model, L.DriftConfig(case="cor_a", R0=5.0, sigma=sig),
                             r_grid=r_grid, points_per_decade=ppd)
@@ -603,7 +672,7 @@ def test_delta_sweep_csv_holds_the_tables_at_the_users_R0(tmp_path):
     assert status == 0
     data = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
     model, _ = cli.build_model(cfg)
-    r_grid, _, ppd = cli._r_grid(cfg)
+    r_grid, ppd = cli._r_grid(cfg), cfg.grids["points_per_decade"]
     for col, delta in enumerate((0.5, 0.75), start=1):
         res = R.rate_tables(model, L.DriftConfig(case="cor_b", R0=5.0, delta=delta),
                             r_grid=r_grid, points_per_decade=ppd)

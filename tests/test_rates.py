@@ -564,7 +564,7 @@ def test_capped_rate_tables_serves_the_unsaturated_prefix(monkeypatch):
 def test_rate_result_counts_nothing_cut_on_example_3_1():
     from wpconv import cli
     cfg = {"preset": "example_3_1", "p": 1, "stages": ["rate"]}
-    rg = cli._r_grid(cli.load_config(cfg))[0]
+    rg = cli._r_grid(cli.load_config(cfg))
     res = R.rate_tables(P.make_model("example_3_1", p=1.0), P.default_drift_config("example_3_1"),
                         r_grid=rg, via_comparison=P.make_model("lemma_3_2", p=1.0))
     assert (res.r_truncated, res.r_dropped) == (0, 0)

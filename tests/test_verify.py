@@ -200,6 +200,15 @@ def test_draws_hold_the_points_a_mask_and_blocks(m33):
     assert _traced_peak(lambda: V._draws(m33, 5, n, table)) < 1.5 * 8 * n
 
 
+def test_ks_statistic_holds_the_draws_and_blocks(m33):
+    """ks_statistic at n = 2^20 sorts the draws in place and reads the CDF
+    and the ranks a block at a time: below 2.5 x 8n bytes, where a sorted
+    copy and a full-length CDF array beside the draws would pass it."""
+    n = 2 ** 20
+    V.ks_statistic(m33, 5, 1000)
+    assert _traced_peak(lambda: V.ks_statistic(m33, 5, n)) < 2.5 * 8 * n
+
+
 def test_wpi_holds_the_draws_and_one_buffer(m33, alpha_33):
     """A whole empirical_wpi call at n = 2^20 holds the draws and one
     sample-length buffer: below 2.5 x 8n bytes."""
