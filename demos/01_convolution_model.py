@@ -31,14 +31,14 @@ for x in [0.0, 1.5, 10.0, 200.0]:
 
 print("\ntilted-measure normalization (must be 1):")
 for x in [0.0, 5.0, 80.0]:
-    one = M.tilted_expectation(m, x, lambda z: np.ones(np.shape(z)))
+    one = M.tilted_u_moment(m, x, lambda u: np.ones(np.shape(u)))
     print(f"  x = {x:5.1f}:  E[1 | nu_x] = {one:.12f}")
 
 print("\ntails (the mu tail has the closed form (1+t)^-2 here):")
 for t in [1.0, 10.0, 100.0, 1e4]:
-    mu_t = M.measure_tail(m, "mu", t)
+    mu_t = M.measure_tail(m, t)
     print(f"  t = {t:8.1f}:  mu(|x| >= t) = {mu_t:.6e}   closed form "
-          f"{(1.0 + t) ** -2:.6e}   nu-tail = {M.measure_tail(m, 'nu', t):.3f}")
+          f"{(1.0 + t) ** -2:.6e}   nu-tail = {nu.tail(t):.3f}")
 
 total = M.density_normalization(m)
 print(f"\ntotal mass of the convolution density: {total:.9f}")

@@ -14,8 +14,8 @@ failed (artifacts are still written with failure markers).
 Stages are rows of one table (``_STAGES``): a function of the run's shared
 context that returns (ok, note, documents), the stages it needs, and the
 failure it records in its own document.  One loop runs them in order.  The
-rate, fit, sweep and stability stages read their rate tables from one memo
-of the run (``_Run.rates``), built on the run's grids.
+rate, fit, verify, sweep and stability stages read their rate tables from one
+memo of the run (``_Run.rates``), built on the run's grids.
 
 Output layout (one directory per run): manifest.json, conditions.json,
 certificate.json, alpha.csv (s, alpha), beta.csv (r, varphi_phi, beta),
@@ -333,7 +333,9 @@ def apply_overrides(doc, pairs):
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if node.get(part) is None:  # a null section reads as {}, as in load_config
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: {part} is not a mapping")
         node[parts[-1]] = value
@@ -466,7 +468,7 @@ def _rate(ctx):
     return True, "", {
         "alpha.csv": (("s", "alpha"), (alpha.grid, alpha.values)),
         "beta.csv": (("r", "varphi_phi", "beta"),
-                     (res.beta.grid, res.varphi.values, res.beta.values))}
+                     (res.beta.grid, res.varphi, res.beta.values))}
 
 
 def _fit_stage(ctx):
@@ -475,9 +477,9 @@ def _fit_stage(ctx):
 
 
 def _verify(ctx):
-    cfg, alpha = ctx.cfg, ctx.rate.alpha_final
+    cfg = ctx.cfg
     corpus = verify_mod.build_corpus(seed=cfg.seeds["corpus"])
-    alpha_unit = rates_mod.RateTable(grid=alpha.grid, values=alpha.values / ctx.c0)
+    alpha_unit = ctx.rates(ctx.model, ctx.dcfg, ctx.comparison).alpha_final
     r_w = np.geomspace(alpha_unit.grid[0] * 2.0, min(alpha_unit.grid[-1] * 0.5, 1e-2),
                        cfg.grids["n_wpi_r"])
     report = verify_mod.empirical_wpi(ctx.model, alpha_unit, corpus, r_w,
@@ -515,8 +517,9 @@ def _sweep(ctx):
         rows, fits = {}, {}
         for val in values:
             key = f"{param}={val:g}"
-            if param == "p":  # the run's own p reads the run's models
-                sub_model, sub_comp = (ctx.model, ctx.comparison) if float(val) == cfg.p \
+            if param == "p":  # the run's own p (given, or the preset's) reads the run's models
+                own_p = presets_mod.validate_preset(cfg.preset, p=cfg.p, d=cfg.d)
+                sub_model, sub_comp = (ctx.model, ctx.comparison) if float(val) == own_p \
                     else build_model(replace(cfg, p=float(val)))
                 res = ctx.rates(sub_model, ctx.dcfg, sub_comp)
             else:
@@ -540,6 +543,7 @@ def _sweep(ctx):
 
 def _stability(ctx):
     m = ctx.model
+    rates_mod._compact_radius(m)  # refuses a non-compact nu before any table is built
     mu_model = model_mod.ConvolutionModel(m.potential, model_mod.point_mass(d=m.d),
                                           name=m.name + "_base")
     doc = rates_mod.compare_stability(

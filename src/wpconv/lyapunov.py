@@ -61,6 +61,8 @@ __all__ = [
 _CASES = ("a", "b", "cor_a", "cor_b")
 SPHERE_SAMPLES = 64   # directions of a sphere infimum in d > 1
 WINDOW_SAMPLES = 33   # points of a radius-window infimum, both ends included
+DRIFT_TOL_ABS = 1e-8  # a certificate point violates the drift inequality
+DRIFT_TOL_REL = 1e-6  # when its excess tops DRIFT_TOL_ABS + DRIFT_TOL_REL * phi
 
 
 @dataclass(frozen=True)
@@ -550,12 +552,12 @@ def _exp_case_lw(model, x, delta):
     return v, -(1.0 - delta) * (delta * gsq - lap)
 
 
-def certificate_radii(R0, n=200):
-    """n geometric radii on [R0, 10 R0], the drift certificate's default."""
+def certificate_radii(R0, n):
+    """n geometric radii on [R0, 10 R0], the drift certificate's grid."""
     return np.geomspace(R0, 10.0 * R0, n)
 
 
-def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
+def drift_check(model, cfg, certificate_grid):
     """Evaluate L W / W against -phi at sampled points with |x| >= R0 and
     assemble the certificate (b, local spectral bound, c0, violations).
 
@@ -563,8 +565,6 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
     tabulated drift-rate values are reused exactly at the checked points.
     """
     cfg = resolve_r0(model, cfg)
-    if certificate_grid is None:
-        certificate_grid = certificate_radii(cfg.R0)
     radii = np.asarray(certificate_grid, dtype=float)
     s_max = float(radii.max()) * 1.05
     phi = phi_profile(model, cfg, s_max=s_max, include_radii=radii)
@@ -587,7 +587,7 @@ def drift_check(model, cfg, certificate_grid=None, tol_abs=1e-8, tol_rel=1e-6):
     excess = lw + phi_s
     n_checked = excess.size
     max_violation = float(np.max(excess, initial=-np.inf))
-    violations = int(np.count_nonzero(excess > tol_abs + tol_rel * phi_s))
+    violations = int(np.count_nonzero(excess > DRIFT_TOL_ABS + DRIFT_TOL_REL * phi_s))
     violation_fraction = violations / max(n_checked, 1)
 
     # interior ball: b and the local spectral bound

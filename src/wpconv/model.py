@@ -9,7 +9,7 @@ density
 
 log-density potential  V_nu = -log p,  and the reweighted measure nu_x with
 dnu_x/dnu proportional to exp(-V(x - z)).  This module evaluates p, V_nu
-and its derivatives, tilted expectations under nu_x, and the tails of mu and nu.
+and its derivatives, tilted expectations under nu_x, and the tail of mu.
 
 All dataclasses are frozen; every evaluator is a pure function of its
 arguments and may be called concurrently.
@@ -45,7 +45,6 @@ __all__ = [
     "v_nu",
     "v_nu_and_grad",
     "v_nu_grad_laplacian",
-    "tilted_expectation",
     "tilted_u_moment",
     "measure_tail",
     "density_normalization",
@@ -517,9 +516,9 @@ def _alternating_sum(x, q, terms, term):
     return np.sum(series, axis=1).reshape(np.shape(x))
 
 
-def _ptail_sum(m, q, terms=120):
+def _ptail_sum(m, q):
     """sum_{i>=m} 1/(1+i^q) for integers m >= 1 (scalar or array), via the
-    alternating Hurwitz-zeta series.
+    first 120 terms of the alternating Hurwitz-zeta series.
 
     1/(1+i^q) = sum_k (-1)^(k+1) i^(-kq) converges for i >= 2; the i=1 term
     (value 1/2) is added explicitly where m == 1.  Term k is of order
@@ -529,7 +528,7 @@ def _ptail_sum(m, q, terms=120):
     if np.any(m < 1):
         raise ValueError("m >= 1 required")
     extra = np.where(m == 1.0, 0.5, 0.0)
-    out = extra + _alternating_sum(m, q, terms, lambda k, x: _hurwitz_zeta(k * q, x))
+    out = extra + _alternating_sum(m, q, 120, lambda k, x: _hurwitz_zeta(k * q, x))
     return out if out.ndim else float(out)
 
 
@@ -633,25 +632,16 @@ def power_tail_density(p):
 
 @dataclass(frozen=True)
 class ConvolutionModel:
-    """mu * nu with its deterministic quadrature data.
-
-    truncation_radius is the |x| scale past which exp(-v0) has dropped below
-    1e-16 of its peak (capped at 1e7 for heavy-tailed profiles).  It sets
-    default_domain and the guard of the diffusion paths.
-    """
+    """mu * nu with its deterministic quadrature data."""
 
     potential: Potential
     source: SourceMeasure
-    truncation_radius: float = 0.0
     quadrature: QuadratureSpec = QuadratureSpec()
     name: str = "model"
 
     def __post_init__(self):
         if self.source.d != self.potential.d:
             raise UnsupportedDimension("potential and source dimensions differ")
-        if self.truncation_radius <= 0.0:
-            object.__setattr__(self, "truncation_radius",
-                               _profile_reach(self.potential, 16.0 * math.log(10.0)))
 
     @property
     def d(self):
@@ -664,6 +654,13 @@ class ConvolutionModel:
     @cached_property
     def _reach(self):
         return _profile_reach(self.potential, _REACH_LOG)
+
+    @cached_property
+    def truncation_radius(self):
+        """The |x| scale past which exp(-v0) has dropped below 1e-16 of its
+        peak (capped at 1e7 for heavy-tailed profiles).  It sets
+        default_domain and the guard of the diffusion paths."""
+        return _profile_reach(self.potential, 16.0 * math.log(10.0))
 
     @cached_property
     def _ladder(self):
@@ -1104,23 +1101,15 @@ def v_nu_grad_laplacian(model, x):
     return -logp, g[..., 0] if d == 1 else g, lap
 
 
-def tilted_expectation(model, x, g):
-    """E[g(z)] under nu_x(dz) = exp(-V(x-z)) nu(dz) / p(x), one kernel call
-    per point (the kernel's f maps u = x - z alone)."""
-    x = np.asarray(x, dtype=float)
-    pts = x.reshape((-1,) + x.shape[x.ndim - (model.d > 1):])
-    mean = np.array([_evaluate(model, p, lambda u, p=p: g(p - u))[1] for p in pts])
-    return mean.reshape(x.shape[:x.ndim - (model.d > 1)] + mean.shape[1:])[()]
-
-
 def tilted_u_moment(model, x, h):
     """E[h(x - z)] under nu_x: tilted moments of functions of the shifted
     argument (the form every drift integrand takes).  Vectorized over x."""
     return _evaluate(model, x, h)[1]
 
 
-def measure_tail(model, which, t):
-    """mu(|x| >= t) or nu(|z| >= t); vectorized over t, nonincreasing.
+def measure_tail(model, t):
+    """mu(|x| >= t); vectorized over t, nonincreasing (nu's tail is
+    model.source.tail).
 
     The mu tail is 1 for t <= 1e-12.  Above, it reads the potential's
     _RadialLattice at y = log t: the partial panel up to the next anchored
@@ -1130,10 +1119,6 @@ def measure_tail(model, which, t):
     within a few ulp of its log.
     """
     t_arr = np.asarray(t, dtype=float)
-    if which == "nu":
-        return model.source.tail(t_arr)
-    if which != "mu":
-        raise ValueError("which must be 'mu' or 'nu'")
     pot = model.potential
     lat = pot.lattice or _RadialLattice(pot.v0, pot.d)
     out = np.ones(t_arr.shape)
@@ -1223,13 +1208,13 @@ def density_normalization(model, return_parts=False):
                         (at[:-1] | at[1:])[None], model.quadrature.nodes)
     grid_mass = float(np.sum(np.exp(_batch_log_p(model, xs[0])) * w[0]))
     if np.isfinite(src.support_radius):
-        lo = measure_tail(model, "mu", T + R)
-        hi = measure_tail(model, "mu", max(T - R, 0.0))
+        lo = measure_tail(model, T + R)
+        hi = measure_tail(model, max(T - R, 0.0))
     else:
         # {|X+Z| > T} subset {|X| > L} union {|Z| > T-L}, and contains
         # {|Z| > T+L, |X| <= L}
         L = model.reach()
-        mu_l = measure_tail(model, "mu", L)
+        mu_l = measure_tail(model, L)
         lo = max(float(src.tail(T + L)) - mu_l, 0.0)
         hi = float(src.tail(max(T - L, 0.0))) + mu_l
     complement = 0.5 * (lo + hi)

@@ -7,8 +7,10 @@ The chain:
     beta(r)   = mu(|x| >= varphi(r)/2) + nu(|z| >= varphi(r)/2)
     alpha(s)  = c0 * inf{ r : beta(r) <= s }
 
-(the 1/2 inside beta follows the drift argument).  For compactly supported nu
-the beta tail restricts to {|x| >= R + R0} and the nu term vanishes for large r.
+(the 1/2 inside beta follows the drift argument; rate_tables tabulates alpha
+with c0 = 1, and RateResult.scaled applies a certificate's c0).  For
+compactly supported nu the beta tail restricts to {|x| >= R + R0} and the nu
+term vanishes for large r.
 
 All generalized inverses use the left-continuous convention
 F^{-1}(s) = inf{r : F(r) <= s}, evaluated tablewise.  No table extrapolates:
@@ -55,17 +57,16 @@ CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by write_csv
 
 @dataclass(frozen=True)
 class RateTable:
-    """Monotone tabulated function with a generalized inverse.
+    """Positive nonincreasing tabulated function with a generalized inverse.
 
-    Values must respect the declared monotonicity up to 1e-12 (violations
-    beyond that are rejected at construction).  Positive tables interpolate
-    log-log.  value_at never extrapolates: past the top of the grid it reads
-    the top value, and below the bottom it raises SaturatedAtGridEnd.
+    A value that is not positive, or that rises by more than 1e-12 relative,
+    is rejected at construction.  value_at interpolates log-log and never
+    extrapolates: past the top of the grid it reads the top value, and below
+    the bottom it raises SaturatedAtGridEnd.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    monotonicity: str = "nonincreasing"
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -74,19 +75,16 @@ class RateTable:
             raise ValueError("grid/values must be 1-d arrays of equal length >= 2")
         if np.any(np.diff(g) <= 0.0):
             raise ValueError("grid must be strictly increasing")
-        if self.monotonicity not in ("nonincreasing", "nondecreasing"):
-            raise ValueError("monotonicity must be nonincreasing or nondecreasing")
-        d = np.diff(v)
-        scale = np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
-        bad = d > 1e-12 * np.maximum(scale, 1.0) if self.monotonicity == "nonincreasing" \
-            else d < -1e-12 * np.maximum(scale, 1.0)
+        bad = ~(v > 0.0)
         if np.any(bad):
-            raise ValueError(f"values violate declared {self.monotonicity} monotonicity")
+            raise ValueError(f"values must be positive, got {v[bad][0]:g} at {g[bad][0]:g}")
+        if np.any(np.diff(v) > 1e-12 * np.maximum(v[1:], 1.0)):
+            raise ValueError("values must be nonincreasing")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
     def value_at(self, s):
-        """The table at s, interpolated; the top value past the grid end."""
+        """The table at s, interpolated log-log; the top value past the grid end."""
         s = np.asarray(s, dtype=float)
         below = s < self.grid[0]
         if np.any(below):
@@ -94,17 +92,12 @@ class RateTable:
                 f"rate table read at s={s[below].flat[0]:g} below its grid "
                 f"start {self.grid[0]:g}; extend the grid")
         s_in = np.minimum(s, self.grid[-1])
-        if np.all(self.values > 0.0):  # log-log
-            out = np.exp(np.interp(np.log(s_in), np.log(self.grid), np.log(self.values)))
-        else:
-            out = np.interp(s_in, self.grid, self.values)
+        out = np.exp(np.interp(np.log(s_in), np.log(self.grid), np.log(self.values)))
         return out if s.shape else float(out)
 
     def inverse(self, s):
-        """inf{r : value(r) <= s} for nonincreasing tables, evaluated on the
-        grid (left-continuous convention; ties belong to the sublevel set)."""
-        if self.monotonicity != "nonincreasing":
-            raise ValueError("generalized inverse implemented for nonincreasing tables")
+        """inf{r : value(r) <= s}, evaluated on the grid (left-continuous
+        convention; ties belong to the sublevel set)."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         rev = self.values[::-1]
         k = np.searchsorted(rev, s_arr, side="right")
@@ -213,16 +206,16 @@ def beta_phi(model, phi, r):
     t = 0.5 * varphi_phi(phi, np.atleast_1d(np.asarray(r, dtype=float)))
     R = model.source.support_radius
     if np.isfinite(R):
-        out = model_mod.measure_tail(model, "mu", np.maximum(t, R + phi.r0))
+        out = model_mod.measure_tail(model, np.maximum(t, R + phi.r0))
     else:
         nu_tail = np.asarray(model.source.tail(t), dtype=float)
-        out = model_mod.measure_tail(model, "mu", t) + nu_tail
+        out = model_mod.measure_tail(model, t) + nu_tail
     return out if np.asarray(r).shape else float(out[0])
 
 
-def alpha_from_beta(beta, c0=1.0, s_grid=None, points_per_decade=200):
-    """alpha(s) = c0 * inf{r : beta(r) <= s} on a log-spaced s grid inside the
-    range of beta."""
+def alpha_from_beta(beta, s_grid=None, points_per_decade=200):
+    """alpha(s) = inf{r : beta(r) <= s} (c0 = 1) on a log-spaced s grid inside
+    the range of beta."""
     if s_grid is None:
         lo = float(beta.values[-1]) * (1.0 + 1e-9)
         hi = float(beta.values[0]) * (1.0 - 1e-9)
@@ -233,8 +226,7 @@ def alpha_from_beta(beta, c0=1.0, s_grid=None, points_per_decade=200):
     s_grid = np.asarray(s_grid, dtype=float)
     inv = np.asarray(beta.inverse(s_grid), dtype=float)
     # alpha is nonincreasing in s; clamp stray float wiggles downward
-    vals = np.minimum.accumulate(c0 * inv)
-    return RateTable(grid=s_grid, values=vals, monotonicity="nonincreasing")
+    return RateTable(grid=s_grid, values=np.minimum.accumulate(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +306,17 @@ def fit_asymptotics(alpha, families=FIT_FAMILIES, fit_window=None):
 class RateResult:
     """Output of the rate pipeline.
 
-    beta/alpha are the tables of the model the drift construction actually
-    ran on, alpha with the constant c0; when a comparison model was used
-    (discrete source replaced by its equivalent density) alpha_final carries
-    the transferred table, (c_hi/c_lo) alpha(s/c_hi), and `comparison` the
-    measured density-ratio constants c_lo, c_hi.  r_truncated counts the
-    requested r cut at the S_MAX_CAP grid end, r_dropped those whose beta
-    underflowed.
+    varphi (an array on beta's grid), beta and alpha are the tables of the
+    model the drift construction actually ran on, alpha with the constant c0;
+    when a comparison model was used (discrete source replaced by its
+    equivalent density) alpha_final carries the transferred table,
+    (c_hi/c_lo) alpha(s/c_hi), and `comparison` the measured density-ratio
+    constants c_lo, c_hi.  r_truncated counts the requested r cut at the
+    S_MAX_CAP grid end, r_dropped those whose beta underflowed.
     """
 
     phi: lyap.RadialProfile
-    varphi: RateTable
+    varphi: np.ndarray
     beta: RateTable
     alpha: RateTable
     c0: float
@@ -349,16 +341,17 @@ class RateResult:
                                                     values=c0 * self.alpha.values))
 
 
-def _density_ratio_bounds(model, comparison, n=600):
-    """Extremes of p_model / p_comparison over the evaluation domain."""
+def _density_ratio_bounds(model, comparison):
+    """Extremes of p_model / p_comparison over the evaluation domain, on 600
+    points."""
     T = min(model_mod.default_domain(model), model_mod.default_domain(comparison))
     if T > 30.0:
         xs = np.unique(np.concatenate([
-            np.linspace(-30.0, 30.0, n // 2),
-            np.geomspace(30.0, T, n // 4),
-            -np.geomspace(30.0, T, n // 4)]))
+            np.linspace(-30.0, 30.0, 300),
+            np.geomspace(30.0, T, 150),
+            -np.geomspace(30.0, T, 150)]))
     else:
-        xs = np.linspace(-T, T, n)
+        xs = np.linspace(-T, T, 600)
     la, lb = (model_mod._fold_even(m, xs, lambda pts, m=m: model_mod._batch_log_p(m, pts))
               for m in (model, comparison))
     ratio = la - lb
@@ -412,11 +405,7 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, points_per_decade=200,
 
     beta_vals = beta_phi(work, phi, r_grid)
     keep = np.isfinite(beta_vals) & (beta_vals > 1e-300)
-    r_kept = r_grid[keep]
-    varphi_tab = RateTable(grid=r_kept, values=np.maximum.accumulate(t_vals[keep]),
-                           monotonicity="nondecreasing")
-    beta_tab = RateTable(grid=r_kept, values=np.minimum.accumulate(beta_vals[keep]),
-                         monotonicity="nonincreasing")
+    beta_tab = RateTable(grid=r_grid[keep], values=np.minimum.accumulate(beta_vals[keep]))
     alpha_tab = alpha_from_beta(beta_tab, s_grid=s_grid,
                                 points_per_decade=points_per_decade)
 
@@ -425,9 +414,9 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, points_per_decade=200,
         c_lo, c_hi = _density_ratio_bounds(model, via_comparison)
         comparison = {"ratio_lower": c_lo, "ratio_upper": c_hi,
                       "comparison_model": via_comparison.name}
-    return RateResult(phi=phi, varphi=varphi_tab, beta=beta_tab,
-                      alpha=alpha_tab, c0=1.0, config=cfg, comparison=comparison,
-                      r_truncated=n_requested - r_grid.size,
+    return RateResult(phi=phi, varphi=np.maximum.accumulate(t_vals[keep]),
+                      beta=beta_tab, alpha=alpha_tab, c0=1.0, config=cfg,
+                      comparison=comparison, r_truncated=n_requested - r_grid.size,
                       r_dropped=int(np.count_nonzero(~keep)))
 
 
@@ -435,12 +424,13 @@ def rate_tables(model, cfg, r_grid=None, s_grid=None, points_per_decade=200,
 # comparisons
 # ---------------------------------------------------------------------------
 
-def _shared_s_grid(tables, n=400):
+def _shared_s_grid(tables):
+    """400 geometric points inside the range every table covers."""
     lo = max(float(t.grid[0]) for t in tables) * (1.0 + 1e-9)
     hi = min(float(t.grid[-1]) for t in tables) * (1.0 - 1e-9)
     if not lo < hi:
         raise ValueError("alpha tables have no common range")
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(lo, hi, 400)
 
 
 def compare_sigma(runs, s_window=None):
@@ -474,6 +464,14 @@ def compare_sigma(runs, s_window=None):
             "bounded": bool(worst < 2.0), "bound_factor": 2.0}
 
 
+def _compact_radius(model):
+    """nu's support radius, or HypothesisFailed unless it is finite."""
+    R = model.source.support_radius
+    if not np.isfinite(R):
+        raise HypothesisFailed("stability comparison requires compact nu")
+    return R
+
+
 def compare_stability(mu_model, conv_model, cfg, alpha_mu, alpha_conv, sigma0=0.5,
                       eval_radii=(1e2, 1e3, 1e4)):
     """Stability of the rate order under convolution with a compact measure.
@@ -484,9 +482,7 @@ def compare_stability(mu_model, conv_model, cfg, alpha_mu, alpha_conv, sigma0=0.
     and alpha_conv of conv_model, built by the caller, over their shared
     range (bounded when their ratio ranges over less than a factor 3).
     """
-    R = conv_model.source.support_radius
-    if not np.isfinite(R):
-        raise HypothesisFailed("stability comparison requires compact nu")
+    R = _compact_radius(conv_model)
     pot = mu_model.potential
     r = np.asarray(eval_radii, dtype=float)
     # window infimum of eta over [r-R, r+R] against eta_mu(r) = v0'(r) r

@@ -145,7 +145,7 @@ def _log_tail_table(tail):
 
 def _mu_log_tail(model):
     """The mu law's table: measure_tail of mu on _log_tail_table's nodes."""
-    return _log_tail_table(lambda t: model_mod.measure_tail(model, "mu", t))
+    return _log_tail_table(lambda t: model_mod.measure_tail(model, t))
 
 
 def _interp_sorted(q, xp, fp):

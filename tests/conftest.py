@@ -75,10 +75,9 @@ def preset_rate_run():
             radii = []
             tail = M.measure_tail
 
-            def recording(model, which, t):
-                if which == "mu":
-                    radii.append(np.array(t, dtype=float))
-                return tail(model, which, t)
+            def recording(model, t):
+                radii.append(np.array(t, dtype=float))
+                return tail(model, t)
 
             M.measure_tail = recording
             try:

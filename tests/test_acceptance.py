@@ -111,7 +111,7 @@ def test_criterion_05_drift_certificates(models):
         for case, kw in (("a", {"sigma": 1.0}), ("b", {"delta": 0.75})):
             cfg = L.resolve_r0(m, L.DriftConfig(case=case, **kw))
             grid = np.geomspace(cfg.R0, 10.0 * cfg.R0, 200)
-            cert = L.drift_check(m, cfg, grid, tol_abs=1e-8)
+            cert = L.drift_check(m, cfg, grid)
             details.append(f"{name}/{case}: viol={cert.violation_fraction:g}")
             ok = ok and cert.violation_fraction == 0.0 and cert.valid
     report(5, "drift certificates, zero violations at 1e-8",

@@ -200,7 +200,9 @@ CI_CONFIGS = [  # the no-extras job's configs in .github/workflows/tier1.yml
 
 @pytest.mark.parametrize("source", [
     *_workload_configs(), _readme_config(), *CI_CONFIGS,
-    {"preset": "example_3_1", "nu": {"kind": "integer_lattice"}}])
+    {"preset": "example_3_1", "nu": {"kind": "integer_lattice"}},
+    # the no-extras job's null section and non-compact stability configs
+    "{preset: example_3_3, grids: }", "{preset: lemma_3_2, stages: [stability]}"])
 def test_filled_config_loads_as_itself(source):
     """A loaded config, every default filled, loads back unchanged: the
     manifest's echo is a config that reproduces the run."""
@@ -328,6 +330,18 @@ def test_overrides_dotted_paths():
         cli.apply_overrides(doc, ["oops"])
     with pytest.raises(ConfigError, match="--set p: value does not parse as YAML"):
         cli.apply_overrides(doc, ["p=[1,2"])
+
+
+def test_set_into_a_null_section_reads_it_as_empty(capsys):
+    """--set reads a null section as {}, as load_config does; a section that
+    holds a value is still no mapping."""
+    assert cli.main(["validate", "{preset: example_3_3, grids: }",
+                     "--set", "grids.r_min=0.1"]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    doc = cli.apply_overrides({"preset": "example_3_3", "grids": None}, ["grids.r_min=0.1"])
+    assert cli.load_config(doc).grids["r_min"] == 0.1
+    with pytest.raises(ConfigError, match="--set p.q: p is not a mapping"):
+        cli.apply_overrides({"preset": "example_3_3", "p": 2}, ["p.q=1"])
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +489,37 @@ def test_run_builds_each_rate_table_once(tmp_path, monkeypatch):
     assert status == 0 and len(calls) == 3
 
 
+def test_p_sweep_without_p_reads_the_rate_stages_table(tmp_path, monkeypatch):
+    """Without p, the sweep entry at the preset's own p is the rate stage's
+    table: two rate_tables calls, and sweep.csv and sweep.json equal the
+    run's with p: 2 byte for byte."""
+    calls = []
+    build = R.rate_tables
+
+    def counting(*args, **kw):
+        calls.append(args[0].name)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(R, "rate_tables", counting)
+    text = "{preset: example_3_3, %sstages: [rate, sweep], sweep: {param: p, values: [1, 2]}}"
+    assert run_cfg(text % "", tmp_path / "default")[0] == 0
+    assert len(calls) == 2
+    assert run_cfg(text % "p: 2, ", tmp_path / "p2")[0] == 0
+    for name in ("sweep.csv", "sweep.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+
+def test_stability_refuses_a_noncompact_nu_before_any_rate_table(tmp_path, monkeypatch):
+    """lemma_3_2's unbounded nu fails the stability hypothesis before a rate
+    table is built; stability.json records it and the run exits 2."""
+    calls = []
+    monkeypatch.setattr(R, "rate_tables", lambda *args, **kw: calls.append(args))
+    status, docs = run_cfg("{preset: lemma_3_2, stages: [stability]}", tmp_path)
+    assert status == 2 and calls == []
+    assert docs["stability.json"] == {"schema_version": 1, "bounded": False,
+                                      "error": "stability comparison requires compact nu"}
+
+
 def test_short_fit_window_is_an_inconclusive_fit(tmp_path):
     """A fit window holding fewer than 10 nodes of the alpha grid records an
     inconclusive fit: fit.json reads conclusive false and the run exits 2,
@@ -580,6 +625,23 @@ def test_run_verify_stage_small(tmp_path):
     # closure pulled in rate and drift
     assert (tmp_path / "alpha.csv").exists()
     assert (tmp_path / "certificate.json").exists()
+
+
+def test_verify_stage_reads_the_unit_rate_table(tmp_path):
+    """The WPI report is empirical_wpi on the run's c0 = 1 rate table, though
+    the run's certificate has c0 > 1."""
+    text = ("{preset: example_3_3, p: 2, stages: [verify], samples: {n_wpi: 20000}, "
+            "grids: {n_wpi_r: 8, certificate_points: 40}}")
+    status, docs = run_cfg(text, tmp_path)
+    assert status == 0 and docs["certificate.json"]["c0"] > 1.0
+    cfg = cli.load_config(text)
+    model, _ = cli.build_model(cfg)
+    rcfg = L.resolve_r0(model, cli._drift_config(cfg))
+    alpha = R.rate_tables(model, rcfg, r_grid=cli._r_grid(cfg)).alpha
+    r_w = np.geomspace(alpha.grid[0] * 2.0, min(alpha.grid[-1] * 0.5, 1e-2), 8)
+    report = verify.empirical_wpi(model, alpha, verify.build_corpus(seed=cfg.seeds["corpus"]),
+                                  r_w, seed=cfg.seeds["sampler"], n=20000)
+    assert docs["wpi_report.json"] == report.to_dict()
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -577,7 +577,8 @@ def test_certificate_and_rate_tables_reuse_the_profile_bitwise():
     assert drift.tobytes() == np.broadcast_to(psi[:, None], drift.shape).tobytes()
     r = np.geomspace(1.0, 1e6, 121)
     lent, fresh = (R.rate_tables(m, cfg, r_grid=r, profile=p) for p in (cert.phi, None))
-    for table in ("varphi", "beta", "alpha"):
+    assert lent.varphi.tobytes() == fresh.varphi.tobytes()
+    for table in ("beta", "alpha"):
         for field in ("grid", "values"):
             a, b = (getattr(getattr(res, table), field) for res in (lent, fresh))
             assert a.tobytes() == b.tobytes(), (table, field)

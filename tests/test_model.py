@@ -176,7 +176,7 @@ def test_grad_matches_fd_at_seeded_points(fixture, request):
 # ---------------------------------------------------------------------------
 
 def test_tilted_point_mass_returns_g_at_atom(gaussian_point):
-    val = M.tilted_expectation(gaussian_point, 1.3, lambda z: np.cos(z))
+    val = M.tilted_u_moment(gaussian_point, 1.3, lambda u: np.cos(1.3 - u))
     assert val == pytest.approx(1.0, rel=1e-14)
 
 
@@ -186,13 +186,13 @@ def test_tilted_point_mass_returns_g_at_atom(gaussian_point):
 def test_tilted_normalization(fixture, request):
     m = request.getfixturevalue(fixture)
     for x in [-7.0, 0.0, 2.5, 61.0]:
-        one = M.tilted_expectation(m, x, lambda z: np.ones(np.shape(z)))
+        one = M.tilted_u_moment(m, x, lambda u: np.ones(np.shape(u)))
         assert abs(one - 1.0) <= 1e-10
 
 
 def test_tilted_odd_function_vanishes_by_symmetry():
     m = M.ConvolutionModel(M.quadratic_potential(), M.uniform_density(1.0))
-    val = M.tilted_expectation(m, 0.0, lambda z: z)
+    val = M.tilted_u_moment(m, 0.0, lambda u: 0.0 - u)
     assert abs(val) < 1e-12
 
 
@@ -267,15 +267,15 @@ def test_fold_even_calls_once_per_distinct_radius(lattice_well):
 # ---------------------------------------------------------------------------
 
 def test_tail_at_zero_is_one(log_uniform):
-    assert M.measure_tail(log_uniform, "mu", 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert M.measure_tail(log_uniform, "nu", 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert M.measure_tail(log_uniform, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert log_uniform.source.tail(0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mu_tail_slope_and_closed_form(log_uniform):
     """Algebraic-tail potential, p=2: tail(t) = (1+t)^-2 exactly in d=1."""
     m = log_uniform
     ts = np.geomspace(1e2, 1e5, 25)
-    tails = M.measure_tail(m, "mu", ts)
+    tails = M.measure_tail(m, ts)
     closed = (1.0 + ts) ** -2
     np.testing.assert_allclose(tails, closed, rtol=1e-8)
     slope = np.polyfit(np.log(ts), np.log(tails), 1)[0]
@@ -283,7 +283,7 @@ def test_mu_tail_slope_and_closed_form(log_uniform):
 
 
 def test_compact_source_tail_vanishes_beyond_support(log_uniform):
-    assert M.measure_tail(log_uniform, "nu", 1.5) == 0.0
+    assert log_uniform.source.tail(1.5) == 0.0
 
 
 def test_lattice_tail_matches_brute(lattice_well):
@@ -409,8 +409,8 @@ def test_source_tails_are_array_at_once(nu):
 def test_tail_monotonicity(ts):
     m = M.ConvolutionModel(M.log_potential(2.0), M.uniform_density(1.0))
     ts = np.sort(np.asarray(ts))
-    mu = M.measure_tail(m, "mu", ts)
-    nu = M.measure_tail(m, "nu", ts)
+    mu = M.measure_tail(m, ts)
+    nu = m.source.tail(ts)
     assert np.all(np.diff(mu) <= 1e-12)
     assert np.all(np.diff(nu) <= 1e-12)
 
@@ -441,7 +441,7 @@ def _radial_mass_quad(pot, a, far=None):
 def _mass(pot, a):
     """int_a^inf exp(-v0(s)) s^(d-1) ds as read through c and measure_tail."""
     model = M.ConvolutionModel(pot, M.point_mass(d=pot.d))
-    return math.exp(pot.c) / M.sphere_area(pot.d) * M.measure_tail(model, "mu", a)
+    return math.exp(pot.c) / M.sphere_area(pot.d) * M.measure_tail(model, a)
 
 
 RADIAL_MASS_POTENTIALS = {
@@ -475,7 +475,7 @@ def test_radial_mass_rule_matches_adaptive_quadrature(name):
         assert pot.c == pytest.approx(c, rel=1e-15, abs=0.0)
         model = M.ConvolutionModel(pot, M.point_mass())
         for t, tail in tails.items():
-            assert M.measure_tail(model, "mu", t) == pytest.approx(tail, rel=1e-15, abs=0.0), t
+            assert M.measure_tail(model, t) == pytest.approx(tail, rel=1e-15, abs=0.0), t
         return
     for a in (0.0, 1e-3, 0.7, 17.0, 1e5, 1e7, 1e9):
         ref = _radial_mass_quad(pot, a)
@@ -514,7 +514,7 @@ def test_measure_tail_matches_the_per_radius_rule(case, preset_rate_run):
         checked = np.append(distinct[::8], distinct[-1])
         if case == "example_3_4":  # loglog, p = 2: y^-2 density beyond y = 100
             far = lambda y: 1.0 / y
-    got = dict(zip(t, M.measure_tail(model, "mu", t)))
+    got = dict(zip(t, M.measure_tail(model, t)))
     pot = model.potential
     total = _radial_mass_quad(pot, 0.0, far)
     ref = [1.0 if x <= 1e-12 else _radial_mass_quad(pot, x, far) / total for x in checked]
@@ -531,11 +531,11 @@ def test_measure_tail_of_one_radius_is_the_per_radius_value(name):
     pot = RADIAL_MASS_POTENTIALS[name]
     model = M.ConvolutionModel(pot, M.point_mass(d=pot.d))
     ts = np.array([0.0, 1e-12, 1e-3, 0.7, 17.0, 1e5, 1e9])
-    every = M.measure_tail(model, "mu", ts)
+    every = M.measure_tail(model, ts)
     assert every[0] == every[1] == 1.0
     for t, ref in zip(ts, every):
-        assert M.measure_tail(model, "mu", t) == ref
-        np.testing.assert_array_equal(M.measure_tail(model, "mu", np.array([t])), [ref])
+        assert M.measure_tail(model, t) == ref
+        np.testing.assert_array_equal(M.measure_tail(model, np.array([t])), [ref])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -547,8 +547,8 @@ def test_measure_tail_of_each_radius_is_independent_of_the_others(name):
     model = P.make_model(name)
     log_t, _ = V._mu_log_tail(model)
     t = np.random.default_rng(3).permutation(np.exp(log_t))[:400]
-    one = [M.measure_tail(model, "mu", x) for x in t]
-    np.testing.assert_array_equal(M.measure_tail(model, "mu", t), one)
+    one = [M.measure_tail(model, x) for x in t]
+    np.testing.assert_array_equal(M.measure_tail(model, t), one)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -561,7 +561,7 @@ def test_log_potential_tail_is_the_closed_form(p):
     exact = np.exp(-p * np.log1p(t))
     keep = exact > 1e-300
     t, exact = t[keep], exact[keep]
-    err = np.abs(M.measure_tail(model, "mu", t) / exact - 1.0)
+    err = np.abs(M.measure_tail(model, t) / exact - 1.0)
     assert np.all(err <= 4.0 * np.spacing(np.abs(np.log(exact))) + 4e-16)
 
 
@@ -574,7 +574,7 @@ def test_quadratic_tail_is_erfc():
     t = np.concatenate([np.geomspace(1e-10, 1.0, 400), np.linspace(1.0, 26.5, 2001)])
     exact = special.erfc(t)
     kappa = 2.0 / math.sqrt(math.pi) * t * np.exp(-t * t) / exact
-    err = np.abs(M.measure_tail(model, "mu", t) / exact - 1.0)
+    err = np.abs(M.measure_tail(model, t) / exact - 1.0)
     bound = 4.0 * np.spacing(np.abs(np.log(exact))) + 4e-16 + kappa * np.finfo(float).eps
     assert np.all(err <= bound)
 
@@ -596,7 +596,7 @@ def test_patched_mass_matches_quad_split_at_the_seam(q):
     assert pot.c == pytest.approx(math.log(2.0 * total), rel=1e-14, abs=0.0)
     model = M.ConvolutionModel(pot, M.point_mass())
     for a in (0.05, 0.2):
-        assert M.measure_tail(model, "mu", a) == pytest.approx(mass(a) / total, rel=1e-14, abs=0.0)
+        assert M.measure_tail(model, a) == pytest.approx(mass(a) / total, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

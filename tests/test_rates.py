@@ -38,16 +38,21 @@ def alpha_33():
 def test_rate_table_rejects_monotonicity_violation():
     g = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        R.RateTable(grid=g, values=np.array([1.0, 1.5, 1.2]),
-                    monotonicity="nonincreasing")
+        R.RateTable(grid=g, values=np.array([1.0, 1.5, 1.2]))
     # within 1e-12 is accepted
-    R.RateTable(grid=g, values=np.array([1.0, 1.0 + 1e-13, 0.5]),
-                monotonicity="nonincreasing")
+    R.RateTable(grid=g, values=np.array([1.0, 1.0 + 1e-13, 0.5]))
+
+
+@pytest.mark.parametrize("bad, name", [(0.0, "0 at 3"), (-0.5, "-0.5 at 3"),
+                                       (np.nan, "nan at 3")])
+def test_rate_table_rejects_a_nonpositive_value_and_names_it(bad, name):
+    with pytest.raises(ValueError, match=f"values must be positive, got {name}"):
+        R.RateTable(grid=np.array([1.0, 2.0, 3.0]), values=np.array([2.0, 1.0, bad]))
 
 
 def test_rate_table_inverse_conventions():
     g = np.geomspace(1.0, 100.0, 21)
-    t = R.RateTable(grid=g, values=1.0 / g, monotonicity="nonincreasing")
+    t = R.RateTable(grid=g, values=1.0 / g)
     # left-continuous: ties belong to the sublevel set
     assert t.inverse(1.0 / g[7]) == pytest.approx(g[7])
     # above the maximum clamps to the first grid point
@@ -327,10 +332,10 @@ def test_beta_compact_branch_is_mu_tail_only(alpha_33):
     r = 1e4
     t = 0.5 * R.varphi_phi(phi, r)
     floor = m.source.support_radius + phi.r0
-    expect = M.measure_tail(m, "mu", max(t, floor))
+    expect = M.measure_tail(m, max(t, floor))
     assert R.beta_phi(m, phi, r) == pytest.approx(expect, rel=1e-9)
     # nu contributes nothing once the radius passes the support
-    assert M.measure_tail(m, "nu", max(t, floor)) == 0.0
+    assert m.source.tail(max(t, floor)) == 0.0
 
 
 @pytest.mark.parametrize("case", sorted(PRESET_RATE_RUNS))
@@ -384,10 +389,10 @@ def test_alpha_from_synthetic_power_beta():
     C, p, c0 = 2.0, 2.0, 1.5
     rr = np.geomspace(1.0, 1e8, 1600)
     beta = R.RateTable(grid=rr, values=C * rr ** (-p / 2.0))
-    alpha = R.alpha_from_beta(beta, c0=c0)
+    alpha = R.alpha_from_beta(beta)
     ss = alpha.grid[10:-10]
     expect = c0 * (C / ss) ** (2.0 / p)
-    np.testing.assert_allclose(alpha.value_at(ss), expect, rtol=2e-2)
+    np.testing.assert_allclose(c0 * alpha.value_at(ss), expect, rtol=2e-2)
     slope = np.polyfit(np.log(ss), np.log(alpha.value_at(ss)), 1)[0]
     assert abs(slope - (-2.0 / p)) < 0.01
 
@@ -395,8 +400,8 @@ def test_alpha_from_synthetic_power_beta():
 def test_alpha_constant_beta_clamps_to_r_min():
     rr = np.geomspace(2.0, 100.0, 30)
     beta = R.RateTable(grid=rr, values=np.full(30, 0.25))
-    alpha = R.alpha_from_beta(beta, c0=3.0, s_grid=np.array([0.25, 0.5, 1.0]))
-    np.testing.assert_allclose(alpha.values, 3.0 * rr[0])
+    alpha = R.alpha_from_beta(beta, s_grid=np.array([0.25, 0.5, 1.0]))
+    np.testing.assert_allclose(alpha.values, rr[0])
 
 
 def test_alpha_beta_round_trip(alpha_33):
@@ -409,7 +414,8 @@ def test_alpha_beta_round_trip(alpha_33):
 def test_alpha_monotone_and_beta_monotone(alpha_33):
     assert np.all(np.diff(alpha_33.alpha.values) <= 0.0)
     assert np.all(np.diff(alpha_33.beta.values) <= 0.0)
-    assert np.all(np.diff(alpha_33.varphi.values) >= 0.0)
+    assert np.all(np.diff(alpha_33.varphi) >= 0.0)
+    assert alpha_33.varphi.shape == alpha_33.beta.grid.shape
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +562,7 @@ def test_capped_rate_tables_serves_the_unsaturated_prefix(monkeypatch):
             break
         served.append(rv)
     assert 32 <= len(served) < rg.size
-    np.testing.assert_array_equal(res.varphi.grid, served)
+    np.testing.assert_array_equal(res.beta.grid, served)
     assert res.r_truncated == rg.size - len(served) > 0
     assert res.r_dropped == 0
 
@@ -572,14 +578,15 @@ def test_rate_result_counts_nothing_cut_on_example_3_1():
 
 
 def test_scaled_result_equals_the_alpha_built_with_c0(alpha_33):
-    """Scaling a c0 = 1 result by c0 equals alpha_from_beta with c0 bit for
-    bit: rounding is monotone, so c0 commutes with the running minimum."""
+    """Scaling a c0 = 1 result by c0 equals the running minimum of c0 times
+    beta's inverse bit for bit: rounding is monotone, so c0 commutes with the
+    running minimum."""
     assert alpha_33.c0 == 1.0
+    inv = alpha_33.beta.inverse(alpha_33.alpha.grid)
     for c0 in (1.0, 5.206, math.pi, 1e-3):
         scaled = alpha_33.scaled(c0)
         assert scaled.c0 == c0 and scaled.alpha_final is scaled.alpha
-        np.testing.assert_array_equal(scaled.alpha.values,
-                                      R.alpha_from_beta(alpha_33.beta, c0=c0).values)
+        np.testing.assert_array_equal(scaled.alpha.values, np.minimum.accumulate(c0 * inv))
 
 
 def test_rate_tables_names_the_first_nonpositive_r():

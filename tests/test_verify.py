@@ -14,7 +14,7 @@ from wpconv import lyapunov as L
 from wpconv import rates as R
 from wpconv import verify as V
 from wpconv import presets as P
-from wpconv.errors import StepSizeTooLarge
+from wpconv.errors import CalibrationFailed, StepSizeTooLarge
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +261,7 @@ def test_sampler_radius_and_direction_in_d_above_1(p, d):
     r = np.linalg.norm(x, axis=1)
     u = np.arctan2(x[:, 1], x[:, 0]) / np.pi if d == 2 else x[:, 2] / r
     crit = V.ks_critical_value(n)
-    assert _ks_uniform(1.0 - M.measure_tail(m, "mu", np.sort(r))) < crit
+    assert _ks_uniform(1.0 - M.measure_tail(m, np.sort(r))) < crit
     assert _ks_uniform(np.sort(0.5 * (u + 1.0))) < crit
 
 
@@ -394,6 +394,32 @@ def test_wpi_constant_function_trivial(m33, alpha_33):
     st = rep.per_function["const"]
     assert st["var"] <= 1e-25
     assert st["max_slack"] <= 0.0
+
+
+def _sign(role):
+    """A jump with zero gradient: its variance has no energy to pay for it."""
+    return V.TestFunction(id="sign", value=np.sign, gradient=np.zeros_like,
+                          osc_bound=2.0, role=role)
+
+
+def test_wpi_counts_a_holdout_violation(m33, alpha_33):
+    """sign breaks the inequality at every r < 1/4: in the holdout split it is
+    the one violation, and the report fails."""
+    corpus = V.build_corpus(seed=7)[:10] + [_sign("holdout")]
+    rep = V.empirical_wpi(m33, alpha_33.alpha, corpus, np.geomspace(1e-5, 1e-2, 10),
+                          seed=5, n=20_000)
+    assert rep.holdout_violations == 1 and not rep.passed
+    assert rep.to_dict()["passed"] is False
+    assert rep.worst_slack_sigma == rep.per_function["sign"]["max_slack_sigma"] > 2.0
+
+
+def test_wpi_calibration_refuses_variance_without_energy(m33, alpha_33):
+    """In the calibration split, sign leaves no constant c to calibrate."""
+    corpus = V.build_corpus(seed=7)[:10] + [_sign("calibration")]
+    with pytest.raises(CalibrationFailed,
+                       match="sign: positive variance excess with zero energy"):
+        V.empirical_wpi(m33, alpha_33.alpha, corpus, np.geomspace(1e-5, 1e-2, 10),
+                        seed=5, n=20_000)
 
 
 def test_wpi_holdout_passes_at_moderate_n(m33, alpha_33):
