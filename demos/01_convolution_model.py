@@ -48,8 +48,8 @@ print("\n" + "-" * 70)
 print("integer-lattice source with a sub-linear smooth well")
 m31 = M.ConvolutionModel(M.smooth_well_potential(0.5), M.integer_lattice(1.0))
 src = m31.source
-print(f"stored atoms: {src.locations.size}, tracked truncation error "
-      f"{src.truncation_error:.2e}")
+print(f"atoms |i| <= {src.lattice[0]}, weights read from the closed form; "
+      f"tracked truncation error {src.truncation_error:.2e}")
 print(f"p(0)  = {M.p_nu(m31, 0.0):.10f}")
 print(f"tail at 10 (exact series): {src.tail(10.0):.8f}")
 print(f"total mass (grid + analytic complement): "

@@ -373,8 +373,15 @@ class SourceMeasure:
     """The perturbing probability measure nu.
 
     kind             -- 'point_mass' | 'discrete_atoms' | 'density'
-    locations/weights-- atoms (locations shape (n, d)); weights sum to
-                        1 - truncation_error.
+    atoms            -- (locations, weights) of a finite atom list, locations
+                        of shape (n, d) and weights summing to 1
+    lattice          -- (n_max, q, gamma) of the integer lattice: weight
+                        1/((1 + |i|^q) gamma) at each integer i.  It stores
+                        no atoms; the kernel reads each window's weights
+                        from this closed form
+    locations/weights-- the atoms, built on first use: a finite list's, or
+                        the lattice's at |i| <= n_max (weights summing to
+                        1 - truncation_error)
     density          -- vectorized z -> density, for kind='density' (d = 1);
                         the uniform one on [-R, R] when R is finite
     density_reach    -- half-width outside which the density tail is handled
@@ -382,8 +389,8 @@ class SourceMeasure:
     support_radius   -- sup |z| over the support (inf when unbounded)
     tail             -- vectorized t -> nu(|z| >= t), exact (analytic) where
                         the measure has unbounded support
-    truncation_error -- weight mass beyond the stored atoms (tracked, not lost:
-                        tail() remains exact)
+    truncation_error -- the lattice's weight mass beyond |i| = n_max (tracked,
+                        not lost: tail() remains exact)
     symmetric        -- nu is invariant under z -> -z, set by the constructors
                         (then so is mu * nu, and d = 1 evaluators of even
                         quantities fold the points x and -x)
@@ -393,8 +400,8 @@ class SourceMeasure:
     d: int
     support_radius: float
     tail: Callable
-    locations: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
+    atoms: Optional[tuple] = None
+    lattice: Optional[tuple] = None
     density: Optional[Callable] = None
     density_reach: float = 0.0
     truncation_error: float = 0.0
@@ -402,12 +409,28 @@ class SourceMeasure:
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.kind in ("point_mass", "discrete_atoms"):
-            w = np.asarray(self.weights, dtype=float)
+        if self.atoms is not None:
+            w = self.atoms[1]
             if np.any(w <= 0):
                 raise ValueError("atom weights must be positive")
-            if abs(w.sum() + self.truncation_error - 1.0) > 1e-9:
-                raise ValueError("atom weights (plus tracked truncation) must sum to 1")
+            if abs(w.sum() - 1.0) > 1e-9:
+                raise ValueError("atom weights must sum to 1")
+
+    @cached_property
+    def _atom_list(self):
+        if self.lattice is None:
+            return self.atoms
+        n_max, q, gamma = self.lattice
+        i = np.arange(-n_max, n_max + 1, dtype=float)
+        return i.reshape(-1, 1), _lattice_weights(i, q, gamma)
+
+    @property
+    def locations(self):
+        return self._atom_list[0]
+
+    @property
+    def weights(self):
+        return self._atom_list[1]
 
 
 def point_mass(location=0.0, d=1):
@@ -418,7 +441,7 @@ def point_mass(location=0.0, d=1):
     radius = float(np.sqrt((loc ** 2).sum()))
     tail = lambda t: np.where(np.asarray(t, dtype=float) <= radius, 1.0, 0.0)
     return SourceMeasure(kind="point_mass", d=d, support_radius=radius,
-                         tail=tail, locations=loc, weights=np.array([1.0]),
+                         tail=tail, atoms=(loc, np.array([1.0])),
                          name="delta", symmetric=radius == 0.0)
 
 
@@ -444,7 +467,7 @@ def discrete_atoms(locations, weights, d=1):
 
     return SourceMeasure(kind="discrete_atoms", d=d,
                          support_radius=float(radii.max()), tail=tail,
-                         locations=loc, weights=w, name="atoms", symmetric=symmetric)
+                         atoms=(loc, w), name="atoms", symmetric=symmetric)
 
 
 def symmetric_pair(a=1.0, d=1):
@@ -532,21 +555,26 @@ def _ptail_sum(m, q):
     return out if out.ndim else float(out)
 
 
+def _lattice_weights(i, q, gamma):
+    """The integer lattice's weights at the integers i (a float array)."""
+    return (1.0 / (1.0 + np.abs(i) ** q)) / gamma
+
+
 def integer_lattice(p, n_max=200_000):
     """Atoms at the integers with weights proportional to 1/(1+|i|^(1+p)).
 
-    The normalizer and the tail map use the exact series (Hurwitz-zeta sums);
-    stored atoms cover |i| <= n_max and the uncovered weight mass is tracked in
-    truncation_error.  Evaluations of the convolution density window the atoms
-    by the reach of exp(-V), which keeps the density truncation error at the
-    1e-18 level regardless of the raw weight tail.
+    The normalizer and the tail map use the exact series (Hurwitz-zeta sums).
+    The source stores no atoms: the convolution density reads the atoms
+    within the reach of exp(-V) of each point, |i| <= n_max, from the closed
+    form, which keeps the density truncation error at the 1e-18 level
+    regardless of the raw weight tail.  The weight mass beyond n_max is
+    tracked in truncation_error; locations and weights build the atom list
+    of |i| <= n_max on first use.
     """
     if p <= 0:
         raise ValueError("integer lattice requires p > 0")
     q = 1.0 + p
     gamma = 1.0 + 2.0 * _ptail_sum(1, q)
-    i = np.arange(-n_max, n_max + 1, dtype=float)
-    w = (1.0 / (1.0 + np.abs(i) ** q)) / gamma
     trunc = 2.0 * _ptail_sum(n_max + 1, q) / gamma
 
     def tail(t):
@@ -557,8 +585,8 @@ def integer_lattice(p, n_max=200_000):
         return out if out.ndim else float(out)
 
     return SourceMeasure(kind="discrete_atoms", d=1, support_radius=np.inf,
-                         tail=tail, locations=i.reshape(-1, 1), weights=w,
-                         truncation_error=trunc, name=f"lattice(p={p})", symmetric=True)
+                         tail=tail, lattice=(n_max, q, gamma), truncation_error=trunc,
+                         name=f"lattice(p={p})", symmetric=True)
 
 
 def uniform_density(halfwidth=1.0):
@@ -681,9 +709,10 @@ class ConvolutionModel:
 
     @cached_property
     def _log_weights(self):
-        """The log atom weights, and -inf for a padding atom at the end."""
-        with np.errstate(divide="ignore"):
-            return np.log(np.append(self.source.weights, 0.0))
+        """A one-entry list holding the lattice's log weights at |i| = 0, 1,
+        ..., K and -inf (a padding atom's) at the end: _lattice_log_weights
+        grows the table."""
+        return [np.array([-np.inf])]
 
     def patched(self, eps=0.1):
         return replace(self, potential=self.potential.patched(eps),
@@ -817,26 +846,44 @@ def _ladder_split(E, lo, hi, n, pos, cuts=None):
 _ATOM_BLOCK = 64
 
 
+def _lattice_log_weights(model, k):
+    """The lattice's log weights at |i| = 0, ..., K for some K >= k, then
+    -inf.  The model keeps the table, grown at least twofold (up to n_max)
+    when a window reaches past it; a call reads the table it was handed."""
+    held = model._log_weights
+    table = held[0]
+    if table.size <= k + 1:
+        n_max, q, gamma = model.source.lattice
+        i = np.arange(min(max(k, 2 * table.size), n_max) + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            table = np.log(np.append(_lattice_weights(i, q, gamma), 0.0))
+        held[0] = table
+    return table
+
+
 def _atom_terms(model, xs):
     src = model.source
-    z, logw = src.locations, model._log_weights
-    if np.isfinite(src.support_radius) or model.d > 1:
-        logw = np.broadcast_to(logw[:-1], (xs.shape[0], z.shape[0]))
+    if src.lattice is None:
+        z = src.locations
+        logw = np.broadcast_to(np.log(src.weights), (xs.shape[0], z.shape[0]))
         if model.d == 1:
             return xs[:, None] - z[None, :, 0], logw, z.shape[0]
         return xs[:, None, :] - z[None], logw, z.shape[0]
-    # unbounded lattice: window the atoms by the reach of exp(-V)
-    zc = z[:, 0]
-    reach = model.reach()
-    i0 = np.searchsorted(zc, xs - reach)
-    i1 = np.searchsorted(zc, xs + reach, side="right")
-    empty = i0 >= i1
+    # the lattice: the atoms ceil(x - reach) <= i <= floor(x + reach) within
+    # the reach of exp(-V), clipped at +-n_max, and padding atoms after them
+    n_max, reach = src.lattice[0], model.reach()
+    lo = np.maximum(np.ceil(xs - reach), -n_max)
+    hi = np.minimum(np.floor(xs + reach), n_max)
+    empty = lo > hi
     if np.any(empty):
-        raise NumericUnderflow(
-            f"x={xs[empty][0]:g} outside the stored atom range; enlarge n_max")
-    idx = i0[:, None] + np.arange(-(-int(np.max(i1 - i0)) // _ATOM_BLOCK) * _ATOM_BLOCK)
-    u = xs[:, None] - zc[np.minimum(idx, zc.size - 1)]
-    return u, logw[np.where(idx < i1[:, None], idx, zc.size)], _ATOM_BLOCK
+        raise NumericUnderflow(f"x={xs[empty][0]:g} is farther than the reach of exp(-V) "
+                               f"from the lattice atoms |i| <= n_max={n_max}; enlarge n_max")
+    width = -(-int(np.max(hi - lo) + 1) // _ATOM_BLOCK) * _ATOM_BLOCK
+    i = lo[:, None] + np.arange(width, dtype=float)
+    table = _lattice_log_weights(model, int(max(-lo.min(), hi.max())))
+    k = np.where(i <= hi[:, None], np.abs(i), table.size - 1).astype(np.intp)
+    # padding atoms weigh 0 and sit at min(i, n_max), inside the lattice
+    return xs[:, None] - np.minimum(i, n_max), np.take(table, k), _ATOM_BLOCK
 
 
 def _split_terms(model, pts, rows, f):
@@ -857,39 +904,66 @@ def _split_terms(model, pts, rows, f):
     L = min(model.reach(), 1e7)
     mid, pos = pts / 2.0, pts >= 0.0
     cuts = None if pot.seam is None else pts[:, None] + np.array([-pot.seam, pot.seam])
-    fams = []
-    for (E, nodes, logw, *v0), lo, hi, c in (
+    splits = []
+    for (E, *table), lo, hi, c in (
             (model._ladder[0], np.where(pos, -L, mid), np.where(pos, mid, L), None),
             (model._ladder[1], np.where(pos, pts - L, mid), np.where(pos, mid, pts + L), cuts)):
         k0, k1, ends, w = _ladder_split(E, lo, hi, n, pos, c)
         # point i's end pieces are the table rows P + 2 j i + [0, 2j)
-        j, P = ends.shape[2] // n, nodes.shape[0]
-        nodes = np.concatenate([nodes, ends.reshape(-1, n)])
-        with np.errstate(divide="ignore"):
-            logw = np.concatenate([logw, np.log(w.reshape(-1, n))])
-        v0 = np.concatenate([v0[0], pot.v0(np.abs(nodes[P:]))]) if v0 else None
+        j, P = ends.shape[2] // n, table[0].shape[0]
         # a row's panels: its ends at lo, k0 <= k < k1, its ends at hi, padding
-        first, w = P + 2 * j * np.arange(pts.size)[:, None], (k1 - k0)[:, None]
-        c = np.arange(int(np.max(w, initial=0)) + j)
-        idx = np.where(c < w, k0[:, None] + c, np.where(c < w + j, first + j + c - w, P - 1))
-        fams.append((np.concatenate([first + c[:j], idx], axis=1), 2 * j + w[:, 0],
-                     nodes, logw, v0))
+        first, k = P + 2 * j * np.arange(pts.size)[:, None], (k1 - k0)[:, None]
+        c = np.arange(int(np.max(k, initial=0)) + j)
+        idx = np.where(c < k, k0[:, None] + c, np.where(c < k + j, first + j + c - k, P - 1))
+        splits.append((np.concatenate([first + c[:j], idx], axis=1), 2 * j + k[:, 0],
+                       table, ends.reshape(-1, n), w.reshape(-1, n)))
+    # One buffer of the call holds both families' tables, grown by the end
+    # pieces, and each family's u, logt and scratch terms, which every chunk
+    # reuses.  glibc raises its mmap and trim thresholds to the largest block
+    # freed, so one buffer that holds most of a call's memory keeps the
+    # chunks' temporaries on heap pages that stay mapped from call to call
+    # (with separate arrays a tilted iteration faulted in ten times as many).
+    shapes = [s for idx, _, table, ends, _ in splits
+              for s in ((len(table), len(table[0]) + len(ends), n),
+                        (3, min(rows, pts.size) * idx.shape[1] * n))]
+    sizes = [math.prod(s) for s in shapes]
+    views = [v.reshape(s) for v, s in
+             zip(np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1]), shapes)]
+    fams = []
+    for (idx, width, table, ends, w), tab, buf in zip(splits, views[::2], views[1::2]):
+        P = table[0].shape[0]
+        np.concatenate([table[0], ends], out=tab[0])
+        tab[1, :P] = table[1]
+        with np.errstate(divide="ignore"):
+            np.log(w, out=tab[1, P:])
+        if len(table) > 2:  # the u family's v0
+            tab[2, :P] = table[2]
+            tab[2, P:] = pot.v0(np.abs(ends))
+        fams.append((idx, width, tab[0], tab[1], tab[2] if len(table) > 2 else None, buf))
     f_u = None if f is None else np.asarray(f(fams[0][2]), dtype=float)
+    # the u family's f(u) terms of a chunk
+    fbuf = None if f is None else np.empty(fams[0][-1].shape[1] * f_u[0, 0].size)
     for i in range(0, pts.size, rows):
         sl, xs, segs = slice(i, i + rows), pts[i:i + rows, None, None], []
-        for idx, width, nodes, logw, v0 in fams:
+        for idx, width, nodes, logw, v0, buf in fams:
             idx = idx[sl, :int(np.max(width[sl], initial=0))]
-            u = nodes[idx]
+            m, size = idx.shape[0], idx.size * n
+            u, t, tmp = (b[:size].reshape(idx.shape + (n,)) for b in buf)
+            np.take(nodes, idx, axis=0, out=u)
             if v0 is None:  # the y family: u = x - y
                 np.subtract(xs, u, out=u)
             with np.errstate(divide="ignore"):
-                t = np.log(model.source.density(xs - u))
-            t += logw[idx]
-            t -= pot.v0(np.abs(u)) if v0 is None else v0[idx]
+                np.log(model.source.density(np.subtract(xs, u, out=tmp)), out=t)
+            t += np.take(logw, idx, axis=0, out=tmp)
+            t -= pot.v0(np.abs(u, out=tmp)) if v0 is None else np.take(v0, idx, axis=0, out=tmp)
             t -= pot.c
-            m = t.shape[0]
-            fu = None if f is None else f(u.reshape(m, -1)) if v0 is None else \
-                f_u[idx].reshape((m, -1) + f_u.shape[2:])
+            if f is None:
+                fu = None
+            elif v0 is None:
+                fu = f(u.reshape(m, -1))
+            else:
+                out = fbuf[:size * f_u[0, 0].size].reshape(idx.shape + f_u.shape[1:])
+                fu = np.take(f_u, idx, axis=0, out=out).reshape((m, -1) + f_u.shape[2:])
             segs.append((t.reshape(m, -1), fu))
         yield segs, n
 
@@ -943,10 +1017,10 @@ def _chunk_rows(model):
         # (0, 1/2, 1, 2, ...), plus one seam cut in each
         L = min(model.reach(), 1e7)
         k = 4 * (math.ceil(math.log2(max(L, 2.0))) + 3) * n
-    elif np.isfinite(src.support_radius) or model.d > 1:
+    elif src.lattice is None:
         k = src.weights.size * model.d
     else:
-        k = min(src.weights.size, 2 * math.ceil(model.reach()) + 1) + _ATOM_BLOCK
+        k = min(2 * src.lattice[0], 2 * math.ceil(model.reach())) + 1 + _ATOM_BLOCK
     return max(_CHUNK_TERMS // k, 1)
 
 
@@ -1155,17 +1229,18 @@ def _log_panel_rule(logg, dy):
 
 def default_domain(model):
     """|x| cutoff for evaluation grids: the potential reach widened by the
-    source support, capped by stored-atom coverage for lattice sources."""
+    source support; for the lattice, stretched out to the reach of exp(-V)
+    inside its atoms |i| <= n_max."""
     src = model.source
     T = model.truncation_radius
     if np.isfinite(src.support_radius):
         T = T + src.support_radius
     elif src.kind == "density":
         T = T + min(src.density_reach, model.truncation_radius)
-    elif src.kind == "discrete_atoms":
-        # infinite lattice: convolution tails follow the source; stretch the
-        # domain as far as the stored atoms allow
-        T = max(T, float(src.locations[-1, 0]) - model.reach() - 1.0)
+    elif src.lattice is not None:
+        # convolution tails follow the source: stretch the domain as far as
+        # the atoms |i| <= n_max allow
+        T = max(T, float(src.lattice[0]) - model.reach() - 1.0)
     return min(T, 1e7)
 
 

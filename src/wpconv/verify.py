@@ -4,8 +4,9 @@ sample_convolution draws X + Z with X from the base measure and Z from the
 perturbing measure.  In every d, |X| inverts a log-log table of the exact
 model.measure_tail out to 1e300, so heavy tails are sampled without truncating
 representable mass, and its direction is a fair sign (d = 1) or uniform on the
-sphere (d > 1); an unbounded source density is drawn from its tail the same
-way.  convolution_cdf, the d = 1 KS reference, reads the same mu table, and
+sphere (d > 1); an unbounded source density, and the integer lattice
+rounded down to its integers, is drawn from its tail the same way.
+convolution_cdf, the d = 1 KS reference, reads the same mu table, and
 ks_statistic tests the draws that empirical_wpi and semigroup_decay use.
 empirical_wpi, which acts on the first coordinate, calibrates the single
 constant c of
@@ -133,19 +134,33 @@ class SampleBatch:
     points: np.ndarray
 
 
-def _log_tail_table(tail):
-    """Log radii and log tail(t), made nonincreasing, at 400 nodes per decade
-    from 1e-8 to 1e12, then 32 per decade on to 1e300 (past e^690, so
-    logarithmic tails keep their representable mass)."""
-    nodes = np.unique(np.concatenate([np.geomspace(1e-8, 1e12, 8002),
-                                      np.geomspace(1e12, 1e300, 9217)]))
+def _tail_nodes():
+    """400 radii per decade from 1e-8 to 1e12, then 32 per decade on to
+    1e300 (past e^690, so logarithmic tails keep their representable mass)."""
+    return np.unique(np.concatenate([np.geomspace(1e-8, 1e12, 8002),
+                                     np.geomspace(1e12, 1e300, 9217)]))
+
+
+def _log_tail_table(tail, nodes):
+    """Log radii and log tail(t) at the nodes, made nonincreasing."""
     tails = np.minimum.accumulate(np.maximum(tail(nodes), 1e-320))
     return np.log(nodes), np.log(tails)
 
 
 def _mu_log_tail(model):
-    """The mu law's table: measure_tail of mu on _log_tail_table's nodes."""
-    return _log_tail_table(lambda t: model_mod.measure_tail(model, t))
+    """The mu law's table: measure_tail of mu on the _tail_nodes."""
+    return _log_tail_table(lambda t: model_mod.measure_tail(model, t), _tail_nodes())
+
+
+def _lattice_log_tail(tail):
+    """The integer lattice's table: tail(s - 1) at s = 1, 2, ..., 4096, then
+    at the _tail_nodes past 4096.  The tail steps at the integers, so where
+    the nodes are consecutive integers a radius s inverted from it has
+    floor(s) - 1 = max{m : tail(m) >= 1 - u}, the exact inverse; beyond,
+    it interpolates the exact tail log-log."""
+    nodes = _tail_nodes()
+    s = np.concatenate([np.arange(1.0, 4097.0), nodes[nodes > 4096.0]])
+    return _log_tail_table(lambda s: tail(s - 1.0), s)
 
 
 def _interp_sorted(q, xp, fp):
@@ -190,8 +205,15 @@ def _radial_draws(rng, n, d, table):
 
 def _sample_source(src, rng, n, x=None):
     """x (zeros when not given), shape (n, d), plus n draws from the source,
-    added in place a block at a time but for an unbounded density (d = 1)."""
+    added in place a block at a time but for an unbounded source (d = 1),
+    which is drawn from its exact tail."""
     x = np.zeros((n, src.d)) if x is None else x
+    if src.lattice is not None:
+        z = _radial_draws(rng, n, 1, _lattice_log_tail(src.tail))
+        i = np.floor(np.abs(z))
+        i -= 1.0
+        x += np.copysign(i, z, out=i)
+        return x
     if src.kind in ("point_mass", "discrete_atoms"):
         cdf = np.cumsum(src.weights)
         cdf /= cdf[-1]
@@ -207,7 +229,7 @@ def _sample_source(src, rng, n, x=None):
         cdf = cdf / cdf[-1]
         inverse = lambda u: _interp_sorted(u, cdf, zz)[:, None]
     else:
-        x += _radial_draws(rng, n, 1, _log_tail_table(src.tail))
+        x += _radial_draws(rng, n, 1, _log_tail_table(src.tail, _tail_nodes()))
         return x
     for k in range(0, n, SAMPLE_BLOCK):
         x[k:k + SAMPLE_BLOCK] += inverse(rng.uniform(size=min(SAMPLE_BLOCK, n - k)))
@@ -226,7 +248,8 @@ def sample_convolution(model, seed, n):
     In every d, |X| inverts the exact measure_tail table that the d = 1 KS
     reference CDF (convolution_cdf) reads; its direction is a fair sign in
     d = 1 and uniform on the sphere in d > 1.  Z comes from the source, an
-    unbounded density through the same inversion of its tail.
+    unbounded density or the integer lattice through the same inversion of
+    its tail.
     """
     return SampleBatch(seed=seed, size=n, points=_draws(model, seed, n, _mu_log_tail(model)))
 

@@ -201,8 +201,9 @@ CI_CONFIGS = [  # the no-extras job's configs in .github/workflows/tier1.yml
 @pytest.mark.parametrize("source", [
     *_workload_configs(), _readme_config(), *CI_CONFIGS,
     {"preset": "example_3_1", "nu": {"kind": "integer_lattice"}},
-    # the no-extras job's null section and non-compact stability configs
-    "{preset: example_3_3, grids: }", "{preset: lemma_3_2, stages: [stability]}"])
+    # the no-extras job's null section, non-compact stability and lattice configs
+    "{preset: example_3_3, grids: }", "{preset: lemma_3_2, stages: [stability]}",
+    "{preset: example_3_1, stages: [conditions, rate, fit]}"])
 def test_filled_config_loads_as_itself(source):
     """A loaded config, every default filled, loads back unchanged: the
     manifest's echo is a config that reproduces the run."""

@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -709,6 +710,71 @@ def test_compact_density_log_p_at_support_edge(x_over_r):
     batched = M._batch_log_p(m, np.array([x]))[0]
     assert batched == pytest.approx(math.log(p_ref), rel=1e-13, abs=1e-13)
     assert -M.v_nu(m, x) == pytest.approx(math.log(p_ref), rel=1e-13, abs=1e-13)
+
+
+def _stored_atom_window(model, xs):
+    """The lattice window over an explicit atom list: the atoms -n_max..n_max
+    with integer_lattice's weight formula, windowed by the reach of exp(-V)
+    with searchsorted and padded with -inf atoms at the last location."""
+    n_max, q, gamma = model.source.lattice
+    z = np.arange(-n_max, n_max + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.append((1.0 / (1.0 + np.abs(z) ** q)) / gamma, 0.0))
+    reach = model.reach()
+    i0 = np.searchsorted(z, xs - reach)
+    i1 = np.searchsorted(z, xs + reach, side="right")
+    block = M._ATOM_BLOCK
+    idx = i0[:, None] + np.arange(-(-int(np.max(i1 - i0)) // block) * block)
+    u = xs[:, None] - z[np.minimum(idx, z.size - 1)]
+    return u, logw[np.where(idx < i1[:, None], idx, z.size)], block
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_lattice_window_matches_an_explicit_atom_list_bitwise(p, monkeypatch):
+    """The closed-form window equals the window over stored atoms bit for
+    bit, and so do log p and the tilted gradient, near zero, out to
+    default_domain and where the window clips at +-n_max."""
+    m = M.ConvolutionModel(M.smooth_well_potential(0.5), M.integer_lattice(p, n_max=5000))
+    T, reach = M.default_domain(m), m.reach()
+    clipped = 5000.0 + np.array([-0.5, 0.0, 0.5, 1.0]) * reach - 1.0
+    x = np.concatenate([np.linspace(-30.0, 30.0, 121), np.geomspace(30.0, T, 60),
+                        -np.geomspace(30.0, T, 60), clipped, -clipped])
+    assert np.any(x + reach > 5000.0) and np.any(x - reach < -5000.0)
+    for xs in (x, x[::-1]):
+        for new, old in zip(M._atom_terms(m, xs), _stored_atom_window(m, xs)):
+            np.testing.assert_array_equal(new, old)
+    logp, g = M._reduce(m, x, m.potential.gradient)
+    fresh = M.ConvolutionModel(m.potential, m.source)
+    monkeypatch.setattr(M, "_atom_terms", _stored_atom_window)
+    old_logp, old_g = M._reduce(fresh, x, m.potential.gradient)
+    assert logp.tobytes() == old_logp.tobytes() and g.tobytes() == old_g.tobytes()
+
+
+def test_lattice_point_beyond_the_atoms_names_x():
+    m = M.ConvolutionModel(M.smooth_well_potential(0.5), M.integer_lattice(1.0, n_max=5000))
+    far = 5000.0 + m.reach() + 1.0
+    with pytest.raises(NumericUnderflow, match=f"x={-far:g} is farther than the reach"):
+        M.v_nu(m, np.array([0.0, -far, far]))
+
+
+def test_lattice_model_builds_no_atom_list():
+    """example_3_1 and log p on the 369 radii of its density-ratio bounds
+    peak below 6 MB of traced memory and hold below 2 MB afterwards; a list
+    of its 400,001 atoms alone would take 6.4 MB."""
+    comparison = P.make_model("lemma_3_2")
+    T = min(M.default_domain(P.make_model("example_3_1")), M.default_domain(comparison))
+    r = np.unique(np.abs(np.concatenate([np.linspace(-30.0, 30.0, 300), np.geomspace(30.0, T, 150)])))
+    assert r.size == 369
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        m = P.make_model("example_3_1")
+        M._batch_log_p(m, r)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 6e6 and held - start < 2e6
+    assert "_atom_list" not in vars(m.source)
 
 
 @pytest.mark.parametrize("name", ["lemma_3_2", "example_3_3", "example_3_1"])

@@ -190,6 +190,36 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def test_lattice_draws_follow_the_exact_tail_and_pmf():
+    """10^6 draws of example_3_1's lattice at p = 0.5 (mass 1.8e-3 beyond
+    n_max = 2e5) land beyond |z| = 2.1e5 and at each integer |i| <= 50 as
+    often as the exact weights predict, to within 4 standard deviations."""
+    src = P.make_model("example_3_1", p=0.5).source
+    n = 10 ** 6
+    z = V._sample_source(src, np.random.default_rng(3), n)[:, 0]
+    np.testing.assert_array_equal(z, np.round(z))
+
+    def within(count, prob):
+        assert abs(count - n * prob) <= 4.0 * math.sqrt(n * prob * (1.0 - prob)), (count, n * prob)
+    far = src.tail(210_001.0)
+    assert n * far > 1000.0
+    within(np.count_nonzero(np.abs(z) > 2.1e5), far)
+    i = np.arange(-50, 51)
+    _, q, gamma = src.lattice
+    counts = np.bincount((z[np.abs(z) <= 50] + 50).astype(int), minlength=101)
+    for c, w in zip(counts, (1.0 / (1.0 + np.abs(i) ** q)) / gamma):
+        within(c, w)
+
+
+def test_finite_atom_draws_invert_the_atom_cdf():
+    """A finite atom list keeps its block-wise inversion of the cumulative
+    weights: the draws are the atoms at the uniforms' ranks, bit for bit."""
+    src = M.symmetric_pair(1.0)
+    z = V._sample_source(src, np.random.default_rng(5), 100_000)
+    u = np.random.default_rng(5).uniform(size=100_000)
+    np.testing.assert_array_equal(z[:, 0], np.where(u <= 0.5, -1.0, 1.0))
+
+
 def test_draws_hold_the_points_a_mask_and_blocks(m33):
     """Drawing n points of example_3_3 (compact source) holds the returned
     float array, a bool sign mask and block-sized temporaries: below 1.5 x
